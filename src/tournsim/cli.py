@@ -17,6 +17,7 @@ from .errors import TournsimError
 from .formats import RANDOM_SEEDING, DecisivePolicy, FormatSpec, run_format
 from .model import PoissonSampler, derive_rng, load_model
 from .montecarlo import (
+    STREAM_LAYOUT,
     CampaignSpec,
     DiscrepancyDistribution,
     compare_campaigns,
@@ -188,6 +189,7 @@ def cmd_campaign(args) -> int:
             "n": str(args.n),
             "sampling": sampler.backend,
             "truth": args.truth,
+            "stream": STREAM_LAYOUT,
             "version": __version__,
         }
         print(
@@ -326,7 +328,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TournsimError as exc:
-        print(f"tournsim: error: {exc}", file=sys.stderr)
+        notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+        print(f"tournsim: error: {exc}{notes}", file=sys.stderr)
         return 2
 
 

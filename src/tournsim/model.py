@@ -120,8 +120,9 @@ def load_model(source) -> PairwiseGoalModel:
     names, cell (i, j) is the mean goals of the row team against the column
     team, diagonal blank.
 
-    `source` may be a path, a text string containing commas/newlines, or a
-    file-like object. Raises IngestionError naming the offending row/column.
+    `source` may be a file-like object, text (a string containing a
+    newline) or a path (any other string). Raises IngestionError naming
+    the offending row/column.
     """
     text = _read_text(source)
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -181,7 +182,7 @@ def _read_text(source) -> str:
     if hasattr(source, "read"):
         return source.read()
     s = str(source)
-    if "," in s or "\n" in s:
+    if "\n" in s:
         return s
     with open(s, "r", encoding="utf-8") as fh:
         return fh.read()

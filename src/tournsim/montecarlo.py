@@ -2,13 +2,24 @@
 
 Simulates many tournaments under one format, measures each outcome's L1
 discrepancy from a ground-truth ranking, and aggregates the empirical
-distribution. Tournament k derives its random stream from (master_seed,
-start_index + k), so results are bit-identical for a given spec regardless
-of worker count, and a campaign may be split into sub-campaigns and merged.
+distribution.
+
+Stream layout v2: tournaments come in blocks of BLOCK_SIZE, and block b
+draws from the one generator derive_rng(master_seed, b); global tournament
+t is row t % BLOCK_SIZE of block t // BLOCK_SIZE. A campaign over
+[start_index, start_index + n) simulates the blocks covering that range and
+keeps the rows inside it, and workers receive runs of whole blocks, so the
+result is bit-identical for a given spec regardless of worker count, and a
+campaign may be split into sub-campaigns and merged.
+
+Specs the batched engine supports (`batch.supports`) play a whole block
+as arrays; the rest run the scalar engine row after row on the block's
+generator, up to the campaign's last tournament.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 from collections import Counter
@@ -18,12 +29,17 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import InvalidComparisonError, InvalidInputError
+from . import batch
+from .errors import InvalidComparisonError, InvalidInputError, TournsimError
 from .formats import FormatSpec, run_format
 from .model import derive_rng
 from .scoring import Ranking, l1_distance
 
 WORKERS_ENV = "TOURNSIM_WORKERS"
+
+BLOCK_SIZE = 250  # tournaments per block of the stream layout
+STREAM_LAYOUT = "v2"  # written as `stream=` in campaign histogram headers
+HISTOGRAM_MAGIC = "# tournsim-histogram v1"
 
 
 @dataclass(frozen=True)
@@ -90,7 +106,7 @@ class DiscrepancyDistribution:
     def to_text(self, header: Optional[Mapping[str, str]] = None) -> str:
         """Self-describing two-column histogram, byte-deterministic."""
         out = io.StringIO()
-        out.write("# tournsim-histogram v1\n")
+        out.write(HISTOGRAM_MAGIC + "\n")
         for k, v in (header or {}).items():
             out.write(f"# {k}={v}\n")
         out.write(f"# n_teams={self.n_teams} n_samples={self.n_samples}\n")
@@ -106,22 +122,41 @@ class DiscrepancyDistribution:
 
     @classmethod
     def from_text(cls, text: str) -> "DiscrepancyDistribution":
+        """Parse `to_text` output. A file without a `stream=` line predates
+        stream layout v2 and is accepted."""
+        lines = text.splitlines()
+        if not lines or lines[0].strip() != HISTOGRAM_MAGIC:
+            raise InvalidInputError(f"first line is not {HISTOGRAM_MAGIC!r}")
         counts: dict[int, int] = {}
-        n_teams = None
-        for line in text.splitlines():
-            line = line.strip()
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("n_teams="):
-                        n_teams = int(tok.split("=", 1)[1])
-                continue
-            if not line or line.startswith("l1,"):
-                continue
-            v, c = line.split(",")
-            counts[int(v)] = int(c)
-        if n_teams is None:
-            raise InvalidInputError("histogram file missing n_teams header")
-        return cls.from_counts(counts, n_teams)
+        header: dict[str, str] = {}
+        try:
+            for line in lines[1:]:
+                line = line.strip()
+                if line.startswith("#"):
+                    for tok in line[1:].split():
+                        key, sep, value = tok.partition("=")
+                        if sep:
+                            header[key] = value
+                    continue
+                if not line or line.startswith("l1,"):
+                    continue
+                v, c = line.split(",")
+                counts[int(v)] = int(c)
+            n_teams = int(header["n_teams"])
+            n_samples = int(header["n_samples"])
+        except KeyError as exc:
+            raise InvalidInputError(f"histogram file missing {exc.args[0]} header") from None
+        except ValueError as exc:
+            raise InvalidInputError(f"malformed histogram line: {exc}") from None
+        stream = header.get("stream")
+        if stream is not None and stream != STREAM_LAYOUT:
+            raise InvalidInputError(f"unknown stream layout {stream!r}")
+        dist = cls.from_counts(counts, n_teams)
+        if dist.n_samples != n_samples:
+            raise InvalidInputError(
+                f"n_samples={n_samples} but the counts sum to {dist.n_samples}"
+            )
+        return dist
 
 
 def merge_distributions(*dists: DiscrepancyDistribution) -> DiscrepancyDistribution:
@@ -137,17 +172,50 @@ def merge_distributions(*dists: DiscrepancyDistribution) -> DiscrepancyDistribut
     return DiscrepancyDistribution.from_counts(total, n_teams)
 
 
-def _simulate_block(spec: CampaignSpec, lo: int, hi: int) -> Counter:
-    counts: Counter = Counter()
-    truth = spec.truth
-    for k in range(lo, hi):
-        rng = derive_rng(spec.master_seed, spec.start_index + k)
-        try:
-            outcome = run_format(spec.format, spec.sampler, rng, keep_games=False)
-        except Exception as exc:
-            raise type(exc)(f"tournament {spec.start_index + k}: {exc}") from exc
-        counts[l1_distance(outcome.ranking, truth)] += 1
-    return counts
+@contextlib.contextmanager
+def _located(where: str):
+    """Name the tournaments a failure happened in. The exception is not
+    rebuilt, since its constructor may take other arguments."""
+    try:
+        yield
+    except Exception as exc:
+        if hasattr(exc, "add_note"):  # Python 3.11+
+            exc.add_note(f"in {where} of the campaign")
+            raise
+        raise TournsimError(f"{where}: {exc}") from exc
+
+
+def _block_range(spec: CampaignSpec) -> tuple[int, int]:
+    """First and one-past-last block covering the campaign's tournaments."""
+    lo = spec.start_index
+    return lo // BLOCK_SIZE, (lo + spec.n_tournaments - 1) // BLOCK_SIZE + 1
+
+
+def _simulate_block(spec: CampaignSpec, first: int, last: int) -> Counter:
+    """L1 counts of the campaign's tournaments in blocks [first, last)."""
+    names = spec.sampler.names
+    lo, hi = spec.start_index, spec.start_index + spec.n_tournaments
+    batched = batch.supports(spec.format, spec.sampler)
+    truth_place = np.array([spec.truth[name] for name in names])
+    places = np.arange(1, len(names) + 1)
+    totals = np.zeros(len(names) ** 2 // 2 + 1, dtype=np.int64)
+    for b in range(first, last):
+        base = b * BLOCK_SIZE
+        r0, r1 = max(lo - base, 0), min(hi - base, BLOCK_SIZE)
+        rng = derive_rng(spec.master_seed, b)
+        if batched:
+            with _located(f"tournaments {base + r0}-{base + r1 - 1}"):
+                final = batch.play_block(spec.format, spec.sampler, rng, BLOCK_SIZE)
+            l1 = np.abs(places - truth_place[final[r0:r1]]).sum(1)
+        else:
+            l1 = []
+            for r in range(r1):
+                with _located(f"tournament {base + r}"):
+                    outcome = run_format(spec.format, spec.sampler, rng, keep_games=False)
+                if r >= r0:
+                    l1.append(l1_distance(outcome.ranking, spec.truth))
+        totals += np.bincount(l1, minlength=totals.size)
+    return Counter({int(v): int(c) for v, c in enumerate(totals) if c})
 
 
 def run_campaign(spec: CampaignSpec, workers: Optional[int] = None) -> DiscrepancyDistribution:
@@ -156,17 +224,17 @@ def run_campaign(spec: CampaignSpec, workers: Optional[int] = None) -> Discrepan
     count only affects wall-clock time."""
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
-    n = spec.n_tournaments
-    if workers <= 1 or n < 2 * workers:
-        counts = _simulate_block(spec, 0, n)
+    first, last = _block_range(spec)
+    parts = min(workers, last - first)
+    if parts <= 1:
+        counts = _simulate_block(spec, first, last)
     else:
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
+        bounds = np.linspace(first, last, parts + 1, dtype=int)
         counts = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=parts) as pool:
             futures = [
                 pool.submit(_simulate_block, spec, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
             ]
             for f in futures:
                 counts.update(f.result())

@@ -1,6 +1,6 @@
 import numpy as np
 
-from tournsim import fixtures
+from tournsim import InvalidInputError, fixtures
 from tournsim.cli import main
 
 MODEL_2012 = str(fixtures.fixture_path("robocup2012.csv"))
@@ -97,6 +97,30 @@ class TestCampaign:
         text = dest.read_text()
         assert text.startswith("# tournsim-histogram v1")
         assert "n_samples=5" in text
+
+    def test_histogram_names_stream_layout(self, capsys, tmp_path):
+        dest = tmp_path / "hist.csv"
+        run(
+            capsys, "campaign", "--model", MODEL_2012, "--format", "f2012",
+            "--n", "5", "--out", str(dest),
+        )
+        lines = dest.read_text().splitlines()
+        assert lines[0] == "# tournsim-histogram v1"
+        assert "# stream=v2" in lines
+
+    def test_failure_inside_campaign_names_tournaments(self, capsys, monkeypatch):
+        from tournsim import batch
+
+        def broken(*args):
+            raise InvalidInputError("broken block")
+
+        monkeypatch.setattr(batch, "play_block", broken)
+        code, _, err = run(
+            capsys, "campaign", "--model", MODEL_2012, "--format", "f2012",
+            "--n", "5",
+        )
+        assert code == 2
+        assert "broken block" in err and "tournaments 0-4" in err
 
     def test_repeat_invocations_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

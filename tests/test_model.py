@@ -64,6 +64,16 @@ class TestLoadModel:
         with pytest.raises(IngestionError, match="empty"):
             load_model("\n")
 
+    def test_path_with_comma_is_a_path(self, tmp_path, model2012):
+        path = tmp_path / "robocup,2012.csv"
+        path.write_text(model2012.to_csv(), encoding="utf-8")
+        for source in (path, str(path)):
+            assert load_model(source).names == model2012.names
+
+    def test_string_without_newline_is_a_path(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_model(str(tmp_path / "A,B"))
+
     def test_roundtrip_exact(self, model2012):
         again = load_model(model2012.to_csv())
         assert again.names == model2012.names
