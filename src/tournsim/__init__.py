@@ -47,6 +47,7 @@ from .montecarlo import (
     compare_campaigns,
     merge_distributions,
     run_campaign,
+    run_campaigns,
 )
 from .scoring import (
     CONTINUOUS,

@@ -21,7 +21,8 @@ from .montecarlo import (
     CampaignSpec,
     DiscrepancyDistribution,
     compare_campaigns,
-    run_campaign,
+    run_campaign,  # noqa: F401  (perfbench's traced rounds wrap cli.run_campaign)
+    run_campaigns,
 )
 from .scoring import (
     CONTINUOUS,
@@ -172,15 +173,18 @@ def cmd_campaign(args) -> int:
     model = _load(args.model)
     sampler = PoissonSampler(model)
     truth = _truth_ranking(args, model)
-    for fmt in args.format:
-        spec = CampaignSpec(
+    specs = [
+        CampaignSpec(
             format=_format_spec(args, fmt, truth),
             sampler=sampler,
             truth=truth,
             n_tournaments=args.n,
             master_seed=args.seed,
         )
-        dist = run_campaign(spec, workers=args.workers)
+        for fmt in args.format
+    ]
+    dists = run_campaigns(specs, workers=args.workers)
+    for fmt, dist in zip(args.format, dists):
         header = {
             "command": "campaign",
             "model": args.model,
@@ -287,7 +291,9 @@ def build_parser() -> _Parser:
         "--format",
         choices=list(FORMAT_ALIASES),
         nargs="+",
+        action="extend",
         required=True,
+        help="formats to campaign; repeat the flag or list several after it",
     )
     # Defaults reproduce the published across-format ordering: random
     # per-tournament seeding, drawn knockout games decided by a coin.

@@ -34,9 +34,9 @@ from .scoring import (
     DEFAULT_POLICY,
     DISCRETE,
     Ranking,
+    Standings,
     TeamStats,
     TieBreakPolicy,
-    discrete_standings,
     discretize_pair,
     points_per_game,
     rank,
@@ -412,53 +412,41 @@ def run_iterated_round_robin(
     if games_per_pair < 1:
         raise InvalidInputError("games_per_pair must be >= 1")
     names = list(sampler.names)
-    n = len(names)
-    if n < 2:
+    if len(names) < 2:
         raise UnsupportedSizeError("need at least 2 teams")
-    table = {name: TeamStats() for name in names}
-    entries: Optional[list[LedgerEntry]] = [] if keep_games else None
-    total = 0
     k = games_per_pair
-    for i in range(n):
-        for j in range(i + 1, n):
-            gi, gj = sampler.sample_many(i, j, k, rng)
-            total += k
-            if entries is not None:
-                ti, tj = TeamId(i, names[i]), TeamId(j, names[j])
-                entries.extend(
-                    LedgerEntry(f"rr-{i + 1}v{j + 1}-g{g + 1}",
-                                GameResult(ti, tj, int(a), int(b)))
-                    for g, (a, b) in enumerate(zip(gi, gj))
-                )
-            _accumulate_pair(table, names[i], names[j], gi, gj, scheme)
-    ranking = rank(table, policy, names)
-    return TournamentOutcome(ranking, entries, total)
+    pairs = np.array(np.triu_indices(len(names), 1))
+    goals = np.empty((2, pairs.shape[1], k), dtype=np.int64)
+    for p, (i, j) in enumerate(pairs.T.tolist()):
+        goals[:, p] = sampler.sample_many(i, j, k, rng)
+    teams = [TeamId(i, name) for i, name in enumerate(names)]
+    entries = [
+        LedgerEntry(f"rr-{i + 1}v{j + 1}-g{g}", GameResult(teams[i], teams[j], a, b))
+        for (i, j), home_goals, away_goals in zip(pairs.T.tolist(), *goals.tolist())
+        for g, (a, b) in enumerate(zip(home_goals, away_goals), 1)
+    ] if keep_games else None
+    table = league_table(names, pairs, goals, scheme)
+    return TournamentOutcome(rank(table, policy, names), entries, goals[0].size)
 
 
-def _accumulate_pair(table, name_i, name_j, gi, gj, scheme):
-    wins_i = int(np.count_nonzero(gi > gj))
-    wins_j = int(np.count_nonzero(gi < gj))
-    draws = len(gi) - wins_i - wins_j
-    k = len(gi)
-    si, sj = table[name_i], table[name_j]
+def league_table(names: Sequence[str], pairs, goals, scheme: str) -> Standings:
+    """Integer standings of a complete round robin whose pair p, teams
+    pairs[:, p], played k games with goals goals[:, p]: k times the summed
+    per-pair means (3 points a win, 1 a draw) under the continuous scheme;
+    sums over each pair's mean scoreline, rounded half away from zero, under
+    the discrete one. So ties are decided exactly, not by float rounding."""
+    k = goals.shape[2]
     if scheme == CONTINUOUS:
-        si.points += (3 * wins_i + draws) / k
-        sj.points += (3 * wins_j + draws) / k
-        si.goals_for += float(np.mean(gi))
-        si.goals_against += float(np.mean(gj))
-        sj.goals_for += float(np.mean(gj))
-        sj.goals_against += float(np.mean(gi))
+        wins = np.count_nonzero(goals > goals[::-1], axis=2)
+        points = 3 * wins + (k - wins.sum(0))
+        scored = goals.sum(2)
     else:
-        ri, rj = round_half_away(float(np.mean(gi))), round_half_away(float(np.mean(gj)))
-        pi, pj = (3, 0) if ri > rj else (0, 3) if ri < rj else (1, 1)
-        si.points += pi
-        sj.points += pj
-        si.goals_for += ri
-        si.goals_against += rj
-        sj.goals_for += rj
-        sj.goals_against += ri
-    si.games_played += k
-    sj.games_played += k
+        scored = (2 * goals.sum(2) + k) // (2 * k)
+        points = np.where(scored > scored[::-1], 3, scored == scored[::-1])
+    teams, games = pairs.ravel(), (len(names) - 1) * k
+    totals = (np.bincount(teams, per_pair.ravel(), len(names)).astype(np.int64).tolist()
+              for per_pair in (points, scored, scored[::-1]))
+    return {name: TeamStats(*stats, games) for name, *stats in zip(names, *totals)}
 
 
 def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> TournamentOutcome:
@@ -491,16 +479,8 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
             "replay needs an explicit seeding; 'random' is resolved at run time"
         )
     if spec.kind == "iterated_round_robin":
-        table = {name: TeamStats() for name in names}
-        by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for e in outcome.games:
-            key = (e.result.home.index, e.result.away.index)
-            by_pair.setdefault(key, []).append((e.result.home_goals, e.result.away_goals))
-        for (i, j), scores in by_pair.items():
-            gi = np.array([s[0] for s in scores])
-            gj = np.array([s[1] for s in scores])
-            _accumulate_pair(table, names[i], names[j], gi, gj, spec.scheme)
-        return rank(table, spec.policy, list(names))
+        pairs, goals = _ledger_pairs(names, outcome.games, spec.games_per_pair)
+        return rank(league_table(names, pairs, goals, spec.scheme), spec.policy, list(names))
     provider = _ReplayProvider(names, outcome.games)
     seeds = _seed_list(provider, spec.seeding)
     if spec.kind == "format_2012":
@@ -510,6 +490,25 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
     else:
         order = _engine_proposed(provider, seeds, spec.policy, spec.best_of_three)
     return Ranking.from_order([names[i] for i in order])
+
+
+def _ledger_pairs(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
+    """An oracle ledger of k games a pair as league_table's pairs (i < j,
+    row-major) and goals, each game oriented (i, j) whichever way it is named."""
+    n = len(names)
+    rows = np.array([(g.result.home.index, g.result.away.index, g.result.home_goals,
+                      g.result.away_goals) for g in games], dtype=np.int64).reshape(-1, 4).T
+    lo, hi = np.minimum(rows[0], rows[1]), np.maximum(rows[0], rows[1])
+    if np.any((lo < 0) | (hi >= n) | (lo == hi)):
+        raise InvalidInputError(f"ledger game of a team outside 0..{n - 1} or against itself")
+    pair = lo * n + hi
+    pairs = np.array(np.triu_indices(n, 1))
+    counts = np.bincount(pair, minlength=n * n)[pairs[0] * n + pairs[1]]
+    for (i, j), c in zip(pairs.T.tolist(), counts.tolist()):
+        if c != k:
+            raise InvalidInputError(f"ledger has {c} games of ({names[i]}, {names[j]}), not {k}")
+    goals = np.where(rows[0] > rows[1], rows[[3, 2]], rows[2:])
+    return pairs, goals[:, np.argsort(pair, kind="stable")].reshape(2, -1, k)
 
 
 @dataclass

@@ -25,7 +25,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -222,23 +222,35 @@ def run_campaign(spec: CampaignSpec, workers: Optional[int] = None) -> Discrepan
     """Simulate spec.n_tournaments independent format runs and aggregate
     their L1 discrepancies. Output is a pure function of the spec; worker
     count only affects wall-clock time."""
+    return run_campaigns([spec], workers)[0]
+
+
+def run_campaigns(
+    specs: Sequence[CampaignSpec], workers: Optional[int] = None
+) -> list[DiscrepancyDistribution]:
+    """run_campaign of every spec, with one process pool for all of them:
+    each spec's blocks are split into up to `workers` runs, and the runs of
+    all specs share the pool, which is started once."""
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
-    first, last = _block_range(spec)
-    parts = min(workers, last - first)
-    if parts <= 1:
-        counts = _simulate_block(spec, first, last)
+    runs = []  # (spec number, first block, last block)
+    for s, spec in enumerate(specs):
+        first, last = _block_range(spec)
+        bounds = np.linspace(first, last, max(1, min(workers, last - first)) + 1, dtype=int)
+        runs += [(s, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    counts = [Counter() for _ in specs]
+    if min(workers, len(runs)) <= 1:
+        for s, lo, hi in runs:
+            counts[s].update(_simulate_block(specs[s], lo, hi))
     else:
-        bounds = np.linspace(first, last, parts + 1, dtype=int)
-        counts = Counter()
-        with ProcessPoolExecutor(max_workers=parts) as pool:
-            futures = [
-                pool.submit(_simulate_block, spec, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for f in futures:
-                counts.update(f.result())
-    return DiscrepancyDistribution.from_counts(counts, len(spec.sampler.names))
+        with ProcessPoolExecutor(max_workers=min(workers, len(runs))) as pool:
+            futures = [(s, pool.submit(_simulate_block, specs[s], lo, hi)) for s, lo, hi in runs]
+            for s, future in futures:
+                counts[s].update(future.result())
+    return [
+        DiscrepancyDistribution.from_counts(c, len(spec.sampler.names))
+        for c, spec in zip(counts, specs)
+    ]
 
 
 @dataclass(frozen=True)

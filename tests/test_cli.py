@@ -131,6 +131,46 @@ class TestCampaign:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_repeated_format_flags_equal_one_list(self, capsys, tmp_path):
+        outputs = []
+        for flags in (
+            ["--format", "proposed", "--format", "f2012", "--format", "f2013"],
+            ["--format", "proposed", "f2012", "f2013"],
+            ["--format", "proposed", "--format", "f2012", "f2013"],
+        ):
+            dest = tmp_path / f"{len(outputs)}.csv"
+            code, out, _ = run(
+                capsys, "campaign", "--model", MODEL_2012, *flags,
+                "--n", "20", "--out", str(dest),
+            )
+            assert code == 0
+            files = {
+                fmt: (tmp_path / f"{len(outputs)}-{fmt}.csv").read_bytes()
+                for fmt in ("proposed", "f2012", "f2013")
+            }
+            outputs.append((out, files))
+        assert [ln.split(":")[0] for ln in outputs[0][0].splitlines()] == [
+            "proposed", "f2012", "f2013",
+        ]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_multi_format_bytes_do_not_depend_on_workers(self, capsys, tmp_path):
+        files = {}
+        for workers in ("1", "2"):
+            dest = tmp_path / f"w{workers}.csv"
+            code, _, _ = run(
+                capsys, "campaign", "--model", MODEL_2013,
+                "--format", "proposed", "f2012", "f2013", "oracle",
+                "--games-per-pair", "3", "--n", "600", "--workers", workers,
+                "--out", str(dest),
+            )
+            assert code == 0
+            files[workers] = [
+                (tmp_path / f"w{workers}-{fmt}.csv").read_bytes()
+                for fmt in ("proposed", "f2012", "f2013", "oracle")
+            ]
+        assert files["1"] == files["2"]
+
     def test_compare_on_written_histograms(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(

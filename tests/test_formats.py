@@ -1,17 +1,29 @@
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tournsim import (
     DecisivePolicy,
     FormatSpec,
+    GameResult,
     IncompleteInputError,
+    InvalidInputError,
     FixedResultTable,
+    LedgerEntry,
     PairwiseGoalModel,
     PoissonSampler,
+    Ranking,
+    TeamId,
+    TeamStats,
+    TournamentOutcome,
     UnsupportedSizeError,
     derive_rng,
+    rank,
     rank_from_fixed_results,
     replay_outcome,
     run_format,
@@ -21,6 +33,7 @@ from tournsim import (
     run_proposed,
 )
 from tournsim import fixtures
+from tournsim.formats import league_table
 
 NAMES8 = [f"T{i}" for i in range(8)]
 
@@ -274,3 +287,162 @@ class TestSamplerInterchangeability:
         ):
             out = run_format(spec, emp, derive_rng(14, 1, k))
             assert set(out.ranking.places) == set(NAMES8)
+
+
+class FixedGoalsSampler:
+    """Hands out preset games: goals[:, p] for the p-th pair (i < j, in
+    row-major order), whatever the generator."""
+
+    backend = "fixed"
+
+    def __init__(self, names, goals):
+        self.names = list(names)
+        n = len(self.names)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self._games = {pair: (goals[0][p], goals[1][p]) for p, pair in enumerate(pairs)}
+
+    def sample_many(self, i, j, count, rng):
+        home, away = self._games[(i, j)]
+        assert len(home) == count
+        return np.array(home), np.array(away)
+
+
+def fraction_standings(names, goals, scheme):
+    """The schemes' definitions in exact arithmetic: per pair the mean
+    points and goals of its k games (continuous), or the pair's mean
+    scoreline rounded half away from zero to one game (discrete)."""
+    n = len(names)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    zero = Fraction(0)
+    table = {name: TeamStats(zero, zero, zero, 0) for name in names}
+    for p, (i, j) in enumerate(pairs):
+        home, away = goals[0][p], goals[1][p]
+        k = len(home)
+        if scheme == "continuous":
+            pts_i = Fraction(sum(3 * (a > b) + (a == b) for a, b in zip(home, away)), k)
+            pts_j = Fraction(sum(3 * (b > a) + (a == b) for a, b in zip(home, away)), k)
+            for_i, for_j = Fraction(sum(home), k), Fraction(sum(away), k)
+        else:
+            # half away from zero; goals are never negative
+            for_i = math.floor(Fraction(sum(home), k) + Fraction(1, 2))
+            for_j = math.floor(Fraction(sum(away), k) + Fraction(1, 2))
+            pts_i = 3 if for_i > for_j else 1 if for_i == for_j else 0
+            pts_j = 3 if for_j > for_i else 1 if for_i == for_j else 0
+        for team, pts, scored, conceded in ((i, pts_i, for_i, for_j), (j, pts_j, for_j, for_i)):
+            s = table[names[team]]
+            s.points += pts
+            s.goals_for += scored
+            s.goals_against += conceded
+            s.games_played += k
+    return table
+
+
+@st.composite
+def round_robins(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 12))
+    pairs = n * (n - 1) // 2
+    games = st.lists(st.integers(0, 6), min_size=k, max_size=k)
+    goals = [draw(st.lists(games, min_size=pairs, max_size=pairs)) for _ in range(2)]
+    return NAMES8[:n], k, goals
+
+
+def flipped(entry):
+    r = entry.result
+    return LedgerEntry(entry.stage, GameResult(r.away, r.home, r.away_goals, r.home_goals))
+
+
+class TestLeagueTable:
+    @pytest.mark.parametrize("scheme", ["continuous", "discrete"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=round_robins(), shuffle=st.randoms(use_true_random=False))
+    def test_exact_totals_and_live_equals_replay(self, scheme, case, shuffle):
+        names, k, goals = case
+        n = len(names)
+        table = league_table(
+            names, np.array(np.triu_indices(n, 1)), np.array(goals), scheme
+        )
+        exact = fraction_standings(names, goals, scheme)
+        divisor = k if scheme == "continuous" else 1
+        for name in names:
+            got, want = table[name], exact[name]
+            for field in ("points", "goals_for", "goals_against"):
+                total = getattr(got, field)
+                assert isinstance(total, int)
+                assert Fraction(total, divisor) == getattr(want, field)
+                assert total / divisor == float(getattr(want, field))
+            assert got.games_played == want.games_played == (n - 1) * k
+
+        spec = FormatSpec("iterated_round_robin", games_per_pair=k, scheme=scheme)
+        live = run_format(spec, FixedGoalsSampler(names, goals), derive_rng(15, 0))
+        assert live.games_total == len(live.games) == k * n * (n - 1) // 2
+        assert live.ranking.places == rank(exact, spec.policy, names).places
+        assert replay_outcome(spec, names, live).places == live.ranking.places
+        # any game order, either orientation
+        games = [flipped(e) if shuffle.random() < 0.5 else e for e in live.games]
+        shuffle.shuffle(games)
+        mixed = TournamentOutcome(live.ranking, games, len(games))
+        assert replay_outcome(spec, names, mixed).places == live.ranking.places
+
+
+# Four teams, ten games a pair, as (count, home goals, away goals). A and B
+# both take 14 points-units (3 a win, 1 a draw) over k=10: A as 10 + 1 + 3,
+# B as 10 + 4 + 0, which summed as per-pair means in float give
+# 1.4000000000000001 and 1.4. Goal difference, -17 against -13, must decide.
+TIED_ON_POINTS = {
+    (0, 1): [(10, 0, 0)],
+    (0, 2): [(1, 0, 0), (9, 0, 1)],
+    (0, 3): [(1, 1, 0), (9, 0, 1)],
+    (1, 2): [(1, 5, 0), (1, 0, 0), (8, 0, 1)],
+    (1, 3): [(10, 0, 1)],
+    (2, 3): [(10, 0, 0)],
+}
+
+
+class TestOracleLedger:
+    NAMES = ["A", "B", "C", "D"]
+    SPEC = FormatSpec("iterated_round_robin", games_per_pair=10)
+
+    def ledger(self, pairs=TIED_ON_POINTS):
+        teams = [TeamId(i, name) for i, name in enumerate(self.NAMES)]
+        games = [
+            LedgerEntry(f"rr-{i + 1}v{j + 1}", GameResult(teams[i], teams[j], a, b))
+            for (i, j), runs in pairs.items()
+            for count, a, b in runs
+            for _ in range(count)
+        ]
+        return TournamentOutcome(Ranking.from_order(self.NAMES), games, len(games))
+
+    def test_equal_points_from_different_splits_go_to_goal_difference(self):
+        replayed = replay_outcome(self.SPEC, self.NAMES, self.ledger())
+        assert replayed.order() == ["D", "C", "B", "A"]
+        goals = [[], []]
+        for runs in TIED_ON_POINTS.values():
+            goals[0].append([a for count, a, _ in runs for _ in range(count)])
+            goals[1].append([b for count, _, b in runs for _ in range(count)])
+        live = run_format(self.SPEC, FixedGoalsSampler(self.NAMES, goals), derive_rng(16, 0))
+        assert live.ranking.places == replayed.places
+
+    @pytest.mark.parametrize(
+        "away", [TeamId(4, "E"), TeamId(-1, "Z"), TeamId(0, "A2")], ids=str
+    )
+    def test_team_outside_names_rejected(self, away):
+        outcome = self.ledger()
+        r = outcome.games[0].result
+        outcome.games[0] = LedgerEntry(
+            "rr-1v5", GameResult(r.home, away, r.home_goals, r.away_goals)
+        )
+        with pytest.raises(InvalidInputError, match="outside"):
+            replay_outcome(self.SPEC, self.NAMES, outcome)
+
+    def test_missing_pair_rejected(self):
+        pairs = {p: runs for p, runs in TIED_ON_POINTS.items() if p != (1, 3)}
+        with pytest.raises(InvalidInputError, match=r"0 games of \(B, D\)"):
+            replay_outcome(self.SPEC, self.NAMES, self.ledger(pairs))
+
+    @pytest.mark.parametrize("count", [9, 11])
+    def test_wrong_game_count_rejected(self, count):
+        pairs = dict(TIED_ON_POINTS)
+        pairs[(2, 3)] = [(count, 0, 0)]
+        with pytest.raises(InvalidInputError, match=rf"{count} games of \(C, D\)"):
+            replay_outcome(self.SPEC, self.NAMES, self.ledger(pairs))

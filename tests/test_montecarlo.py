@@ -19,6 +19,7 @@ from tournsim import (
     merge_distributions,
     montecarlo,
     run_campaign,
+    run_campaigns,
 )
 from tournsim.montecarlo import BLOCK_SIZE
 
@@ -63,6 +64,13 @@ class TestCampaignDeterminism:
         first = run_campaign(spec(n=120))
         second = run_campaign(spec(n=180, start=120))
         assert merge_distributions(first, second).counts == whole.counts
+
+    def test_one_pool_for_many_specs_equals_one_campaign_each(self):
+        specs = [spec(n=300), spec(n=120, start=200, kind="proposed"), spec(n=300)]
+        alone = [run_campaign(s, workers=1).to_text() for s in specs]
+        for workers in (1, 2, 3):
+            shared = run_campaigns(specs, workers=workers)
+            assert [d.to_text() for d in shared] == alone
 
     def test_worker_count_does_not_change_result(self):
         one = run_campaign(spec(n=80), workers=1)
