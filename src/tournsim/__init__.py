@@ -23,10 +23,7 @@ from .formats import (
     rank_from_fixed_results,
     replay_outcome,
     run_format,
-    run_format_2012,
-    run_format_2013_double_elim,
     run_iterated_round_robin,
-    run_proposed,
 )
 from .model import (
     AverageResult,

@@ -1,15 +1,16 @@
 """Batched campaign engine: a block of tournaments played as numpy arrays.
 
 Plays the proposed format (single game or best of three), the 2012 hybrid
-and the 2013 double elimination for every row of a block at once, with
-the rules of the scalar engines in `formats`. Arrays are indexed by seed
+and the 2013 double elimination for every row of a block at once. The
+rules it must match are the stage tables `formats.BRACKETS`, which the
+scalar interpreter `formats.run_format` plays. Arrays are indexed by seed
 position (0 is the top seed), so the higher-seed rule picks the smaller
 index, and a team's identity matters only for its goal means and for the
 final order that is returned.
 
 A stage samples all its games for all rows in one `rng.poisson` call, and
 knockout slots are settled with `np.where`. The outcome distribution is
-that of the scalar engines; the random stream is consumed differently, so
+that of the scalar interpreter; the random stream is consumed differently, so
 a row does not reproduce the scalar run of the same generator.
 """
 
@@ -29,7 +30,7 @@ GROUPS_2012 = np.array([[0, 3, 4, 7], [1, 2, 5, 6]])
 def supports(fmt, sampler) -> bool:
     """Whether `play_block` can run `fmt` on `sampler`. Other samplers,
     head-to-head tie-breaks, the oracle and fields of other sizes run on
-    the scalar engines."""
+    the scalar interpreter."""
     return (
         fmt.kind in _ENGINES
         and type(sampler) is PoissonSampler

@@ -9,6 +9,7 @@ golden-check failure.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -67,11 +68,22 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _load(path: str):
+def _read(path: str) -> str:
+    """The text of an input file; a file that cannot be read is a data
+    error naming it."""
     try:
-        return load_model(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise TournsimError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise TournsimError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _load(path: str):
+    text = _read(path)
+    try:
+        return load_model(io.StringIO(text))
     except TournsimError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -164,8 +176,8 @@ def _truth_ranking(args, model) -> Ranking:
             keep_games=False,
         )
         return outcome.ranking
-    with open(args.truth, "r", encoding="utf-8") as fh:
-        names = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    lines = _read(args.truth).splitlines()
+    names = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
     return Ranking.from_order(names)
 
 
@@ -217,10 +229,7 @@ def _suffixed(path: str, fmt: str) -> str:
 
 
 def cmd_compare(args) -> int:
-    dists = []
-    for path in (args.a, args.b):
-        with open(path, "r", encoding="utf-8") as fh:
-            dists.append(DiscrepancyDistribution.from_text(fh.read()))
+    dists = [DiscrepancyDistribution.from_text(_read(path)) for path in (args.a, args.b)]
     summary = compare_campaigns(dists[0], dists[1])
     print(f"mean_delta={summary.mean_delta:.4f}")
     print(f"median_delta={summary.median_delta:.1f}")

@@ -1,9 +1,9 @@
 """Executable tournament formats.
 
-Four engines share one provider abstraction so that a finished game ledger
-can be replayed through the same deterministic state machine:
+Each bracket format is written once, as a stage table in `BRACKETS`, and
+played by one interpreter, `_play`. A table lists the stages in playing
+order and the stages that give places 1-8:
 
-* iterated round-robin (the ground-truth oracle),
 * the 2012 hybrid format (two seeded groups, two-legged semifinals,
   final / third-place / classification games; 20 games),
 * the 2013 double-elimination format (14 bracket games + 2 classification
@@ -11,9 +11,20 @@ can be replayed through the same deterministic state machine:
 * the proposed format (28-game preliminary round-robin + 4 classification
   playoffs, optionally best-of-three; 32 games in the single-game variant).
 
-Knockout slots that end drawn are resolved by a DecisivePolicy (resampled
-"replays" followed by a coin flip or higher-seed rule); the resolved winner
-is recorded on the ledger entry so replays never need the random stream.
+The interpreter asks a provider for each game and for the winner of each
+knockout slot, so the same tables serve three kinds of run:
+
+* live (`run_format`): games are sampled; a drawn knockout slot is
+  resolved by a DecisivePolicy (resampled "replays" followed by a coin
+  flip or higher-seed rule), and the resolved winner is recorded on the
+  ledger entry so replays never need the random stream;
+* replay (`replay_outcome`): games and winners are read back off a
+  recorded ledger, which must match the table slot by slot;
+* fixed (`rank_from_fixed_results`): games are read off a fixed result
+  table, as the golden checks over the published tables do.
+
+The iterated round-robin (the ground-truth oracle) is not a bracket: it
+samples each pair's games in bulk and ranks them with `league_table`.
 """
 
 from __future__ import annotations
@@ -38,9 +49,7 @@ from .scoring import (
     TeamStats,
     TieBreakPolicy,
     discretize_pair,
-    points_per_game,
     rank,
-    round_half_away,
     standings_from_games,
 )
 
@@ -108,9 +117,90 @@ class LedgerEntry:
 
 @dataclass
 class TournamentOutcome:
+    """A run's ranking, its ledger (None when not kept), its game count and,
+    for a bracket, the seeding it was played with (team indices, seed 1
+    first), which replays a random seeding."""
+
     ranking: Ranking
     games: Optional[list[LedgerEntry]]
     games_total: int
+    seeding: Optional[tuple[int, ...]] = None
+
+
+# Stage kinds. A round robin (RR) yields its finishing order. A single
+# game (KO), a two-legged tie on aggregate goals with no away-goals rule
+# (LEGS) and a playoff (one game, or best of three when
+# spec.best_of_three) yield (winner, loser).
+RR, KO, LEGS, PLAYOFF = "round_robin", "knockout", "two_legs", "playoff"
+
+
+def _seeds(*positions):
+    return [("seeds", p) for p in positions]
+
+
+def _both(*labels):
+    """Winner then loser of each stage, as consecutive places."""
+    return [(label, p) for label in labels for p in (0, 1)]
+
+
+# Each bracket as (stages, places). A stage is (label, kind, teams): a
+# round robin's label is the prefix of its games' ledger labels, the other
+# kinds' label is their game's. A team is (stage label, position) in what
+# that stage yielded, and "seeds" is the seeding, seed 1 first. Stages are
+# listed in playing order, which fixes the order of the ledger and of the
+# random stream.
+BRACKETS = {
+    "format_2012": (
+        [
+            # Groups by seed: seeds 1, 4, 5, 8 and seeds 2, 3, 6, 7.
+            ("groupA-", RR, _seeds(0, 3, 4, 7)),
+            ("groupB-", RR, _seeds(1, 2, 5, 6)),
+            # Semifinals A1 v B2 and B1 v A2.
+            ("semi1", LEGS, [("groupA-", 0), ("groupB-", 1)]),
+            ("semi2", LEGS, [("groupB-", 0), ("groupA-", 1)]),
+            ("final", KO, [("semi1", 0), ("semi2", 0)]),
+            ("third-place", KO, [("semi1", 1), ("semi2", 1)]),
+            ("class-5-6", KO, [("groupA-", 2), ("groupB-", 2)]),
+            ("class-7-8", KO, [("groupA-", 3), ("groupB-", 3)]),
+        ],
+        _both("final", "third-place", "class-5-6", "class-7-8"),
+    ),
+    "format_2013_double_elim": (
+        [
+            # Winners round 1: 1v8, 4v5, 2v7, 3v6.
+            ("wb1-1", KO, _seeds(0, 7)),
+            ("wb1-2", KO, _seeds(3, 4)),
+            ("wb1-3", KO, _seeds(1, 6)),
+            ("wb1-4", KO, _seeds(2, 5)),
+            ("lb1-1", KO, [("wb1-1", 1), ("wb1-2", 1)]),
+            ("lb1-2", KO, [("wb1-3", 1), ("wb1-4", 1)]),
+            ("wb2-1", KO, [("wb1-1", 0), ("wb1-2", 0)]),
+            ("wb2-2", KO, [("wb1-3", 0), ("wb1-4", 0)]),
+            # Cross-match losers round 2 to avoid immediate rematches.
+            ("lb2-1", KO, [("lb1-1", 0), ("wb2-2", 1)]),
+            ("lb2-2", KO, [("lb1-2", 0), ("wb2-1", 1)]),
+            ("wb-final", KO, [("wb2-1", 0), ("wb2-2", 0)]),
+            ("lb3", KO, [("lb2-1", 0), ("lb2-2", 0)]),
+            ("lb-final", KO, [("lb3", 0), ("wb-final", 1)]),
+            ("grand-final", KO, [("wb-final", 0), ("lb-final", 0)]),
+            ("class-5-6", KO, [("lb2-1", 1), ("lb2-2", 1)]),
+            ("class-7-8", KO, [("lb1-1", 1), ("lb1-2", 1)]),
+        ],
+        # Third is the losers' final's loser, fourth the losers' round 3's.
+        _both("grand-final") + [("lb-final", 1), ("lb3", 1)]
+        + _both("class-5-6", "class-7-8"),
+    ),
+    "proposed": (
+        [
+            ("rr-", RR, _seeds(*range(8))),
+            ("final", PLAYOFF, [("rr-", 0), ("rr-", 1)]),
+            ("po-3-4", PLAYOFF, [("rr-", 2), ("rr-", 3)]),
+            ("po-5-6", PLAYOFF, [("rr-", 4), ("rr-", 5)]),
+            ("po-7-8", PLAYOFF, [("rr-", 6), ("rr-", 7)]),
+        ],
+        _both("final", "po-3-4", "po-5-6", "po-7-8"),
+    ),
+}
 
 
 class _LiveProvider:
@@ -153,13 +243,13 @@ class _LiveProvider:
 
 
 class _ReplayProvider:
-    """Feeds a recorded ledger back through the format state machine."""
+    """Feeds a recorded ledger back through a stage table; every entry
+    must be the game the table asks for next."""
 
     def __init__(self, names: Sequence[str], entries: Sequence[LedgerEntry]):
         self.names = list(names)
         self._queue = list(entries)
         self._pos = 0
-        self.entries: list[LedgerEntry] = []
 
     def play(self, stage: str, i: int, j: int) -> LedgerEntry:
         if self._pos >= len(self._queue):
@@ -170,15 +260,59 @@ class _ReplayProvider:
             raise InvalidInputError(
                 f"ledger stage {entry.stage!r} does not match expected {stage!r}"
             )
-        self.entries.append(entry)
+        r = entry.result
+        if (r.home.index, r.away.index) != (i, j):
+            raise InvalidInputError(
+                f"ledger game {stage!r} is {r.home.name} v {r.away.name}, "
+                f"expected {self.names[i]} v {self.names[j]}"
+            )
         return entry
 
     def resolve(self, entry: LedgerEntry, i: int, j: int, natural: Optional[int]) -> int:
-        if entry.winner is not None:
-            return self.names.index(entry.winner)
-        if natural is None:
-            raise InvalidInputError("drawn knockout game without recorded winner")
-        return natural
+        if entry.winner is None:
+            if natural is None:
+                raise InvalidInputError("drawn knockout game without recorded winner")
+            return natural
+        # A decided result leaves the winner no choice; a draw leaves two.
+        allowed = (i, j) if natural is None else (natural,)
+        for w in allowed:
+            if entry.winner == self.names[w]:
+                return w
+        raise InvalidInputError(
+            f"ledger winner {entry.winner!r} of {entry.stage!r} is not "
+            + " or ".join(self.names[w] for w in allowed)
+        )
+
+    def finish(self) -> None:
+        left = len(self._queue) - self._pos
+        if left:
+            raise InvalidInputError(f"{left} ledger entries left after the last stage")
+
+
+class _FixedProvider:
+    """Reads each game off a FixedResultTable, rounded to a scoreline by
+    discretize_pair. A playoff goes to its override if there is one, then
+    to the table's result, then, when that is drawn, to the higher
+    preliminary place (the home side)."""
+
+    def __init__(self, table: FixedResultTable, overrides: dict):
+        self.table = table
+        self.names = table.names
+        self.overrides = overrides
+
+    def play(self, stage: str, i: int, j: int) -> LedgerEntry:
+        a, b = self.names[i], self.names[j]
+        avg = AverageResult((TeamId(i, a), TeamId(j, b)), *self.table.score(a, b), 1)
+        return LedgerEntry(stage, discretize_pair(avg))
+
+    def resolve(self, entry: LedgerEntry, i: int, j: int, natural: Optional[int]) -> int:
+        pair = (self.names[i], self.names[j])
+        w = self.overrides.get(frozenset(pair))
+        if w is None:
+            return i if natural is None else natural
+        if w not in pair:
+            raise InvalidInputError(f"override winner {w!r} not in playoff pair")
+        return i if w == pair[0] else j
 
 
 def _natural_winner(entry: LedgerEntry, i: int, j: int) -> Optional[int]:
@@ -195,30 +329,69 @@ def _knockout(provider, stage: str, i: int, j: int) -> int:
     return provider.resolve(entry, i, j, _natural_winner(entry, i, j))
 
 
+def _two_legs(provider, stage: str, i: int, j: int) -> int:
+    """Home leg, then away leg; aggregate goals decide."""
+    leg1 = provider.play(f"{stage}-leg1", i, j).result
+    leg2 = provider.play(f"{stage}-leg2", j, i)
+    gi = leg1.home_goals + leg2.result.away_goals
+    gj = leg1.away_goals + leg2.result.home_goals
+    return provider.resolve(leg2, i, j, i if gi > gj else j if gj > gi else None)
+
+
 def _best_of_three(provider, stage: str, i: int, j: int) -> int:
     """First to 2 wins within 3 games; drawn games count for neither side.
-    An undecided series falls back to series points (3/1/0), then the
-    decisive policy."""
+    An undecided series goes to the side with more wins, then to the
+    decisive policy. Series points (3/1/0) cannot decide it: after three
+    games, equal wins mean equal draws, hence equal points."""
     wins = {i: 0, j: 0}
-    pts = {i: 0, j: 0}
-    last = None
     for g in range(1, 4):
         last = provider.play(f"{stage}-g{g}", i, j)
         w = _natural_winner(last, i, j)
-        ph, pa = points_per_game(last.result)
-        pts[i] += ph
-        pts[j] += pa
         if w is not None:
             wins[w] += 1
             if wins[w] == 2:
                 return provider.resolve(last, i, j, w)
-    if wins[i] != wins[j]:
-        natural = i if wins[i] > wins[j] else j
-    elif pts[i] != pts[j]:
-        natural = i if pts[i] > pts[j] else j
-    else:
-        natural = None
+    natural = None if wins[i] == wins[j] else max(wins, key=wins.get)
     return provider.resolve(last, i, j, natural)
+
+
+def _round_robin(provider, prefix, members, policy, seed_pos) -> list[int]:
+    """Single round-robin among `members`; returns them in finishing order."""
+    names = provider.names
+    games = [
+        provider.play(f"{prefix}{a + 1}v{b + 1}", members[a], members[b]).result
+        for a in range(len(members))
+        for b in range(a + 1, len(members))
+    ]
+    table = standings_from_games(games, [names[m] for m in members])
+    by_seed = [names[m] for m in sorted(members, key=seed_pos.__getitem__)]
+    index = {names[m]: m for m in members}
+    return [index[n] for n in rank(table, policy, by_seed, games).order()]
+
+
+def _play(provider, kind: str, seeds: Sequence[int], policy: TieBreakPolicy,
+          best_of_three: bool) -> list[int]:
+    """Play bracket `kind` on `seeds` (team indices, seed 1 first) with the
+    games `provider` gives; returns the final order, best first."""
+    stages, places = BRACKETS[kind]
+    if len(seeds) != len(places):
+        raise UnsupportedSizeError(f"{kind} requires exactly {len(places)} teams")
+    seed_pos = {t: p for p, t in enumerate(seeds)}
+    yielded = {"seeds": seeds}
+    for label, stage_kind, refs in stages:
+        teams = [yielded[stage][p] for stage, p in refs]
+        if stage_kind == RR:
+            yielded[label] = _round_robin(provider, label, teams, policy, seed_pos)
+            continue
+        i, j = teams
+        if stage_kind == LEGS:
+            w = _two_legs(provider, label, i, j)
+        elif stage_kind == PLAYOFF and best_of_three:
+            w = _best_of_three(provider, label, i, j)
+        else:
+            w = _knockout(provider, label, i, j)
+        yielded[label] = (w, j if w == i else i)
+    return [yielded[stage][p] for stage, p in places]
 
 
 def _seed_list(sampler, seeding) -> list[int]:
@@ -229,173 +402,6 @@ def _seed_list(sampler, seeding) -> list[int]:
     if sorted(idx) != list(range(len(names))):
         raise InvalidInputError("seeding must be a permutation of all teams")
     return idx
-
-
-def _round_robin_rank(provider, members, stage_prefix, policy, seed_pos):
-    """Single round-robin among `members` (seed order); returns ordered
-    member indices plus the games played."""
-    games = []
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            i, j = members[a], members[b]
-            games.append(provider.play(f"{stage_prefix}{a + 1}v{b + 1}", i, j).result)
-    names = [provider.names[m] for m in members]
-    table = standings_from_games(games, names)
-    order = rank(
-        table, policy, sorted(names, key=lambda n: seed_pos[provider.names.index(n)]),
-        games,
-    ).order()
-    return [provider.names.index(n) for n in order], games
-
-
-def _engine_2012(provider, seeds, policy):
-    seed_pos = {t: p for p, t in enumerate(seeds)}
-    group_a = [seeds[0], seeds[3], seeds[4], seeds[7]]
-    group_b = [seeds[1], seeds[2], seeds[5], seeds[6]]
-    order_a, _ = _round_robin_rank(provider, group_a, "groupA-", policy, seed_pos)
-    order_b, _ = _round_robin_rank(provider, group_b, "groupB-", policy, seed_pos)
-
-    def two_leg(label, i, j):
-        leg1 = provider.play(f"{label}-leg1", i, j)
-        leg2 = provider.play(f"{label}-leg2", j, i)
-        gi = leg1.result.home_goals + leg2.result.away_goals
-        gj = leg1.result.away_goals + leg2.result.home_goals
-        natural = i if gi > gj else j if gj > gi else None
-        return provider.resolve(leg2, i, j, natural)
-
-    sf1_w = two_leg("semi1", order_a[0], order_b[1])
-    sf2_w = two_leg("semi2", order_b[0], order_a[1])
-    sf1_l = order_b[1] if sf1_w == order_a[0] else order_a[0]
-    sf2_l = order_a[1] if sf2_w == order_b[0] else order_b[0]
-
-    first = _knockout(provider, "final", sf1_w, sf2_w)
-    second = sf2_w if first == sf1_w else sf1_w
-    third = _knockout(provider, "third-place", sf1_l, sf2_l)
-    fourth = sf2_l if third == sf1_l else sf1_l
-    fifth = _knockout(provider, "class-5-6", order_a[2], order_b[2])
-    sixth = order_b[2] if fifth == order_a[2] else order_a[2]
-    seventh = _knockout(provider, "class-7-8", order_a[3], order_b[3])
-    eighth = order_b[3] if seventh == order_a[3] else order_a[3]
-    return [first, second, third, fourth, fifth, sixth, seventh, eighth]
-
-
-def _engine_2013(provider, seeds, policy):
-    s = seeds
-    # Winners round 1: 1v8, 4v5, 2v7, 3v6.
-    pairs = [(s[0], s[7]), (s[3], s[4]), (s[1], s[6]), (s[2], s[5])]
-    w1, l1 = [], []
-    for k, (i, j) in enumerate(pairs, 1):
-        w = _knockout(provider, f"wb1-{k}", i, j)
-        w1.append(w)
-        l1.append(j if w == i else i)
-
-    lr1 = []
-    lr1_losers = []
-    for k, (i, j) in enumerate([(l1[0], l1[1]), (l1[2], l1[3])], 1):
-        w = _knockout(provider, f"lb1-{k}", i, j)
-        lr1.append(w)
-        lr1_losers.append(j if w == i else i)
-
-    w2, l2 = [], []
-    for k, (i, j) in enumerate([(w1[0], w1[1]), (w1[2], w1[3])], 1):
-        w = _knockout(provider, f"wb2-{k}", i, j)
-        w2.append(w)
-        l2.append(j if w == i else i)
-
-    # Cross-match losers round 2 to avoid immediate rematches.
-    lr2 = []
-    lr2_losers = []
-    for k, (i, j) in enumerate([(lr1[0], l2[1]), (lr1[1], l2[0])], 1):
-        w = _knockout(provider, f"lb2-{k}", i, j)
-        lr2.append(w)
-        lr2_losers.append(j if w == i else i)
-
-    wb_champ = _knockout(provider, "wb-final", w2[0], w2[1])
-    wb_runner = w2[1] if wb_champ == w2[0] else w2[0]
-
-    lr3_w = _knockout(provider, "lb3", lr2[0], lr2[1])
-    fourth = lr2[1] if lr3_w == lr2[0] else lr2[0]
-
-    lb_champ = _knockout(provider, "lb-final", lr3_w, wb_runner)
-    third = wb_runner if lb_champ == lr3_w else lr3_w
-
-    first = _knockout(provider, "grand-final", wb_champ, lb_champ)
-    second = lb_champ if first == wb_champ else wb_champ
-
-    fifth = _knockout(provider, "class-5-6", lr2_losers[0], lr2_losers[1])
-    sixth = lr2_losers[1] if fifth == lr2_losers[0] else lr2_losers[0]
-    seventh = _knockout(provider, "class-7-8", lr1_losers[0], lr1_losers[1])
-    eighth = lr1_losers[1] if seventh == lr1_losers[0] else lr1_losers[0]
-    return [first, second, third, fourth, fifth, sixth, seventh, eighth]
-
-
-def _engine_proposed(provider, seeds, policy, best_of_three):
-    seed_pos = {t: p for p, t in enumerate(seeds)}
-    prelim, _ = _round_robin_rank(provider, seeds, "rr-", policy, seed_pos)
-    final_order = list(prelim)
-    labels = ["final", "po-3-4", "po-5-6", "po-7-8"]
-    for p, label in zip(range(0, 8, 2), labels):
-        i, j = prelim[p], prelim[p + 1]
-        if best_of_three:
-            w = _best_of_three(provider, label, i, j)
-        else:
-            w = _knockout(provider, label, i, j)
-        final_order[p] = w
-        final_order[p + 1] = j if w == i else i
-    return final_order
-
-
-def _finish(provider, order) -> TournamentOutcome:
-    ranking = Ranking.from_order([provider.names[i] for i in order])
-    return TournamentOutcome(ranking, provider.entries, len(provider.entries))
-
-
-def run_format_2012(
-    sampler,
-    rng: np.random.Generator,
-    seeding=None,
-    decisive: DecisivePolicy = DEFAULT_DECISIVE,
-    policy: TieBreakPolicy = DEFAULT_POLICY,
-) -> TournamentOutcome:
-    """Reconstructed 2012 hybrid format: exactly 20 games, full ranking 1-8."""
-    seeds = _seed_list(sampler, seeding)
-    if len(seeds) != 8:
-        raise UnsupportedSizeError("format_2012 requires exactly 8 teams")
-    provider = _LiveProvider(sampler, rng, decisive, {t: p for p, t in enumerate(seeds)})
-    return _finish(provider, _engine_2012(provider, seeds, policy))
-
-
-def run_format_2013_double_elim(
-    sampler,
-    rng: np.random.Generator,
-    seeding=None,
-    decisive: DecisivePolicy = DEFAULT_DECISIVE,
-    policy: TieBreakPolicy = DEFAULT_POLICY,
-) -> TournamentOutcome:
-    """2013 double-elimination format: 14 bracket games plus 2 classification
-    games; exactly 16 games, full ranking 1-8."""
-    seeds = _seed_list(sampler, seeding)
-    if len(seeds) != 8:
-        raise UnsupportedSizeError("format_2013_double_elim requires exactly 8 teams")
-    provider = _LiveProvider(sampler, rng, decisive, {t: p for p, t in enumerate(seeds)})
-    return _finish(provider, _engine_2013(provider, seeds, policy))
-
-
-def run_proposed(
-    sampler,
-    rng: np.random.Generator,
-    best_of_three: bool = False,
-    seeding=None,
-    decisive: DecisivePolicy = DEFAULT_DECISIVE,
-    policy: TieBreakPolicy = DEFAULT_POLICY,
-) -> TournamentOutcome:
-    """Proposed format: 28-game preliminary round-robin, then playoffs for
-    places (1,2), (3,4), (5,6), (7,8); 32 games without best-of-three."""
-    seeds = _seed_list(sampler, seeding)
-    if len(seeds) != 8:
-        raise UnsupportedSizeError("proposed format requires exactly 8 teams")
-    provider = _LiveProvider(sampler, rng, decisive, {t: p for p, t in enumerate(seeds)})
-    return _finish(provider, _engine_proposed(provider, seeds, policy, best_of_three))
 
 
 def run_iterated_round_robin(
@@ -450,7 +456,9 @@ def league_table(names: Sequence[str], pairs, goals, scheme: str) -> Standings:
 
 
 def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> TournamentOutcome:
-    """Dispatch a FormatSpec to its engine."""
+    """Play one tournament of `spec` on games sampled from `sampler` with
+    `rng`. With keep_games=False the ledger is dropped (games is None) but
+    games_total is still exact."""
     if spec.kind == "iterated_round_robin":
         return run_iterated_round_robin(
             sampler, rng, spec.games_per_pair, spec.scheme, spec.policy, keep_games
@@ -458,37 +466,37 @@ def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> Tourn
     seeding = spec.seeding
     if seeding == RANDOM_SEEDING:
         seeding = tuple(int(x) for x in rng.permutation(len(sampler.names)))
-    if spec.kind == "format_2012":
-        return run_format_2012(sampler, rng, seeding, spec.decisive, spec.policy)
-    if spec.kind == "format_2013_double_elim":
-        return run_format_2013_double_elim(
-            sampler, rng, seeding, spec.decisive, spec.policy
-        )
-    return run_proposed(
-        sampler, rng, spec.best_of_three, seeding, spec.decisive, spec.policy
+    seeds = _seed_list(sampler, seeding)
+    provider = _LiveProvider(sampler, rng, spec.decisive, {t: p for p, t in enumerate(seeds)})
+    order = _play(provider, spec.kind, seeds, spec.policy, spec.best_of_three)
+    return TournamentOutcome(
+        Ranking.from_order([sampler.names[i] for i in order]),
+        provider.entries if keep_games else None,
+        len(provider.entries),
+        tuple(seeds),
     )
 
 
 def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOutcome) -> Ranking:
-    """Re-run a recorded ledger through the format's deterministic state
-    machine; must reproduce outcome.ranking (ledger sufficiency)."""
+    """Re-run a recorded ledger through the format's stage table; must
+    reproduce outcome.ranking (ledger sufficiency). A random seeding is
+    replayed from the seeding the outcome recorded."""
     if outcome.games is None:
         raise InvalidInputError("outcome carries no game ledger")
-    if spec.seeding == RANDOM_SEEDING:
-        raise InvalidInputError(
-            "replay needs an explicit seeding; 'random' is resolved at run time"
-        )
     if spec.kind == "iterated_round_robin":
         pairs, goals = _ledger_pairs(names, outcome.games, spec.games_per_pair)
         return rank(league_table(names, pairs, goals, spec.scheme), spec.policy, list(names))
+    seeding = spec.seeding
+    if seeding == RANDOM_SEEDING:
+        seeding = outcome.seeding
+        if seeding is None:
+            raise InvalidInputError(
+                "replay of a 'random' seeding needs the seeding the outcome recorded"
+            )
     provider = _ReplayProvider(names, outcome.games)
-    seeds = _seed_list(provider, spec.seeding)
-    if spec.kind == "format_2012":
-        order = _engine_2012(provider, seeds, spec.policy)
-    elif spec.kind == "format_2013_double_elim":
-        order = _engine_2013(provider, seeds, spec.policy)
-    else:
-        order = _engine_proposed(provider, seeds, spec.policy, spec.best_of_three)
+    order = _play(provider, spec.kind, _seed_list(provider, seeding), spec.policy,
+                  spec.best_of_three)
+    provider.finish()
     return Ranking.from_order([names[i] for i in order])
 
 
@@ -533,38 +541,14 @@ def rank_from_fixed_results(
     playoff_overrides: Optional[dict] = None,
 ) -> Ranking:
     """Deterministic replay of the proposed format over a fixed result
-    table. Each pairing's cell is rounded to an integer scoreline for the
-    preliminary standings; classification playoffs are resolved from the
-    same table's head-to-head entries.
+    table, seeded in table order. Each pairing's cell is rounded to an
+    integer scoreline for the preliminary standings; classification
+    playoffs are resolved from the same table's head-to-head entries.
 
     `playoff_overrides` maps frozenset({a, b}) to the published winner; an
     override always takes precedence. A drawn head-to-head without an
     override leaves the higher preliminary rank in place.
     """
-    names = table.names
-    n = len(names)
-    games = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = names[i], names[j]
-            sa, sb = table.score(a, b)
-            avg = AverageResult((TeamId(i, a), TeamId(j, b)), sa, sb, 1)
-            games.append(discretize_pair(avg))
-    standings = standings_from_games(games, names)
-    prelim = rank(standings, policy, names, games).order()
-    final_order = list(prelim)
-    overrides = playoff_overrides or {}
-    for p in range(0, n, 2):
-        a, b = prelim[p], prelim[p + 1]
-        key = frozenset((a, b))
-        if key in overrides:
-            w = overrides[key]
-            if w not in (a, b):
-                raise InvalidInputError(f"override winner {w!r} not in playoff pair")
-        else:
-            sa, sb = table.score(a, b)
-            ra, rb = round_half_away(sa), round_half_away(sb)
-            w = a if ra >= rb else b
-        final_order[p] = w
-        final_order[p + 1] = b if w == a else a
-    return Ranking.from_order(final_order)
+    provider = _FixedProvider(table, playoff_overrides or {})
+    order = _play(provider, "proposed", list(range(len(table.names))), policy, False)
+    return Ranking.from_order([table.names[i] for i in order])

@@ -13,7 +13,7 @@ result is bit-identical for a given spec regardless of worker count, and a
 campaign may be split into sub-campaigns and merged.
 
 Specs the batched engine supports (`batch.supports`) play a whole block
-as arrays; the rest run the scalar engine row after row on the block's
+as arrays; the rest run the scalar interpreter row after row on the block's
 generator, up to the campaign's last tournament.
 """
 

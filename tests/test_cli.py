@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tournsim import InvalidInputError, fixtures
 from tournsim.cli import main
@@ -212,6 +213,39 @@ class TestReproduce:
         code, out, _ = run(capsys, "reproduce")
         assert code == 3
         assert any(ln.startswith("FAIL ") for ln in out.splitlines())
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--model", "MISSING"],
+            ["rank", "--model", MODEL_2013, "--scheme", "continuous", "--points", "MISSING"],
+            ["simulate", "--model", "MISSING", "--format", "f2012"],
+            ["campaign", "--model", "MISSING", "--format", "f2012", "--n", "5"],
+            ["campaign", "--model", MODEL_2012, "--format", "f2012", "--n", "5",
+             "--truth", "MISSING"],
+            ["compare", "MISSING", MODEL_2012],
+            ["compare", "HIST", "MISSING"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if not a.startswith("/")),
+    )
+    def test_missing_file_is_data_error(self, capsys, tmp_path, argv):
+        hist = tmp_path / "hist.csv"
+        run(capsys, "campaign", "--model", MODEL_2012, "--format", "f2012",
+            "--n", "5", "--out", str(hist))
+        missing = str(tmp_path / "missing.csv")
+        argv = [missing if a == "MISSING" else str(hist) if a == "HIST" else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"tournsim: error: {missing}: No such file")
+
+    def test_binary_file_is_data_error(self, capsys, tmp_path):
+        binary = tmp_path / "hist.bin"
+        binary.write_bytes(b"\xff\xfe\x00")
+        code, _, err = run(capsys, "compare", str(binary), str(binary))
+        assert code == 2
+        assert f"{binary}: not UTF-8 text" in err
 
 
 class TestUsage:

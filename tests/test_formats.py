@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tournsim import (
+    HIGHER_SEED,
+    RANDOM_SEEDING,
+    UNIFORM_COIN,
     DecisivePolicy,
     FormatSpec,
     GameResult,
@@ -27,10 +30,7 @@ from tournsim import (
     rank_from_fixed_results,
     replay_outcome,
     run_format,
-    run_format_2012,
-    run_format_2013_double_elim,
     run_iterated_round_robin,
-    run_proposed,
 )
 from tournsim import fixtures
 from tournsim.formats import league_table
@@ -67,17 +67,17 @@ def chain_sampler(n=8):
 
 class TestGameCounts:
     def test_2012_is_20_games(self):
-        out = run_format_2012(flat_sampler(), derive_rng(1, 0))
+        out = run_format(FormatSpec("format_2012"), flat_sampler(), derive_rng(1, 0))
         assert out.games_total == 20
         assert len(out.games) == 20
 
     def test_2013_is_16_games(self):
-        out = run_format_2013_double_elim(flat_sampler(), derive_rng(1, 1))
+        out = run_format(FormatSpec("format_2013_double_elim"), flat_sampler(), derive_rng(1, 1))
         assert out.games_total == 16
         assert len(out.games) == 16
 
     def test_proposed_is_32_games(self):
-        out = run_proposed(flat_sampler(), derive_rng(1, 2))
+        out = run_format(FormatSpec("proposed"), flat_sampler(), derive_rng(1, 2))
         assert out.games_total == 32
         assert len(out.games) == 32
 
@@ -85,7 +85,7 @@ class TestGameCounts:
         # 28 preliminary games plus 4 series of 2 or 3 games each
         sampler = flat_sampler()
         for k in range(30):
-            out = run_proposed(sampler, derive_rng(2, k), best_of_three=True)
+            out = run_format(FormatSpec("proposed", best_of_three=True), sampler, derive_rng(2, k))
             assert 36 <= out.games_total <= 40
             assert len(out.games) == out.games_total
 
@@ -96,7 +96,7 @@ class TestGameCounts:
 
 class TestPerTeamCounts:
     def test_2012_top_half_plays_six(self):
-        out = run_format_2012(flat_sampler(), derive_rng(3, 0))
+        out = run_format(FormatSpec("format_2012"), flat_sampler(), derive_rng(3, 0))
         played = Counter()
         for e in out.games:
             played[e.result.home.name] += 1
@@ -108,7 +108,7 @@ class TestPerTeamCounts:
         # (no bracket reset); everyone else exactly twice
         sampler = flat_sampler()
         for k in range(200):
-            out = run_format_2013_double_elim(sampler, derive_rng(4, k))
+            out = run_format(FormatSpec("format_2013_double_elim"), sampler, derive_rng(4, k))
             losses = Counter()
             for e in out.games:
                 # classification games for places 5-8 sit outside the bracket
@@ -130,11 +130,9 @@ class TestPerTeamCounts:
 class TestDominance:
     def test_dominant_team_wins_everywhere(self):
         sampler = dominant_sampler()
-        for k, runner in enumerate(
-            (run_format_2012, run_format_2013_double_elim, run_proposed)
-        ):
+        for k, kind in enumerate(("format_2012", "format_2013_double_elim", "proposed")):
             for trial in range(50):
-                out = runner(sampler, derive_rng(5, k, trial))
+                out = run_format(FormatSpec(kind), sampler, derive_rng(5, k, trial))
                 assert out.ranking["T0"] == 1
 
     def test_chain_model_oracle_recovers_order(self):
@@ -171,7 +169,7 @@ class TestSeeding:
     def test_explicit_seeding_by_name(self):
         sampler = chain_sampler()
         seeding = tuple(reversed(NAMES8))
-        out = run_format_2012(sampler, derive_rng(8, 0), seeding=seeding)
+        out = run_format(FormatSpec("format_2012", seeding=seeding), sampler, derive_rng(8, 0))
         assert out.ranking["T0"] == 1
 
     def test_random_seeding_varies_pairings(self):
@@ -189,11 +187,11 @@ class TestSeeding:
     def test_wrong_size_rejected(self):
         small = flat_sampler(n=4)
         with pytest.raises(UnsupportedSizeError):
-            run_format_2012(small, derive_rng(10, 0))
+            run_format(FormatSpec("format_2012"), small, derive_rng(10, 0))
         with pytest.raises(UnsupportedSizeError):
-            run_format_2013_double_elim(small, derive_rng(10, 1))
+            run_format(FormatSpec("format_2013_double_elim"), small, derive_rng(10, 1))
         with pytest.raises(UnsupportedSizeError):
-            run_proposed(small, derive_rng(10, 2))
+            run_format(FormatSpec("proposed"), small, derive_rng(10, 2))
 
     def test_oracle_works_for_two_teams(self):
         m = np.array([[np.nan, 3.0], [0.5, np.nan]])
@@ -225,11 +223,133 @@ class TestReplay:
             out = run_format(spec, sampler, derive_rng(12, k))
             assert replay_outcome(spec, NAMES8, out).places == out.ranking.places
 
+    def test_random_seeding_replays_from_recorded_seeding(self):
+        sampler = flat_sampler()
+        for kind in ("format_2012", "format_2013_double_elim", "proposed"):
+            spec = FormatSpec(kind, seeding="random")
+            for k in range(30):
+                out = run_format(spec, sampler, derive_rng(13, k))
+                assert sorted(out.seeding) == list(range(8))
+                assert replay_outcome(spec, NAMES8, out).places == out.ranking.places
+
     def test_replay_rejects_random_seeding(self):
+        # without the seeding the run recorded, a random seeding is unknown
         spec = FormatSpec("proposed", seeding="random")
         out = run_format(spec, flat_sampler(), derive_rng(13, 0))
-        with pytest.raises(Exception):
+        out.seeding = None
+        with pytest.raises(InvalidInputError, match="seeding"):
             replay_outcome(spec, NAMES8, out)
+
+
+def swapped_teams(entry, home, away):
+    r = entry.result
+    return LedgerEntry(entry.stage, GameResult(home, away, r.home_goals, r.away_goals),
+                       entry.winner)
+
+
+class TestReplayChecksLedger:
+    def live(self, kind, k=0):
+        spec = FormatSpec(kind)
+        return spec, run_format(spec, flat_sampler(), derive_rng(18, k))
+
+    @pytest.mark.parametrize(
+        "kind, stage",
+        [("format_2013_double_elim", "wb1-1"), ("format_2012", "semi1-leg2"),
+         ("proposed", "rr-1v2"), ("proposed", "po-7-8")],
+    )
+    def test_entry_of_other_teams_rejected(self, kind, stage):
+        spec, out = self.live(kind)
+        p = next(p for p, e in enumerate(out.games) if e.stage == stage)
+        r = out.games[p].result
+        others = [TeamId(i, n) for i, n in enumerate(NAMES8)
+                  if i not in (r.home.index, r.away.index)]
+        for home, away in ((r.away, r.home), (others[0], r.away), (r.home, others[1])):
+            out.games[p] = swapped_teams(out.games[p], home, away)
+            with pytest.raises(InvalidInputError, match="expected"):
+                replay_outcome(spec, NAMES8, out)
+
+    @pytest.mark.parametrize("kind", ["format_2012", "format_2013_double_elim", "proposed"])
+    def test_winner_outside_the_slot_rejected(self, kind):
+        spec, out = self.live(kind)
+        entry = next(e for e in out.games if e.winner is not None)
+        r = entry.result
+        outsider = next(n for n in NAMES8 if n not in (r.home.name, r.away.name))
+        for winner in ("T9", outsider):
+            entry.winner = winner
+            with pytest.raises(InvalidInputError, match="winner"):
+                replay_outcome(spec, NAMES8, out)
+
+    @pytest.mark.parametrize("kind", ["format_2012", "format_2013_double_elim", "proposed"])
+    def test_winner_against_the_result_rejected(self, kind):
+        # the last game decides places and feeds no later slot
+        spec, out = next(
+            (spec, out) for spec, out in (self.live(kind, k) for k in range(100))
+            if out.games[-1].result.home_goals != out.games[-1].result.away_goals
+        )
+        r = out.games[-1].result
+        loser = r.away if r.home_goals > r.away_goals else r.home
+        out.games[-1].winner = loser.name
+        with pytest.raises(InvalidInputError, match="winner"):
+            replay_outcome(spec, NAMES8, out)
+
+    @pytest.mark.parametrize("kind", ["format_2012", "format_2013_double_elim", "proposed"])
+    def test_entries_after_the_last_stage_rejected(self, kind):
+        spec, out = self.live(kind)
+        out.games.append(out.games[-1])
+        with pytest.raises(InvalidInputError, match="1 ledger entries left"):
+            replay_outcome(spec, NAMES8, out)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FormatSpec("iterated_round_robin", games_per_pair=3),
+        FormatSpec("format_2012"),
+        FormatSpec("format_2013_double_elim"),
+        FormatSpec("proposed"),
+        FormatSpec("proposed", best_of_three=True),
+    ],
+    ids=lambda s: s.kind + ("-bo3" if s.best_of_three else ""),
+)
+def test_keep_games_false_drops_only_the_ledger(spec):
+    sampler = flat_sampler()
+    for k in range(20):
+        kept = run_format(spec, sampler, derive_rng(19, k))
+        dropped = run_format(spec, sampler, derive_rng(19, k), keep_games=False)
+        assert dropped.games is None
+        assert dropped.ranking.places == kept.ranking.places
+        assert dropped.games_total == kept.games_total == len(kept.games)
+
+
+class TestBracketProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["format_2012", "format_2013_double_elim", "proposed"]),
+        best_of_three=st.booleans(),
+        decisive=st.builds(
+            DecisivePolicy, st.integers(0, 1), st.sampled_from([UNIFORM_COIN, HIGHER_SEED])
+        ),
+        seeding=st.one_of(
+            st.none(), st.permutations(NAMES8).map(tuple), st.just(RANDOM_SEEDING)
+        ),
+        mean=st.sampled_from([0.2, 1.3, 4.0]),
+        seed=st.integers(0, 2**63),
+    )
+    def test_permutation_game_count_and_replay(
+        self, kind, best_of_three, decisive, seeding, mean, seed
+    ):
+        spec = FormatSpec(kind, best_of_three=best_of_three, decisive=decisive,
+                          seeding=seeding)
+        out = run_format(spec, flat_sampler(mean=mean), derive_rng(seed))
+        assert sorted(out.ranking.order()) == NAMES8
+        if kind == "proposed" and best_of_three:
+            assert 36 <= out.games_total <= 40
+        else:
+            assert out.games_total == {
+                "format_2012": 20, "format_2013_double_elim": 16, "proposed": 32
+            }[kind]
+        assert out.games_total == len(out.games)
+        assert replay_outcome(spec, NAMES8, out).places == out.ranking.places
 
 
 class TestFixedResults:
@@ -261,6 +381,21 @@ class TestFixedResults:
     def test_incomplete_table_rejected(self):
         with pytest.raises(IncompleteInputError):
             rank_from_fixed_results(FixedResultTable(NAMES8, {}))
+
+    def test_drawn_playoff_keeps_the_higher_preliminary_place(self):
+        scores = {(a, b): (1.0, 1.0) for a in NAMES8 for b in NAMES8 if a != b}
+        # every game drawn: the preliminary order is the seeding, table order
+        r = rank_from_fixed_results(FixedResultTable(NAMES8, scores))
+        assert r.order() == NAMES8
+        swapped = {frozenset(("T0", "T1")): "T1", frozenset(("T6", "T7")): "T7"}
+        r = rank_from_fixed_results(FixedResultTable(NAMES8, scores), playoff_overrides=swapped)
+        assert r.order() == ["T1", "T0", *NAMES8[2:6], "T7", "T6"]
+
+    def test_override_outside_the_playoff_pair_rejected(self):
+        table = fixtures.load_combined_table(2012)
+        overrides = {frozenset(("Marlik", "Yushan")): "Helios"}
+        with pytest.raises(InvalidInputError, match="override"):
+            rank_from_fixed_results(table, playoff_overrides=overrides)
 
 
 class TestSamplerInterchangeability:
