@@ -1,30 +1,65 @@
 """Batched campaign engine: a block of tournaments played as numpy arrays.
 
-Plays the proposed format (single game or best of three), the 2012 hybrid
-and the 2013 double elimination for every row of a block at once. The
-rules it must match are the stage tables `formats.BRACKETS`, which the
-scalar interpreter `formats.run_format` plays. Arrays are indexed by seed
-position (0 is the top seed), so the higher-seed rule picks the smaller
-index, and a team's identity matters only for its goal means and for the
-final order that is returned.
+Plays every bracket of `formats.BRACKETS`, the stage tables the scalar
+interpreter `formats.run_format` plays, for every row of a block at once.
+Each table is compiled once, at import, into a list of calls. Consecutive
+stages share a call when they have one kind and one team count and none
+of them reads a result of another stage in the same call; a call samples
+all its games for all rows in one `rng.poisson` call, and knockout slots
+are settled with `np.where`.
 
-A stage samples all its games for all rows in one `rng.poisson` call, and
-knockout slots are settled with `np.where`. The outcome distribution is
-that of the scalar interpreter; the random stream is consumed differently, so
-a row does not reproduce the scalar run of the same generator.
+Results live on one (rows, columns) int board. Columns 0-7 hold the seed
+positions (0 is the top seed), and each stage writes what it yields, its
+finishing order or its winner then its loser, to columns of its own. So
+the higher-seed rule picks the smaller value, and a team's identity
+matters only for its goal means and for the final order that is returned.
+
+The outcome distribution is that of the scalar interpreter; the random
+stream is consumed differently, so a row does not reproduce the scalar
+run of the same generator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .formats import HIGHER_SEED, RANDOM_SEEDING, _seed_list
+from .formats import (
+    BRACKETS,
+    HIGHER_SEED,
+    KO,
+    LEGS,
+    PLAYOFF,
+    RANDOM_SEEDING,
+    RR,
+    _seed_list,
+)
 from .model import PoissonSampler
 
-N_TEAMS = 8
-ALL_TEAMS = np.arange(N_TEAMS)[None, :]
-# The 2012 groups by seed position: seeds 1, 4, 5, 8 and seeds 2, 3, 6, 7.
-GROUPS_2012 = np.array([[0, 3, 4, 7], [1, 2, 5, 6]])
+
+def _compile(stages, places):
+    """A stage table as (calls, place columns, board width). A call is
+    (kind, team columns, yield columns), the last two of shape (stages,
+    teams): a round robin's team columns are its seed positions."""
+    column = {"seeds": range(len(places))}
+    calls = []
+    width = first = len(places)  # first: the first column the last call yields
+    for label, kind, refs in stages:
+        teams = [column[stage][p] for stage, p in refs]
+        if kind == RR and ({s for s, _ in refs} != {"seeds"} or teams != sorted(teams)):
+            raise ValueError(f"round robin {label!r} must be played by seeds in seed order")
+        column[label] = range(width, width + len(teams))
+        if not (calls and calls[-1][0] == kind and len(calls[-1][1][0]) == len(teams)
+                and max(teams) < first):
+            calls.append((kind, [], []))
+            first = width
+        calls[-1][1].append(teams)
+        calls[-1][2].append(column[label])
+        width += len(teams)
+    calls = [(kind, np.array(teams), np.array(yields)) for kind, teams, yields in calls]
+    return calls, np.array([column[stage][p] for stage, p in places]), width
+
+
+_PLANS = {kind: _compile(*table) for kind, table in BRACKETS.items()}
 
 
 def supports(fmt, sampler) -> bool:
@@ -32,25 +67,39 @@ def supports(fmt, sampler) -> bool:
     head-to-head tie-breaks, the oracle and fields of other sizes run on
     the scalar interpreter."""
     return (
-        fmt.kind in _ENGINES
+        fmt.kind in BRACKETS
         and type(sampler) is PoissonSampler
-        and len(sampler.names) == N_TEAMS
+        and len(sampler.names) == len(BRACKETS[fmt.kind][1])
         and "head_to_head" not in fmt.policy.criteria
     )
 
 
 def play_block(fmt, sampler, rng: np.random.Generator, size: int) -> np.ndarray:
     """Final orders of `size` tournaments of `fmt`, as an int array of team
-    indices of shape (size, 8), best first."""
+    indices of shape (size, teams), best first."""
+    calls, places, width = _PLANS[fmt.kind]
+    teams = len(places)
     if fmt.seeding == RANDOM_SEEDING:
-        seeds = rng.permuted(np.tile(np.arange(N_TEAMS), (size, 1)), axis=1)
+        seeds = rng.permuted(np.tile(np.arange(teams), (size, 1)), axis=1)
     else:
         seeds = np.tile(_seed_list(sampler, fmt.seeding), (size, 1))
     means = np.array(sampler.model.mean_goals)
     np.fill_diagonal(means, 0.0)  # never played; a model may leave it NaN
     games = _Games(rng, means[seeds[:, :, None], seeds[:, None, :]], fmt.decisive)
-    order = _ENGINES[fmt.kind](games, fmt)
-    return np.take_along_axis(seeds, order, axis=1)
+    play = {
+        KO: games.knockout,
+        LEGS: games.two_legs,
+        PLAYOFF: games.best_of_three if fmt.best_of_three else games.knockout,
+    }
+    board = np.empty((size, width), dtype=np.intp)
+    board[:, :teams] = np.arange(teams)
+    for kind, team_cols, yield_cols in calls:
+        if kind == RR:
+            board[:, yield_cols] = games.round_robin(team_cols, fmt.policy)
+        else:
+            home, away = board[:, team_cols[:, 0]], board[:, team_cols[:, 1]]
+            board[:, yield_cols[:, 0]], board[:, yield_cols[:, 1]] = play[kind](home, away)
+    return np.take_along_axis(seeds, board[:, places], axis=1)
 
 
 class _Games:
@@ -142,68 +191,3 @@ class _Games:
         draws, hence the same points."""
         gh, ga = self.goals(self._rows(home), home, away, 3)
         return self.decide(home, away, (gh > ga).sum(-1), (ga > gh).sum(-1))
-
-
-def _pairs(winners, losers):
-    """Interleave slot winners and losers into places 1..2k."""
-    return np.stack((winners, losers), axis=-1).reshape(len(winners), -1)
-
-
-def _proposed(games, fmt):
-    prelim = games.round_robin(ALL_TEAMS, fmt.policy)[:, 0]
-    home, away = prelim[:, 0::2], prelim[:, 1::2]
-    if fmt.best_of_three:
-        return _pairs(*games.best_of_three(home, away))
-    return _pairs(*games.knockout(home, away))
-
-
-def _format_2012(games, fmt):
-    groups = games.round_robin(GROUPS_2012, fmt.policy)
-    a, b = groups[:, 0], groups[:, 1]
-    # Semifinals A1 v B2 and B1 v A2.
-    semi_w, semi_l = games.two_legs(
-        np.stack((a[:, 0], b[:, 0]), 1), np.stack((b[:, 1], a[:, 1]), 1)
-    )
-    # Final, third place, classification 5-6 and 7-8.
-    return _pairs(*games.knockout(
-        np.stack((semi_w[:, 0], semi_l[:, 0], a[:, 2], a[:, 3]), 1),
-        np.stack((semi_w[:, 1], semi_l[:, 1], b[:, 2], b[:, 3]), 1),
-    ))
-
-
-def _format_2013(games, fmt):
-    size = len(games.rows)
-    # Winners round 1: seeds 1v8, 4v5, 2v7, 3v6.
-    w1, l1 = games.knockout(
-        np.tile([0, 3, 1, 2], (size, 1)), np.tile([7, 4, 6, 5], (size, 1))
-    )
-    # Losers round 1 and winners round 2.
-    w, l = games.knockout(
-        np.stack((l1[:, 0], l1[:, 2], w1[:, 0], w1[:, 2]), 1),
-        np.stack((l1[:, 1], l1[:, 3], w1[:, 1], w1[:, 3]), 1),
-    )
-    lb1_w, lb1_l, wb2_w, wb2_l = w[:, :2], l[:, :2], w[:, 2:], l[:, 2:]
-    # Losers round 2, cross-matched against the other half's winners-round-2
-    # loser to avoid a rematch, and the winners final.
-    w, l = games.knockout(
-        np.stack((lb1_w[:, 0], lb1_w[:, 1], wb2_w[:, 0]), 1),
-        np.stack((wb2_l[:, 1], wb2_l[:, 0], wb2_w[:, 1]), 1),
-    )
-    lb2_w, lb2_l, wb_champ, wb_runner = w[:, :2], l[:, :2], w[:, 2], l[:, 2]
-    # Losers round 3, classification 5-6 and 7-8.
-    w, l = games.knockout(
-        np.stack((lb2_w[:, 0], lb2_l[:, 0], lb1_l[:, 0]), 1),
-        np.stack((lb2_w[:, 1], lb2_l[:, 1], lb1_l[:, 1]), 1),
-    )
-    lb_champ, third = games.knockout(w[:, 0], wb_runner)
-    first, second = games.knockout(wb_champ, lb_champ)
-    return np.stack(
-        (first, second, third, l[:, 0], w[:, 1], l[:, 1], w[:, 2], l[:, 2]), 1
-    )
-
-
-_ENGINES = {
-    "proposed": _proposed,
-    "format_2012": _format_2012,
-    "format_2013_double_elim": _format_2013,
-}

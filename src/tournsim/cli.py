@@ -62,8 +62,7 @@ def _header(command: str, **fields) -> str:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -78,6 +77,16 @@ def _read(path: str) -> str:
         raise TournsimError(f"{path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise TournsimError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output file; a file that cannot be written is a data error
+    naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise TournsimError(f"{path}: {exc.strerror}") from exc
 
 
 def _load(path: str):
@@ -218,8 +227,7 @@ def cmd_campaign(args) -> int:
                 if len(args.format) == 1
                 else _suffixed(args.out, fmt)
             )
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dist.to_text(header))
+            _write(path, dist.to_text(header))
     return 0
 
 

@@ -1,8 +1,9 @@
 """Executable tournament formats.
 
-Each bracket format is written once, as a stage table in `BRACKETS`, and
-played by one interpreter, `_play`. A table lists the stages in playing
-order and the stages that give places 1-8:
+Each bracket format is written once, as a stage table in `BRACKETS`,
+played by the interpreter `_play` here and, a block of campaign
+tournaments at a time, by the batched engine `tournsim.batch`. A table
+lists the stages in playing order and the stages that give places 1-8:
 
 * the 2012 hybrid format (two seeded groups, two-legged semifinals,
   final / third-place / classification games; 20 games),
@@ -146,9 +147,12 @@ def _both(*labels):
 # Each bracket as (stages, places). A stage is (label, kind, teams): a
 # round robin's label is the prefix of its games' ledger labels, the other
 # kinds' label is their game's. A team is (stage label, position) in what
-# that stage yielded, and "seeds" is the seeding, seed 1 first. Stages are
-# listed in playing order, which fixes the order of the ledger and of the
-# random stream.
+# that stage yielded, and "seeds" is the seeding, seed 1 first. A round
+# robin is played by seeds, listed in seed order. Stages are listed in
+# playing order, which fixes the order of the ledger and the draw order of
+# both interpreters: `_play` here and the batched `batch.play_block`, which
+# draws once for each run of stages of one kind and team count that read
+# no result of each other.
 BRACKETS = {
     "format_2012": (
         [
@@ -181,10 +185,10 @@ BRACKETS = {
             ("lb2-2", KO, [("lb1-2", 0), ("wb2-1", 1)]),
             ("wb-final", KO, [("wb2-1", 0), ("wb2-2", 0)]),
             ("lb3", KO, [("lb2-1", 0), ("lb2-2", 0)]),
-            ("lb-final", KO, [("lb3", 0), ("wb-final", 1)]),
-            ("grand-final", KO, [("wb-final", 0), ("lb-final", 0)]),
             ("class-5-6", KO, [("lb2-1", 1), ("lb2-2", 1)]),
             ("class-7-8", KO, [("lb1-1", 1), ("lb1-2", 1)]),
+            ("lb-final", KO, [("lb3", 0), ("wb-final", 1)]),
+            ("grand-final", KO, [("wb-final", 0), ("lb-final", 0)]),
         ],
         # Third is the losers' final's loser, fourth the losers' round 3's.
         _both("grand-final") + [("lb-final", 1), ("lb3", 1)]

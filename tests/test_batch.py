@@ -26,6 +26,7 @@ from tournsim import (
     standings_from_games,
 )
 from tournsim import batch
+from tournsim.formats import BRACKETS, RR
 
 NAMES8 = [f"T{i}" for i in range(8)]
 
@@ -189,8 +190,15 @@ class TestRoundRobinStandings:
         for crits in itertools.permutations(("points", "goal_difference", "goals_for"), k)
     ]
 
+    # The seed positions of each bracket's round robins, stacked.
+    GROUPS = {
+        kind: np.array([[p for _, p in teams] for _, stage, teams in stages if stage == RR])
+        for kind, (stages, _) in BRACKETS.items()
+        if any(stage == RR for _, stage, _ in stages)
+    }
+
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: "-".join(p.criteria))
-    @pytest.mark.parametrize("groups", [batch.ALL_TEAMS, batch.GROUPS_2012], ids=["all", "2012"])
+    @pytest.mark.parametrize("groups", GROUPS.values(), ids=GROUPS.keys())
     def test_same_order_as_scalar_rank(self, policy, groups):
         rows = 300
         rng = np.random.default_rng(21)
@@ -281,6 +289,44 @@ class TestSlotProbabilities:
         games = batch._Games(np.random.default_rng(0), means, DecisivePolicy(1, HIGHER_SEED))
         winner, loser = games.knockout(np.array([[5, 2]] * 5), np.array([[3, 6]] * 5))
         assert (winner == [3, 2]).all() and (loser == [5, 6]).all()
+
+
+class TestPinnedDraws:
+    """Seeded campaigns of every batched variant, pinned to their counts
+    under stream layout v2: a change to the batched engine that moves any
+    draw fails here. The values assume numpy's
+    `Generator` streams for `poisson`, `integers` and `permuted`; a numpy
+    release that changes one of those streams changes them too."""
+
+    COUNTS = {
+        ("proposed", False, 2012): {0: 35, 2: 130, 4: 148, 6: 138, 8: 37, 10: 10, 12: 2},
+        ("proposed", False, 2013): {
+            0: 9, 2: 30, 4: 81, 6: 104, 8: 122, 10: 105, 12: 33, 14: 10, 16: 5, 18: 1},
+        ("proposed", True, 2012): {0: 57, 2: 127, 4: 163, 6: 112, 8: 31, 10: 10},
+        ("proposed", True, 2013): {
+            0: 4, 2: 49, 4: 81, 6: 107, 8: 131, 10: 84, 12: 28, 14: 13, 16: 2, 18: 1},
+        ("format_2012", False, 2012): {
+            0: 24, 2: 54, 4: 99, 6: 144, 8: 111, 10: 50, 12: 15, 14: 3},
+        ("format_2012", False, 2013): {
+            0: 1, 2: 14, 4: 48, 6: 84, 8: 110, 10: 95, 12: 68, 14: 42, 16: 26, 18: 9,
+            20: 3},
+        ("format_2013_double_elim", False, 2012): {
+            0: 20, 2: 66, 4: 112, 6: 143, 8: 99, 10: 45, 12: 10, 14: 5},
+        ("format_2013_double_elim", False, 2013): {
+            0: 3, 2: 16, 4: 43, 6: 80, 8: 121, 10: 84, 12: 85, 14: 39, 16: 20, 18: 6,
+            20: 2, 22: 1},
+    }
+
+    @pytest.mark.parametrize("kind,bo3", VARIANTS, ids=VARIANT_IDS)
+    @pytest.mark.parametrize("year", [2012, 2013])
+    def test_campaign_counts(self, kind, bo3, year):
+        sampler = PoissonSampler(fixtures.load_goal_model(year))
+        fmt = FormatSpec(kind, best_of_three=bo3, seeding=RANDOM_SEEDING)
+        assert batch.supports(fmt, sampler)
+        got = run_campaign(
+            CampaignSpec(fmt, sampler, fixtures.published_truth(year), 500, 2014)
+        )
+        assert got.counts == self.COUNTS[kind, bo3, year]
 
 
 class TestSupports:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,26 @@ class TestUnreadableInput:
         code, _, err = run(capsys, "compare", str(binary), str(binary))
         assert code == 2
         assert f"{binary}: not UTF-8 text" in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", MODEL_2012, "--format", "f2013"],
+            ["rank", "--model", MODEL_2012],
+            ["campaign", "--model", MODEL_2012, "--format", "f2012", "--n", "5"],
+            ["campaign", "--model", MODEL_2012, "--format", "f2012", "proposed", "--n", "5"],
+        ],
+        ids=["simulate", "rank", "campaign", "campaign-two-formats"],
+    )
+    def test_missing_directory_is_data_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "missing" / "out.csv"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        # Several formats write one file each, suffixed with the format.
+        assert err.startswith(f"tournsim: error: {out.parent}{os.sep}out")
+        assert "No such file" in err
 
 
 class TestUsage:
