@@ -3,7 +3,6 @@ simulators, ranking schemes, and Monte Carlo discrepancy campaigns."""
 
 from .errors import (
     IncompleteInputError,
-    IncompleteRoundRobinError,
     IngestionError,
     InvalidComparisonError,
     InvalidInputError,
@@ -26,16 +25,13 @@ from .formats import (
     run_iterated_round_robin,
 )
 from .model import (
-    AverageResult,
     EmpiricalPoolSampler,
     GameResult,
     PairwiseGoalModel,
     PoissonSampler,
     TeamId,
-    average_results,
     derive_rng,
     load_model,
-    sample_game,
 )
 from .montecarlo import (
     CampaignSpec,
@@ -52,13 +48,10 @@ from .scoring import (
     Ranking,
     TeamStats,
     TieBreakPolicy,
-    continuous_points,
-    continuous_standings,
-    discrete_standings,
-    discretize_pair,
     l1_distance,
     points_per_game,
     rank,
+    round_robin_totals,
     standings_from_games,
 )
 

@@ -5,8 +5,9 @@ interpreter `formats.run_format` plays, for every row of a block at once.
 Each table is compiled once, at import, into a list of calls. Consecutive
 stages share a call when they have one kind and one team count and none
 of them reads a result of another stage in the same call; a call samples
-all its games for all rows in one `rng.poisson` call, and knockout slots
-are settled with `np.where`.
+all its games for all rows in one `rng.poisson` call. Round robins are
+scored by `scoring.round_robin_totals`, the kernel every complete league
+table uses, and knockout slots are settled with `np.where`.
 
 Results live on one (rows, columns) int board. Columns 0-7 hold the seed
 positions (0 is the top seed), and each stage writes what it yields, its
@@ -34,6 +35,7 @@ from .formats import (
     _seed_list,
 )
 from .model import PoissonSampler
+from .scoring import round_robin_totals
 
 
 def _compile(stages, places):
@@ -132,13 +134,8 @@ class _Games:
         group size, seed positions ascending): positions of each group in
         finishing order, shape (rows, groups, size)."""
         g = self.rng.poisson(self.means[:, groups[:, :, None], groups[:, None, :]])
-        against = g.swapaxes(-1, -2)
-        # The diagonal is a 0-0 "draw" worth one point to nobody.
-        stats = {
-            "points": 3 * (g > against).sum(-1) + (g == against).sum(-1) - 1,
-            "goals_for": g.sum(-1),
-        }
-        stats["goal_difference"] = stats["goals_for"] - against.sum(-1)
+        points, scored, conceded = round_robin_totals(g)
+        stats = {"points": points, "goals_for": scored, "goal_difference": scored - conceded}
         # lexsort sorts by its last key first; seed position decides last.
         keys = [np.broadcast_to(np.arange(groups.shape[1]), stats["points"].shape)]
         keys += [-stats[c] for c in reversed(policy.criteria[:-1])]

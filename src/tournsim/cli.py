@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: rank, simulate, campaign, compare, reproduce. Every command is
-deterministic given its flags and --seed; the seed is echoed in all
-outputs. Exit status: 0 success, 1 usage error, 2 data error, 3
-golden-check failure.
+deterministic given its flags; simulate and campaign, the commands that
+draw games, take --seed and echo it in their outputs. Exit status: 0
+success, 1 usage error, 2 data error, 3 golden-check failure.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ from .montecarlo import (
     run_campaign,  # noqa: F401  (perfbench's traced rounds wrap cli.run_campaign)
     run_campaigns,
 )
-from .scoring import (
-    CONTINUOUS,
-    DISCRETE,
-    Ranking,
-    continuous_standings,
-    discrete_standings,
-    rank,
-    standings_to_csv,
-)
+from .scoring import CONTINUOUS, DISCRETE, Ranking, rank, standings_to_csv
 
 DEFAULT_SEED = 20122013
 TRUTH_STREAM_KEY = 0x74727574  # substream tag for the oracle truth run
@@ -104,24 +96,18 @@ def _points_path(model_path: str) -> str:
 
 def cmd_rank(args) -> int:
     model = _load(args.model)
-    avgs = fixtures.pair_averages(model)
     if args.scheme == DISCRETE:
-        table = discrete_standings(avgs, model.names)
+        table, _ = fixtures.discrete_fixture_standings(model)
     else:
         points_path = args.points or _points_path(args.model)
         points = _load(points_path)
-        if points.names != model.names:
-            raise TournsimError(
-                f"{points_path}: team order differs from {args.model}"
-            )
-        table = continuous_standings(
-            avgs, fixtures.point_mean_map(points), model.names
-        )
+        try:
+            table, _ = fixtures.continuous_fixture_standings(model, points)
+        except TournsimError as exc:
+            raise type(exc)(f"{points_path}: {exc}") from exc
     ranking = rank(table, seed_order=list(model.names))
-    text = _header(
-        "rank", model=args.model, scheme=args.scheme, seed=args.seed
-    ) + standings_to_csv(table, ranking)
-    _emit(text, args.out)
+    header = _header("rank", model=args.model, scheme=args.scheme)
+    _emit(header + standings_to_csv(table, ranking), args.out)
     return 0
 
 
@@ -261,14 +247,14 @@ def build_parser() -> _Parser:
     p = _Parser(prog="tournsim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True):
-        if model:
-            sp.add_argument("--model", required=True, help="pairwise goal-means CSV")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    def common(sp, seed=True):
+        sp.add_argument("--model", required=True, help="pairwise goal-means CSV")
+        if seed:
+            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--out", default=None, help="write output to this path")
 
     sp = sub.add_parser("rank", help="standings + ranking from a model table")
-    common(sp)
+    common(sp, seed=False)
     sp.add_argument("--scheme", choices=[CONTINUOUS, DISCRETE], default=DISCRETE)
     sp.add_argument(
         "--points",

@@ -17,10 +17,6 @@ class InvalidInputError(TournsimError):
     """Empty or mixed-pair game lists, bad parameters."""
 
 
-class IncompleteRoundRobinError(TournsimError):
-    """A scoring operation needs one entry per opponent / per pair."""
-
-
 class InvalidComparisonError(TournsimError):
     """Rankings or distributions over different team sets."""
 

@@ -6,6 +6,11 @@ points cannot be recovered from goal means alone), and the combined
 actual/average score tables used to infer the proposed-format placements.
 The published rankings and the classification-playoff winners they imply
 are recorded here as constants.
+
+`discrete_fixture_standings` and `continuous_fixture_standings` score a
+model's mean matrices, of a bundled year or of any model `tournsim rank`
+reads, with `scoring.round_robin_totals`, the kernel of every complete
+round robin.
 """
 
 from __future__ import annotations
@@ -14,15 +19,18 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
+import numpy as np
+
 from .errors import IngestionError
 from .formats import FixedResultTable, rank_from_fixed_results
-from .model import AverageResult, PairwiseGoalModel, TeamId, load_model
+from .model import PairwiseGoalModel, load_model
 from .scoring import (
     Ranking,
-    continuous_standings,
-    discrete_standings,
+    TeamStats,
     l1_distance,
     rank,
+    round_half_away,
+    round_robin_totals,
 )
 
 TEAMS_2012 = ("Helios", "Wright", "Marlik", "Gliders", "GDUT", "AUT", "Yushan", "RobOTTO")
@@ -126,45 +134,43 @@ def load_combined_table(year: int) -> FixedResultTable:
     return FixedResultTable(names, scores)
 
 
-def pair_averages(model: PairwiseGoalModel) -> list[AverageResult]:
-    """One AverageResult per unordered pair, read off the model matrix."""
-    out = []
-    for i in range(model.n):
-        for j in range(i + 1, model.n):
-            out.append(
-                AverageResult(
-                    (TeamId(i, model.names[i]), TeamId(j, model.names[j])),
-                    model.mean(i, j),
-                    model.mean(j, i),
-                    1,
-                )
-            )
-    return out
+def discrete_fixture_standings(model):
+    """League table of `model`, a bundled year or a PairwiseGoalModel,
+    under the discrete scheme: each pair plays its mean scoreline, rounded
+    half away from zero (1.9 : 1.2 becomes 2 : 1), once. Returns
+    (standings, model)."""
+    model = _goal_model(model)
+    goals = np.vectorize(round_half_away, otypes=[np.int64])(_played(model))
+    return _standings(model, round_robin_totals(goals)), model
 
 
-def point_mean_map(points: PairwiseGoalModel) -> dict[tuple[str, str], float]:
-    return {
-        (points.names[i], points.names[j]): points.mean(i, j)
-        for i in range(points.n)
-        for j in range(points.n)
-        if i != j
-    }
-
-
-def discrete_fixture_standings(year: int):
-    model = load_goal_model(year)
-    return discrete_standings(pair_averages(model), model.names), model
-
-
-def continuous_fixture_standings(year: int):
-    model = load_goal_model(year)
-    points = load_points_model(year)
+def continuous_fixture_standings(model, points=None):
+    """League table of `model`, a bundled year or a PairwiseGoalModel,
+    under the continuous scheme: summed per-pair mean points and goals.
+    `points` holds the mean points per ordered pair, by default the bundled
+    year's. Returns (standings, model)."""
+    if points is None:
+        points = load_points_model(model)
+    model = _goal_model(model)
     if points.names != model.names:
-        raise IngestionError(f"fixture team order mismatch for {year}")
-    table = continuous_standings(
-        pair_averages(model), point_mean_map(points), model.names
-    )
-    return table, model
+        raise IngestionError("points table team order differs from the goal model's")
+    return _standings(model, round_robin_totals(_played(model), _played(points))), model
+
+
+def _goal_model(model) -> PairwiseGoalModel:
+    return load_goal_model(model) if isinstance(model, int) else model
+
+
+def _played(model: PairwiseGoalModel) -> np.ndarray:
+    """The model's matrix with its unused diagonal set to 0."""
+    matrix = np.array(model.mean_goals)
+    np.fill_diagonal(matrix, 0)
+    return matrix
+
+
+def _standings(model: PairwiseGoalModel, totals):
+    totals = (t.tolist() for t in totals)
+    return {name: TeamStats(*stats, model.n - 1) for name, *stats in zip(model.names, *totals)}
 
 
 def published_truth(year: int) -> Ranking:

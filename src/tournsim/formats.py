@@ -40,17 +40,17 @@ from .errors import (
     InvalidInputError,
     UnsupportedSizeError,
 )
-from .model import AverageResult, GameResult, TeamId
+from .model import GameResult, TeamId
 from .scoring import (
     CONTINUOUS,
     DEFAULT_POLICY,
     DISCRETE,
     Ranking,
-    Standings,
     TeamStats,
     TieBreakPolicy,
-    discretize_pair,
     rank,
+    round_half_away,
+    round_robin_totals,
     standings_from_games,
 )
 
@@ -294,9 +294,9 @@ class _ReplayProvider:
 
 
 class _FixedProvider:
-    """Reads each game off a FixedResultTable, rounded to a scoreline by
-    discretize_pair. A playoff goes to its override if there is one, then
-    to the table's result, then, when that is drawn, to the higher
+    """Reads each game off a FixedResultTable, each side's goals rounded
+    half away from zero. A playoff goes to its override if there is one,
+    then to the table's result, then, when that is drawn, to the higher
     preliminary place (the home side)."""
 
     def __init__(self, table: FixedResultTable, overrides: dict):
@@ -306,8 +306,10 @@ class _FixedProvider:
 
     def play(self, stage: str, i: int, j: int) -> LedgerEntry:
         a, b = self.names[i], self.names[j]
-        avg = AverageResult((TeamId(i, a), TeamId(j, b)), *self.table.score(a, b), 1)
-        return LedgerEntry(stage, discretize_pair(avg))
+        ga, gb = self.table.score(a, b)
+        return LedgerEntry(
+            stage, GameResult(TeamId(i, a), TeamId(j, b), round_half_away(ga), round_half_away(gb))
+        )
 
     def resolve(self, entry: LedgerEntry, i: int, j: int, natural: Optional[int]) -> int:
         pair = (self.names[i], self.names[j])
@@ -439,24 +441,26 @@ def run_iterated_round_robin(
     return TournamentOutcome(rank(table, policy, names), entries, goals[0].size)
 
 
-def league_table(names: Sequence[str], pairs, goals, scheme: str) -> Standings:
+def league_table(names: Sequence[str], pairs, goals, scheme: str) -> dict[str, TeamStats]:
     """Integer standings of a complete round robin whose pair p, teams
     pairs[:, p], played k games with goals goals[:, p]: k times the summed
     per-pair means (3 points a win, 1 a draw) under the continuous scheme;
     sums over each pair's mean scoreline, rounded half away from zero, under
     the discrete one. So ties are decided exactly, not by float rounding."""
-    k = goals.shape[2]
+    n, k = len(names), goals.shape[2]
+    cells = pairs, pairs[::-1]  # (i, j) of each pair, then (j, i)
+    scored = goals.sum(2)
+    points = None
     if scheme == CONTINUOUS:
         wins = np.count_nonzero(goals > goals[::-1], axis=2)
-        points = 3 * wins + (k - wins.sum(0))
-        scored = goals.sum(2)
+        points = np.zeros((n, n), dtype=np.int64)
+        points[cells] = 3 * wins + (k - wins.sum(0))
     else:
-        scored = (2 * goals.sum(2) + k) // (2 * k)
-        points = np.where(scored > scored[::-1], 3, scored == scored[::-1])
-    teams, games = pairs.ravel(), (len(names) - 1) * k
-    totals = (np.bincount(teams, per_pair.ravel(), len(names)).astype(np.int64).tolist()
-              for per_pair in (points, scored, scored[::-1]))
-    return {name: TeamStats(*stats, games) for name, *stats in zip(names, *totals)}
+        scored = (2 * scored + k) // (2 * k)
+    matrix = np.zeros((n, n), dtype=np.int64)
+    matrix[cells] = scored
+    totals = (t.tolist() for t in round_robin_totals(matrix, points))
+    return {name: TeamStats(*stats, (n - 1) * k) for name, *stats in zip(names, *totals)}
 
 
 def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> TournamentOutcome:

@@ -9,6 +9,7 @@ available behind the same interface.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -38,16 +39,6 @@ class GameResult:
             raise InvalidPairingError("a team cannot play itself")
         if self.home_goals < 0 or self.away_goals < 0:
             raise InvalidInputError("goals must be nonnegative")
-
-
-@dataclass(frozen=True)
-class AverageResult:
-    """Arithmetic mean scoreline of one pairing over games_counted games."""
-
-    pair: tuple[TeamId, TeamId]
-    mean_for: float
-    mean_against: float
-    games_counted: int
 
 
 class PairwiseGoalModel:
@@ -219,21 +210,33 @@ class PoissonSampler:
 
 class EmpiricalPoolSampler:
     """Alternative backend drawing uniformly from a recorded pool of game
-    results, one pool per unordered pair."""
+    results, one pool per unordered pair; every pair of `names` needs at
+    least one game, the teams of a game being indices into `names`."""
 
     backend = "empirical"
 
     def __init__(self, names: Sequence[str], games: Iterable[GameResult]):
         self.names = list(names)
+        n = len(self.names)
         self._pools: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for g in games:
             i, j = g.home.index, g.away.index
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise InvalidInputError(
+                    f"pool game {g.home.name} v {g.away.name} has team indices "
+                    f"{i}, {j}, not two different teams of 0..{n - 1}"
+                )
             gi, gj = g.home_goals, g.away_goals
             if i > j:
                 i, j, gi, gj = j, i, gj, gi
             self._pools.setdefault((i, j), []).append((gi, gj))
         if not self._pools:
             raise InvalidInputError("empty game pool")
+        for i, j in itertools.combinations(range(n), 2):
+            if (i, j) not in self._pools:
+                raise InvalidInputError(
+                    f"no recorded games for pair ({self.names[i]}, {self.names[j]})"
+                )
 
     @property
     def n(self) -> int:
@@ -242,12 +245,7 @@ class EmpiricalPoolSampler:
     def sample(self, i: int, j: int, rng: np.random.Generator) -> tuple[int, int]:
         if i == j:
             raise InvalidPairingError("a team cannot play itself")
-        a, b = (i, j) if i < j else (j, i)
-        pool = self._pools.get((a, b))
-        if not pool:
-            raise InvalidInputError(
-                f"no recorded games for pair ({self.names[i]}, {self.names[j]})"
-            )
+        pool = self._pools[(i, j) if i < j else (j, i)]
         ga, gb = pool[int(rng.integers(len(pool)))]
         return (ga, gb) if i < j else (gb, ga)
 
@@ -257,43 +255,6 @@ class EmpiricalPoolSampler:
         for k in range(count):
             a[k], b[k] = self.sample(i, j, rng)
         return a, b
-
-
-def sample_game(
-    model: PairwiseGoalModel, i, j, rng: np.random.Generator
-) -> GameResult:
-    """Draw one game between teams i and j (TeamId or index). Repeated calls
-    with the same rng state are bit-identical."""
-    ii = i.index if isinstance(i, TeamId) else int(i)
-    jj = j.index if isinstance(j, TeamId) else int(j)
-    gi, gj = PoissonSampler(model).sample(ii, jj, rng)
-    return GameResult(
-        TeamId(ii, model.names[ii]), TeamId(jj, model.names[jj]), gi, gj
-    )
-
-
-def average_results(games: Sequence[GameResult]) -> AverageResult:
-    """Arithmetic mean scoreline over a list of games that all belong to one
-    unordered pair, oriented like the first game."""
-    if not games:
-        raise InvalidInputError("cannot average an empty game list")
-    first = games[0]
-    pair = {first.home, first.away}
-    total_for = 0
-    total_against = 0
-    for g in games:
-        if {g.home, g.away} != pair:
-            raise InvalidInputError("games mix different pairings")
-        if g.home == first.home:
-            total_for += g.home_goals
-            total_against += g.away_goals
-        else:
-            total_for += g.away_goals
-            total_against += g.home_goals
-    n = len(games)
-    return AverageResult(
-        (first.home, first.away), total_for / n, total_against / n, n
-    )
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:

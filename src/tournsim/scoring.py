@@ -1,19 +1,24 @@
-"""Standings, the continuous/discrete point schemes, tie-breaking and the
-L1 (Spearman footrule) distance between rankings."""
+"""Standings, tie-breaking and the L1 (Spearman footrule) distance
+between rankings.
+
+Every complete round robin is scored by one kernel, `round_robin_totals`,
+on n x n matrices: the batched engine's groups, the oracle's integer
+totals (`formats.league_table`) and the league tables of the bundled
+models under both schemes (`fixtures`). Games of a bracket are scored one
+at a time by `points_per_game` and `standings_from_games`, whose games
+head-to-head tie-breaks need."""
 
 from __future__ import annotations
 
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    IncompleteRoundRobinError,
-    InvalidComparisonError,
-    InvalidInputError,
-)
-from .model import AverageResult, GameResult, TeamId
+import numpy as np
+
+from .errors import InvalidComparisonError, InvalidInputError
+from .model import GameResult
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -35,17 +40,6 @@ def round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def discretize_pair(avg: AverageResult) -> GameResult:
-    """Round a pairing's mean scoreline to the nearest integers, producing a
-    single representative game (e.g. 1.9 : 1.2 becomes 2 : 1)."""
-    return GameResult(
-        avg.pair[0],
-        avg.pair[1],
-        round_half_away(avg.mean_for),
-        round_half_away(avg.mean_against),
-    )
-
-
 @dataclass
 class TeamStats:
     points: float = 0.0
@@ -58,15 +52,11 @@ class TeamStats:
         return self.goals_for - self.goals_against
 
 
-# A Standings is a mapping from team name to TeamStats.
-Standings = dict
-
-
 def standings_from_games(
     games: Iterable[GameResult], teams: Optional[Sequence[str]] = None
-) -> Standings:
+) -> dict[str, TeamStats]:
     """Plain league-table accumulation: 3/1/0 points plus raw goal sums."""
-    table: Standings = {name: TeamStats() for name in (teams or [])}
+    table = {name: TeamStats() for name in (teams or [])}
     for g in games:
         for name in (g.home.name, g.away.name):
             if name not in table:
@@ -84,62 +74,19 @@ def standings_from_games(
     return table
 
 
-def continuous_points(per_opponent_points: Mapping[str, float], n_teams: int) -> float:
-    """Continuous-scheme total: sum over opponents of the mean per-game
-    points achieved against that opponent."""
-    if len(per_opponent_points) != n_teams - 1:
-        missing = n_teams - 1 - len(per_opponent_points)
-        raise IncompleteRoundRobinError(
-            f"continuous points need one entry per opponent ({missing} missing)"
-        )
-    return float(sum(per_opponent_points.values()))
-
-
-def continuous_standings(
-    avgs: Iterable[AverageResult],
-    point_means: Mapping[tuple[str, str], float],
-    teams: Sequence[str],
-) -> Standings:
-    """Continuous scheme over a complete round-robin: points are summed mean
-    per-game points; goals for/against are the raw pairing means.
-
-    `point_means` maps the ordered pair (a, b) to the mean per-game points
-    team a earned against team b (both orientations must be present).
-    """
-    avgs = list(avgs)
-    _require_complete(avgs, teams)
-    table: Standings = {name: TeamStats() for name in teams}
-    for avg in avgs:
-        a, b = avg.pair[0].name, avg.pair[1].name
-        table[a].points += point_means[(a, b)]
-        table[b].points += point_means[(b, a)]
-        table[a].goals_for += avg.mean_for
-        table[a].goals_against += avg.mean_against
-        table[b].goals_for += avg.mean_against
-        table[b].goals_against += avg.mean_for
-        table[a].games_played += 1
-        table[b].games_played += 1
-    return table
-
-
-def discrete_standings(
-    avgs: Iterable[AverageResult], teams: Sequence[str]
-) -> Standings:
-    """Discrete scheme: each pairing's mean scoreline is rounded to a single
-    representative game, then 3/1/0 points are awarded; goal sums accumulate
-    the rounded values."""
-    avgs = list(avgs)
-    _require_complete(avgs, teams)
-    return standings_from_games([discretize_pair(a) for a in avgs], teams)
-
-
-def _require_complete(avgs: Sequence[AverageResult], teams: Sequence[str]):
-    expected = {frozenset((a, b)) for i, a in enumerate(teams) for b in teams[i + 1:]}
-    seen = {frozenset((x.pair[0].name, x.pair[1].name)) for x in avgs}
-    if seen != expected or len(avgs) != len(expected):
-        raise IncompleteRoundRobinError(
-            f"need exactly one average per pair: {len(expected)} pairs expected"
-        )
+def round_robin_totals(goals, points=None):
+    """Points, goals for and goals against of every team in complete round
+    robins. `goals[..., i, j]` is what team i scored against team j, with a
+    zero diagonal; each cell pair is one scoreline, worth 3 points a win
+    and 1 a draw, unless `points[..., i, j]`, the points team i took from
+    team j, is given. Returns three arrays of shape `goals.shape[:-1]`."""
+    against = np.swapaxes(goals, -1, -2)
+    if points is None:
+        # The diagonal is a 0-0 "draw" worth one point to nobody.
+        points = (3 * (goals > against) + (goals == against)).sum(-1) - 1
+    else:
+        points = points.sum(-1)
+    return points, goals.sum(-1), against.sum(-1)
 
 
 @dataclass(frozen=True)
@@ -188,7 +135,7 @@ class Ranking:
 
 
 def rank(
-    standings: Standings,
+    standings: dict[str, TeamStats],
     policy: TieBreakPolicy = DEFAULT_POLICY,
     seed_order: Optional[Sequence[str]] = None,
     games: Optional[Sequence[GameResult]] = None,
@@ -240,7 +187,7 @@ def l1_distance(a: Ranking, b: Ranking) -> int:
 
 
 def standings_to_csv(
-    standings: Standings, ranking: Optional[Ranking] = None
+    standings: dict[str, TeamStats], ranking: Optional[Ranking] = None
 ) -> str:
     """Tabular text mirroring the Points / Goal Diff / Rank columns."""
     out = io.StringIO()

@@ -10,6 +10,52 @@ MODEL_2012 = str(fixtures.fixture_path("robocup2012.csv"))
 MODEL_2013 = str(fixtures.fixture_path("robocup2013.csv"))
 
 
+# Full `tournsim rank` output of the bundled models, recorded before the
+# league tables moved onto `scoring.round_robin_totals`.
+RANK_TABLES = {
+    (2012, "continuous"): (
+        "Wright,18.899,44,5.3,38.7,1\n"
+        "Helios,18.152,29.5,3.5,26,2\n"
+        "Yushan,12.105,22.8,16.3,6.5,3\n"
+        "Gliders,10.291,13.06,9.66,3.4,4\n"
+        "Marlik,9.999,7.36,7.06,0.3,5\n"
+        "GDUT,7.8,12.4,18.4,-6,6\n"
+        "RobOTTO,2.973,5.6,35.2,-29.6,7\n"
+        "AUT,0.377,1.3,40.6,-39.3,8\n"
+    ),
+    (2012, "discrete"): (
+        "Wright,19,43,4,39,1\n"
+        "Helios,19,30,3,27,2\n"
+        "Yushan,13,23,16,7,3\n"
+        "Gliders,12,13,9,4,4\n"
+        "Marlik,10,6,6,0,5\n"
+        "GDUT,6,11,18,-7,6\n"
+        "RobOTTO,3,5,36,-31,7\n"
+        "AUT,0,1,40,-39,8\n"
+    ),
+    (2013, "continuous"): (
+        "Wright,18.308,27.3,4.8,22.5,1\n"
+        "Helios,16.937,18.1,3.2,14.9,2\n"
+        "Oxsy,9.543,10.6,12.8,-2.2,3\n"
+        "Yushan,9.434,9.6,10.9,-1.3,4\n"
+        "Cyrus,8.408,8.7,12.1,-3.4,5\n"
+        "Gliders,8.371,8.3,10.3,-2,6\n"
+        "AUT,4.416,5,19,-14,7\n"
+        "Axiom,3.713,5.3,19.8,-14.5,8\n"
+    ),
+    (2013, "discrete"): (
+        "Wright,21,27,5,22,1\n"
+        "Helios,18,18,2,16,2\n"
+        "Yushan,11,10,11,-1,3\n"
+        "Oxsy,11,10,12,-2,4\n"
+        "Cyrus,10,9,12,-3,5\n"
+        "Gliders,7,8,11,-3,6\n"
+        "AUT,1,5,19,-14,7\n"
+        "Axiom,1,5,20,-15,8\n"
+    ),
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -41,9 +87,28 @@ class TestRank:
         assert rows["Wright"]["rank"] == "1"
         assert abs(float(rows["Wright"]["points"]) - 18.308) < 5e-4
 
-    def test_seed_echoed_in_header(self, capsys):
-        _, out, _ = run(capsys, "rank", "--model", MODEL_2012, "--seed", "99")
-        assert "seed=99" in out
+    @pytest.mark.parametrize("year,scheme", RANK_TABLES)
+    def test_pinned_output(self, capsys, year, scheme):
+        model = MODEL_2012 if year == 2012 else MODEL_2013
+        code, out, _ = run(capsys, "rank", "--model", model, "--scheme", scheme)
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        assert "".join(ln for ln in lines if not ln.startswith("# version=")) == (
+            f"# command=rank\n# model={model}\n# scheme={scheme}\n"
+            "team,points,goals_for,goals_against,goal_diff,rank\n" + RANK_TABLES[year, scheme]
+        )
+
+    def test_seed_flag_rejected(self, capsys):
+        # rank draws nothing, so it takes no seed
+        code, _, _ = run(capsys, "rank", "--model", MODEL_2012, "--seed", "99")
+        assert code == 1
+
+    def test_points_of_other_teams_is_data_error(self, capsys):
+        points = str(fixtures.fixture_path("robocup2013.points.csv"))
+        code, _, err = run(capsys, "rank", "--model", MODEL_2012, "--scheme", "continuous",
+                           "--points", points)
+        assert code == 2
+        assert f"{points}: " in err and "team order" in err
 
     def test_bad_model_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

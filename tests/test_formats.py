@@ -400,12 +400,13 @@ class TestFixedResults:
 
 class TestSamplerInterchangeability:
     def test_empirical_pool_backend_runs_all_formats(self):
-        from tournsim import EmpiricalPoolSampler, sample_game
+        from tournsim import EmpiricalPoolSampler
 
         goal = flat_sampler()
         rng = derive_rng(14, 0)
+        teams = goal.model.teams
         pool = [
-            sample_game(goal.model, i, j, rng)
+            GameResult(teams[i], teams[j], *goal.sample(i, j, rng))
             for i in range(8)
             for j in range(8)
             if i != j

@@ -12,10 +12,8 @@ from tournsim import (
     PairwiseGoalModel,
     PoissonSampler,
     TeamId,
-    average_results,
     derive_rng,
     load_model,
-    sample_game,
 )
 from tournsim.fixtures import fixture_text
 
@@ -82,22 +80,20 @@ class TestLoadModel:
         assert again.to_csv() == model2012.to_csv()
 
 
-class TestSampleGame:
+class TestPoissonSampler:
     def test_zero_rate_is_goalless(self):
-        model = PairwiseGoalModel(["A", "B"], [[0, 0], [0, 0]])
+        s = PoissonSampler(PairwiseGoalModel(["A", "B"], [[0, 0], [0, 0]]))
         rng = derive_rng(1)
         for _ in range(50):
-            g = sample_game(model, 0, 1, rng)
-            assert (g.home_goals, g.away_goals) == (0, 0)
+            assert s.sample(0, 1, rng) == (0, 0)
 
     def test_same_seed_same_result(self, model2012):
-        g1 = sample_game(model2012, 0, 1, derive_rng(99))
-        g2 = sample_game(model2012, 0, 1, derive_rng(99))
-        assert g1 == g2
+        s = PoissonSampler(model2012)
+        assert s.sample(0, 1, derive_rng(99)) == s.sample(0, 1, derive_rng(99))
 
     def test_self_pairing_rejected(self, model2012):
         with pytest.raises(InvalidPairingError):
-            sample_game(model2012, 2, 2, derive_rng(0))
+            PoissonSampler(model2012).sample(2, 2, derive_rng(0))
 
     def test_helios_wright_means(self, model2012):
         # lambda = 2.3 both sides; empirical means within 3 SE over 1e5 draws
@@ -118,48 +114,11 @@ class TestSampleGame:
         assert abs(draws.var() - lam) < 4 * se_var
 
 
-class TestAverageResults:
-    def _games(self, scores, a="A", b="B"):
-        ta, tb = TeamId(0, a), TeamId(1, b)
-        return [GameResult(ta, tb, x, y) for x, y in scores]
-
-    def test_hand_computed_mean(self):
-        avg = average_results(self._games([(2, 1), (0, 1), (1, 1)]))
-        assert (avg.mean_for, avg.mean_against, avg.games_counted) == (1.0, 1.0, 3)
-
-    def test_single_game(self):
-        avg = average_results(self._games([(5, 0)]))
-        assert (avg.mean_for, avg.mean_against) == (5.0, 0.0)
-
-    def test_orientation_flip(self):
-        ta, tb = TeamId(0, "A"), TeamId(1, "B")
-        games = [GameResult(ta, tb, 2, 0), GameResult(tb, ta, 0, 2)]
-        avg = average_results(games)
-        assert (avg.mean_for, avg.mean_against) == (2.0, 0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            average_results([])
-
-    def test_mixed_pairs_rejected(self):
-        games = self._games([(1, 0)]) + self._games([(1, 0)], "A", "C")
-        with pytest.raises(InvalidInputError, match="mix"):
-            average_results(games)
-
-    def test_sampled_helios_wright_within_3se(self, model2012):
-        rng = derive_rng(3)
-        games = [sample_game(model2012, 0, 1, rng) for _ in range(1000)]
-        avg = average_results(games)
-        se = math.sqrt(2.3 / 1000)
-        assert abs(avg.mean_for - 2.3) < 3 * se
-        assert abs(avg.mean_against - 2.3) < 3 * se
-
-
 class TestEmpiricalPool:
     def test_samples_only_recorded_results(self, model2012):
         ta, tb = TeamId(0, "Helios"), TeamId(1, "Wright")
         pool = [GameResult(ta, tb, 3, 1), GameResult(ta, tb, 0, 0)]
-        s = EmpiricalPoolSampler(model2012.names, pool)
+        s = EmpiricalPoolSampler(model2012.names[:2], pool)
         rng = derive_rng(5)
         seen = {s.sample(0, 1, rng) for _ in range(100)}
         assert seen <= {(3, 1), (0, 0)}
@@ -169,9 +128,21 @@ class TestEmpiricalPool:
 
     def test_missing_pair_rejected(self, model2012):
         ta, tb = TeamId(0, "Helios"), TeamId(1, "Wright")
-        s = EmpiricalPoolSampler(model2012.names, [GameResult(ta, tb, 1, 0)])
-        with pytest.raises(InvalidInputError):
-            s.sample(2, 3, derive_rng(0))
+        with pytest.raises(InvalidInputError, match="no recorded games"):
+            EmpiricalPoolSampler(model2012.names, [GameResult(ta, tb, 1, 0)])
+
+    def test_team_index_out_of_range_rejected(self):
+        pool = [GameResult(TeamId(0, "A"), TeamId(1, "B"), 1, 0),
+                GameResult(TeamId(0, "A"), TeamId(2, "C"), 2, 2)]
+        with pytest.raises(InvalidInputError, match="0..1"):
+            EmpiricalPoolSampler(["A", "B"], pool)
+
+    def test_self_pair_rejected(self):
+        # different names, so GameResult accepts it; the indices coincide
+        pool = [GameResult(TeamId(0, "A"), TeamId(1, "B"), 1, 0),
+                GameResult(TeamId(1, "B"), TeamId(1, "A"), 2, 2)]
+        with pytest.raises(InvalidInputError, match="two different teams"):
+            EmpiricalPoolSampler(["A", "B"], pool)
 
 
 def test_derive_rng_independent_streams():

@@ -1,23 +1,24 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tournsim import (
-    AverageResult,
     GameResult,
-    IncompleteRoundRobinError,
     InvalidComparisonError,
     InvalidInputError,
+    PairwiseGoalModel,
     Ranking,
     TeamId,
     TieBreakPolicy,
-    continuous_points,
-    discrete_standings,
-    discretize_pair,
     l1_distance,
     points_per_game,
     rank,
+    round_robin_totals,
     standings_from_games,
 )
 from tournsim import fixtures
@@ -26,10 +27,6 @@ from tournsim.scoring import TeamStats
 
 def game(a, b, ga, gb):
     return GameResult(TeamId(0, a), TeamId(1, b), ga, gb)
-
-
-def avg(a, b, ma, mb, ia=0, ib=1):
-    return AverageResult((TeamId(ia, a), TeamId(ib, b)), ma, mb, 1)
 
 
 @pytest.mark.parametrize(
@@ -41,12 +38,39 @@ def test_points_per_game(score, expected):
 
 
 @pytest.mark.parametrize(
-    "means,expected",
-    [((1.9, 1.2), (2, 1)), ((0.46, 0.56), (0, 1)), ((0.5, 0.5), (1, 1))],
+    "means,goals,points",
+    [((1.9, 1.2), (2, 1), (3, 0)), ((0.46, 0.56), (0, 1), (0, 3)), ((0.5, 0.5), (1, 1), (1, 1))],
 )
-def test_discretize_pair(means, expected):
-    g = discretize_pair(avg("A", "B", *means))
-    assert (g.home_goals, g.away_goals) == expected
+def test_discrete_scheme_rounds_each_mean_half_away(means, goals, points):
+    model = PairwiseGoalModel(["A", "B"], [[0, means[0]], [means[1], 0]])
+    table, _ = fixtures.discrete_fixture_standings(model)
+    assert (table["A"].goals_for, table["B"].goals_for) == goals
+    assert (table["A"].points, table["B"].points) == points
+
+
+@st.composite
+def round_robins(draw):
+    """Goals of complete round robins, shape (rows, n, n), zero diagonal."""
+    n, rows = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    goals = draw(hnp.arrays(np.int64, (rows, n, n), elements=st.integers(0, 6)))
+    goals[:, np.arange(n), np.arange(n)] = 0
+    return goals
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(goals=round_robins())
+def test_round_robin_totals_equal_standings_from_games(goals):
+    n = goals.shape[-1]
+    teams = [TeamId(i, f"T{i}") for i in range(n)]
+    totals = np.stack(round_robin_totals(goals), -1)
+    for r, g in enumerate(goals):
+        table = standings_from_games(
+            GameResult(teams[i], teams[j], int(g[i, j]), int(g[j, i]))
+            for i, j in itertools.combinations(range(n), 2)
+        )
+        want = [[table[t.name].points, table[t.name].goals_for, table[t.name].goals_against]
+                for t in teams]
+        assert totals[r].tolist() == want
 
 
 class TestContinuousPoints:
@@ -58,37 +82,23 @@ class TestContinuousPoints:
         table, _ = fixtures.continuous_fixture_standings(2012)
         assert table["AUT"].points == pytest.approx(0.377, abs=5e-4)
 
-    def test_all_win_upper_bound(self):
-        assert continuous_points({"B": 3.0, "C": 3.0, "D": 3.0}, 4) == 9.0
-
-    def test_missing_opponent_rejected(self):
-        with pytest.raises(IncompleteRoundRobinError):
-            continuous_points({"B": 3.0}, 4)
-
     def test_equals_per_game_points_mean(self):
         # continuous total == (1/N) * sum of per-game points when every
         # pairing has exactly N games
         rnd = random.Random(4)
-        teams = ["A", "B", "C", "D"]
+        n_teams = 4
         n_games = 5
-        total = {t: 0.0 for t in teams}
-        per_opp = {t: {} for t in teams}
-        for x, y in itertools.combinations(teams, 2):
-            pts_x = 0
-            pts_y = 0
+        total = np.zeros(n_teams)
+        per_opp = np.zeros((n_teams, n_teams))
+        for x, y in itertools.combinations(range(n_teams), 2):
             for _ in range(n_games):
-                g = game(x, y, rnd.randint(0, 4), rnd.randint(0, 4))
-                px, py = points_per_game(g)
-                pts_x += px
-                pts_y += py
-            total[x] += pts_x
-            total[y] += pts_y
-            per_opp[x][y] = pts_x / n_games
-            per_opp[y][x] = pts_y / n_games
-        for t in teams:
-            assert continuous_points(per_opp[t], 4) == pytest.approx(
-                total[t] / n_games
-            )
+                px, py = points_per_game(game("A", "B", rnd.randint(0, 4), rnd.randint(0, 4)))
+                total[x] += px
+                total[y] += py
+                per_opp[x, y] += px / n_games
+                per_opp[y, x] += py / n_games
+        points, _, _ = round_robin_totals(np.zeros((n_teams, n_teams)), per_opp)
+        assert points == pytest.approx(total / n_games)
 
 
 class TestDiscreteStandings:
@@ -105,28 +115,16 @@ class TestDiscreteStandings:
         )
 
     def test_forced_draw(self):
-        table = discrete_standings([avg("A", "B", 1.0, 1.0)], ["A", "B"])
-        assert table["A"].points == 1 and table["B"].points == 1
-
-    def test_incomplete_rejected(self):
-        with pytest.raises(IncompleteRoundRobinError):
-            discrete_standings([avg("A", "B", 1, 0)], ["A", "B", "C"])
+        points, _, _ = round_robin_totals(np.array([[0, 1], [1, 0]]))
+        assert points.tolist() == [1, 1]
 
     def test_total_points_identity(self):
-        # 3 per decisive rounded pairing, 2 per drawn one
-        rnd = random.Random(11)
-        teams = [f"T{i}" for i in range(6)]
-        avgs = []
-        for i, (x, y) in enumerate(itertools.combinations(teams, 2)):
-            avgs.append(avg(x, y, rnd.uniform(0, 3), rnd.uniform(0, 3),
-                            teams.index(x), teams.index(y)))
-        drawn = sum(
-            1 for a in avgs
-            if discretize_pair(a).home_goals == discretize_pair(a).away_goals
-        )
-        table = discrete_standings(avgs, teams)
-        total = sum(table[t].points for t in teams)
-        assert total == 3 * (len(avgs) - drawn) + 2 * drawn
+        # 3 per decisive pairing, 2 per drawn one, in every row of a batch
+        goals = np.random.default_rng(11).integers(0, 4, (20, 6, 6))
+        goals[:, np.arange(6), np.arange(6)] = 0
+        drawn = np.triu(goals == goals.swapaxes(1, 2), 1).sum((1, 2))
+        points, _, _ = round_robin_totals(goals)
+        assert points.sum(1).tolist() == (3 * (15 - drawn) + 2 * drawn).tolist()
 
 
 class TestRank:
