@@ -6,8 +6,8 @@ Each table is compiled once, at import, into a list of calls. Consecutive
 stages share a call when they have one kind and one team count and none
 of them reads a result of another stage in the same call; a call samples
 all its games for all rows in one `rng.poisson` call. Round robins are
-scored by `scoring.round_robin_totals`, the kernel every complete league
-table uses, and knockout slots are settled with `np.where`.
+scored and ranked by the `scoring` kernels that every league table and
+ranking use, and knockout slots are settled with `np.where`.
 
 Results live on one (rows, columns) int board. Columns 0-7 hold the seed
 positions (0 is the top seed), and each stage writes what it yields, its
@@ -35,7 +35,7 @@ from .formats import (
     _seed_list,
 )
 from .model import PoissonSampler
-from .scoring import round_robin_totals
+from .scoring import round_robin_totals, tiebreak_order
 
 
 def _compile(stages, places):
@@ -66,14 +66,9 @@ _PLANS = {kind: _compile(*table) for kind, table in BRACKETS.items()}
 
 def supports(fmt, sampler) -> bool:
     """Whether `play_block` can run `fmt` on `sampler`. Other samplers,
-    head-to-head tie-breaks, the oracle and fields of other sizes run on
-    the scalar interpreter."""
-    return (
-        fmt.kind in BRACKETS
-        and type(sampler) is PoissonSampler
-        and len(sampler.names) == len(BRACKETS[fmt.kind][1])
-        and "head_to_head" not in fmt.policy.criteria
-    )
+    the oracle and fields of other sizes run on the scalar interpreter."""
+    return (fmt.kind in BRACKETS and type(sampler) is PoissonSampler
+            and len(sampler.names) == len(BRACKETS[fmt.kind][1]))
 
 
 def play_block(fmt, sampler, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -134,12 +129,10 @@ class _Games:
         group size, seed positions ascending): positions of each group in
         finishing order, shape (rows, groups, size)."""
         g = self.rng.poisson(self.means[:, groups[:, :, None], groups[:, None, :]])
-        points, scored, conceded = round_robin_totals(g)
-        stats = {"points": points, "goals_for": scored, "goal_difference": scored - conceded}
-        # lexsort sorts by its last key first; seed position decides last.
-        keys = [np.broadcast_to(np.arange(groups.shape[1]), stats["points"].shape)]
-        keys += [-stats[c] for c in reversed(policy.criteria[:-1])]
-        local = np.lexsort(keys, axis=-1)
+        against = np.swapaxes(g, -1, -2)
+        # Each team's 0-0 "draw" with itself adds a point to every total.
+        points = 3 * (g > against) + (g == against)
+        local = tiebreak_order(*round_robin_totals(g, points), policy, points)
         return np.take_along_axis(np.broadcast_to(groups, local.shape), local, -1)
 
     def knockout(self, home, away):

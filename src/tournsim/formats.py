@@ -26,6 +26,7 @@ knockout slot, so the same tables serve three kinds of run:
 
 The iterated round-robin (the ground-truth oracle) is not a bracket: it
 samples each pair's games in bulk and ranks them with `league_table`.
+Every round robin is ranked by the tie-break kernel of `tournsim.scoring`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .scoring import (
     round_half_away,
     round_robin_totals,
     standings_from_games,
+    tiebreak_order,
 )
 
 KINDS = ("iterated_round_robin", "format_2012", "format_2013_double_elim", "proposed")
@@ -361,18 +363,16 @@ def _best_of_three(provider, stage: str, i: int, j: int) -> int:
     return provider.resolve(last, i, j, natural)
 
 
-def _round_robin(provider, prefix, members, policy, seed_pos) -> list[int]:
-    """Single round-robin among `members`; returns them in finishing order."""
-    names = provider.names
+def _round_robin(provider, prefix, members, policy) -> list[int]:
+    """Single round-robin among `members`, in seed order; their finishing order."""
     games = [
         provider.play(f"{prefix}{a + 1}v{b + 1}", members[a], members[b]).result
         for a in range(len(members))
         for b in range(a + 1, len(members))
     ]
-    table = standings_from_games(games, [names[m] for m in members])
-    by_seed = [names[m] for m in sorted(members, key=seed_pos.__getitem__)]
-    index = {names[m]: m for m in members}
-    return [index[n] for n in rank(table, policy, by_seed, games).order()]
+    group = [provider.names[m] for m in members]
+    table = standings_from_games(games, group)
+    return [members[group.index(n)] for n in rank(table, policy, group, games).order()]
 
 
 def _play(provider, kind: str, seeds: Sequence[int], policy: TieBreakPolicy,
@@ -382,12 +382,11 @@ def _play(provider, kind: str, seeds: Sequence[int], policy: TieBreakPolicy,
     stages, places = BRACKETS[kind]
     if len(seeds) != len(places):
         raise UnsupportedSizeError(f"{kind} requires exactly {len(places)} teams")
-    seed_pos = {t: p for p, t in enumerate(seeds)}
     yielded = {"seeds": seeds}
     for label, stage_kind, refs in stages:
         teams = [yielded[stage][p] for stage, p in refs]
         if stage_kind == RR:
-            yielded[label] = _round_robin(provider, label, teams, policy, seed_pos)
+            yielded[label] = _round_robin(provider, label, teams, policy)
             continue
         i, j = teams
         if stage_kind == LEGS:
@@ -437,30 +436,32 @@ def run_iterated_round_robin(
         for (i, j), home_goals, away_goals in zip(pairs.T.tolist(), *goals.tolist())
         for g, (a, b) in enumerate(zip(home_goals, away_goals), 1)
     ] if keep_games else None
-    table = league_table(names, pairs, goals, scheme)
-    return TournamentOutcome(rank(table, policy, names), entries, goals[0].size)
+    _, ranking = league_table(names, pairs, goals, scheme, policy)
+    return TournamentOutcome(ranking, entries, goals[0].size)
 
 
-def league_table(names: Sequence[str], pairs, goals, scheme: str) -> dict[str, TeamStats]:
+def league_table(names: Sequence[str], pairs, goals, scheme: str, policy=DEFAULT_POLICY):
     """Integer standings of a complete round robin whose pair p, teams
-    pairs[:, p], played k games with goals goals[:, p]: k times the summed
-    per-pair means (3 points a win, 1 a draw) under the continuous scheme;
-    sums over each pair's mean scoreline, rounded half away from zero, under
-    the discrete one. So ties are decided exactly, not by float rounding."""
+    pairs[:, p], played k games with goals goals[:, p], and their Ranking
+    under `policy`, seeded in `names` order: k times the summed per-pair
+    means (3 points a win, 1 a draw) under the continuous scheme; sums over
+    each pair's mean scoreline, rounded half away from zero, under the
+    discrete one. So ties, head-to-head too, are decided exactly."""
     n, k = len(names), goals.shape[2]
     cells = pairs, pairs[::-1]  # (i, j) of each pair, then (j, i)
     scored = goals.sum(2)
-    points = None
     if scheme == CONTINUOUS:
         wins = np.count_nonzero(goals > goals[::-1], axis=2)
-        points = np.zeros((n, n), dtype=np.int64)
-        points[cells] = 3 * wins + (k - wins.sum(0))
+        pair_points = 3 * wins + (k - wins.sum(0))
     else:
         scored = (2 * scored + k) // (2 * k)
-    matrix = np.zeros((n, n), dtype=np.int64)
-    matrix[cells] = scored
-    totals = (t.tolist() for t in round_robin_totals(matrix, points))
-    return {name: TeamStats(*stats, (n - 1) * k) for name, *stats in zip(names, *totals)}
+        pair_points = 3 * (scored > scored[::-1]) + (scored == scored[::-1])
+    matrix, points = np.zeros((2, n, n), dtype=np.int64)
+    matrix[cells], points[cells] = scored, pair_points
+    totals = np.array(round_robin_totals(matrix, points))
+    order = tiebreak_order(*totals, policy, points)
+    table = {name: TeamStats(*s, (n - 1) * k) for name, *s in zip(names, *totals.tolist())}
+    return table, Ranking.from_order([names[i] for i in order])
 
 
 def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> TournamentOutcome:
@@ -493,7 +494,7 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
         raise InvalidInputError("outcome carries no game ledger")
     if spec.kind == "iterated_round_robin":
         pairs, goals = _ledger_pairs(names, outcome.games, spec.games_per_pair)
-        return rank(league_table(names, pairs, goals, spec.scheme), spec.policy, list(names))
+        return league_table(names, pairs, goals, spec.scheme, spec.policy)[1]
     seeding = spec.seeding
     if seeding == RANDOM_SEEDING:
         seeding = outcome.seeding

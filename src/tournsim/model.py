@@ -226,6 +226,9 @@ class EmpiricalPoolSampler:
                     f"pool game {g.home.name} v {g.away.name} has team indices "
                     f"{i}, {j}, not two different teams of 0..{n - 1}"
                 )
+            if (g.home.name, g.away.name) != (self.names[i], self.names[j]):
+                raise InvalidInputError(f"pool game {g.home.name} v {g.away.name} has "
+                                        f"the indices of {self.names[i]} and {self.names[j]}")
             gi, gj = g.home_goals, g.away_goals
             if i > j:
                 i, j, gi, gj = j, i, gj, gi

@@ -12,11 +12,11 @@ keeps the rows inside it, and workers receive runs of whole blocks, so the
 result is bit-identical for a given spec regardless of worker count, and a
 campaign may be split into sub-campaigns and merged.
 
-Both engines play the stage tables `formats.BRACKETS`. Specs the batched
-engine supports (`batch.supports`) play a whole block as arrays with
-`batch.play_block`; the rest run the scalar interpreter
-`formats.run_format` row after row on the block's generator, up to the
-campaign's last tournament.
+Both engines play the stage tables `formats.BRACKETS` and the tie-break
+kernel `scoring.tiebreak_order`. Specs the batched engine supports
+(`batch.supports`) play a whole block as arrays with `batch.play_block`;
+the rest run the scalar interpreter `formats.run_format` row after row
+on the block's generator, up to the campaign's last tournament.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Every complete round robin is scored by one kernel, `round_robin_totals`,
 on n x n matrices: the batched engine's groups, the oracle's integer
 totals (`formats.league_table`) and the league tables of the bundled
 models under both schemes (`fixtures`). Games of a bracket are scored one
-at a time by `points_per_game` and `standings_from_games`, whose games
-head-to-head tie-breaks need."""
+at a time by `points_per_game` and `standings_from_games`. Every ranking
+is ordered by one tie-break kernel, `tiebreak_order`, which `rank` wraps."""
 
 from __future__ import annotations
 
@@ -83,10 +83,8 @@ def round_robin_totals(goals, points=None):
     against = np.swapaxes(goals, -1, -2)
     if points is None:
         # The diagonal is a 0-0 "draw" worth one point to nobody.
-        points = (3 * (goals > against) + (goals == against)).sum(-1) - 1
-    else:
-        points = points.sum(-1)
-    return points, goals.sum(-1), against.sum(-1)
+        points = 3 * (goals > against) + (goals == against) - np.eye(goals.shape[-1], dtype=int)
+    return points.sum(-1), goals.sum(-1), against.sum(-1)
 
 
 @dataclass(frozen=True)
@@ -134,49 +132,53 @@ class Ranking:
         return len(self.places)
 
 
+def tiebreak_order(points, goals_for, goals_against, policy: TieBreakPolicy, pair_points=None):
+    """Finishing order of the teams along the last axis under `policy`,
+    best first; index order is seed order. Head-to-head ranks team t by
+    its points from the teams u level with it on every earlier criterion,
+    the sum of pair_points[..., t, u]; its own cell shifts all keys alike."""
+    stats = dict(points=points, goals_for=goals_for, goal_difference=goals_for - goals_against)
+    keys = []  # negated, most significant first
+    for c in policy.criteria[:-1]:
+        if c == "head_to_head":
+            level = True
+            for k in keys:
+                level = level & (k[..., :, None] == k[..., None, :])
+            keys.append(-(pair_points * level).sum(-1))
+        else:
+            keys.append(-stats[c])
+    # lexsort sorts by its last key first, and is stable: seed order
+    # decides last. Under seed order alone, the one key ties every team.
+    return np.lexsort(keys[::-1] or [np.zeros(np.shape(points))], axis=-1)
+
+
 def rank(
     standings: dict[str, TeamStats],
     policy: TieBreakPolicy = DEFAULT_POLICY,
     seed_order: Optional[Sequence[str]] = None,
     games: Optional[Sequence[GameResult]] = None,
 ) -> Ranking:
-    """Order teams lexicographically by the policy's criteria (higher points,
-    higher goal difference, higher goals for, head-to-head points among the
-    tied subset, then seed order)."""
-    names = list(standings)
-    seed_pos = {n: i for i, n in enumerate(seed_order or names)}
-
-    def split(group: list[str], crits: tuple[str, ...]) -> list[str]:
-        if len(group) <= 1:
-            return group
-        crit = crits[0]
-        if crit == "seed_order":
-            return sorted(group, key=seed_pos.get)
-        if crit == "head_to_head":
-            sub = set(group)
-            mini = standings_from_games(
-                [g for g in (games or []) if g.home.name in sub and g.away.name in sub],
-                group,
-            )
-            key = {n: mini[n].points for n in group}
-        elif crit == "points":
-            key = {n: standings[n].points for n in group}
-        elif crit == "goal_difference":
-            key = {n: standings[n].goal_difference for n in group}
-        else:  # goals_for
-            key = {n: standings[n].goals_for for n in group}
-        ordered = sorted(group, key=lambda n: -key[n])
-        out: list[str] = []
-        i = 0
-        while i < len(ordered):
-            j = i
-            while j < len(ordered) and key[ordered[j]] == key[ordered[i]]:
-                j += 1
-            out.extend(split(ordered[i:j], crits[1:]))
-            i = j
-        return out
-
-    return Ranking.from_order(split(names, policy.criteria))
+    """Order teams by the policy's criteria with `tiebreak_order` (higher
+    points, higher goal difference, higher goals for, head-to-head points
+    in `games` among the teams still level, then seed order)."""
+    names = list(seed_order or standings)
+    if len(names) != len(standings) or set(names) != set(standings):
+        raise InvalidInputError("seed_order must list every team of the standings once")
+    stats = np.array([[standings[n].points, standings[n].goals_for, standings[n].goals_against]
+                      for n in names]).reshape(-1, 3).T
+    pair_points = None
+    if "head_to_head" in policy.criteria:
+        index = {n: i for i, n in enumerate(names)}
+        pair_points = [[0] * len(names) for _ in names]  # lists: numpy adds cost ~10x
+        for g in games or ():
+            if g.home.name in index and g.away.name in index:
+                i, j = index[g.home.name], index[g.away.name]
+                ph, pa = points_per_game(g)
+                pair_points[i][j] += ph
+                pair_points[j][i] += pa
+        pair_points = np.array(pair_points)
+    order = tiebreak_order(*stats, policy, pair_points)
+    return Ranking.from_order([names[i] for i in order])
 
 
 def l1_distance(a: Ranking, b: Ranking) -> int:

@@ -1,0 +1,56 @@
+"""The tie-break rules written out one criterion at a time, as a recursive
+split of each group of level teams: a reference for `scoring.rank` and
+the array kernel `scoring.tiebreak_order` behind it."""
+
+import itertools
+
+from tournsim import TieBreakPolicy, standings_from_games
+
+# Every policy: each ordered choice of the other criteria, then seed order.
+ALL_POLICIES = [
+    TieBreakPolicy(crits + ("seed_order",))
+    for k in range(5)
+    for crits in itertools.permutations(
+        ("points", "goal_difference", "goals_for", "head_to_head"), k
+    )
+]
+
+
+def reference_rank(standings, policy, seed_order=None, games=None) -> list:
+    """Team names in finishing order: higher points, higher goal
+    difference, higher goals for, more points in `games` among the teams
+    still level, then seed order, in the policy's order."""
+    names = list(standings)
+    seed_pos = {n: i for i, n in enumerate(seed_order or names)}
+
+    def split(group, crits):
+        if len(group) <= 1:
+            return group
+        crit = crits[0]
+        if crit == "seed_order":
+            return sorted(group, key=seed_pos.get)
+        if crit == "head_to_head":
+            sub = set(group)
+            mini = standings_from_games(
+                [g for g in (games or []) if g.home.name in sub and g.away.name in sub],
+                group,
+            )
+            key = {n: mini[n].points for n in group}
+        elif crit == "points":
+            key = {n: standings[n].points for n in group}
+        elif crit == "goal_difference":
+            key = {n: standings[n].goal_difference for n in group}
+        else:  # goals_for
+            key = {n: standings[n].goals_for for n in group}
+        ordered = sorted(group, key=lambda n: -key[n])
+        out = []
+        i = 0
+        while i < len(ordered):
+            j = i
+            while j < len(ordered) and key[ordered[j]] == key[ordered[i]]:
+                j += 1
+            out.extend(split(ordered[i:j], crits[1:]))
+            i = j
+        return out
+
+    return split(names, policy.criteria)

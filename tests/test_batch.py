@@ -28,6 +28,8 @@ from tournsim import (
 from tournsim import batch
 from tournsim.formats import BRACKETS, RR
 
+from reference_ranking import ALL_POLICIES, reference_rank
+
 NAMES8 = [f"T{i}" for i in range(8)]
 
 # (kind, best of three) of every format the batched engine plays.
@@ -124,6 +126,23 @@ class TestDeterministicModelsMatchExactly:
         want = scalar_order(spec, zero_sampler(), 5)
         assert (batch.play_block(spec, zero_sampler(), derive_rng(6), 4) == want).all()
 
+    def test_head_to_head_decides_level_teams(self):
+        # Every game is a 40-0 win or a 0-0 draw. Seeds 1 and 2 finish the
+        # round robin level on 16 points, behind seed 3 on 17; seed 2 beat
+        # seed 1, so it plays the final. Drawn playoffs go to the higher seed.
+        beats = {0: [3, 4, 5, 6, 7], 1: [0, 4, 5, 6, 7], 2: [3, 4, 5, 6, 7],
+                 3: [1, 4, 5, 6, 7], 4: [5, 6, 7], 5: [6, 7], 6: [7]}
+        means = np.zeros((8, 8))
+        for i, losers in beats.items():
+            means[i, losers] = 40.0
+        spec = FormatSpec(
+            "proposed", decisive=DecisivePolicy(0, HIGHER_SEED),
+            policy=TieBreakPolicy(("points", "head_to_head", "seed_order")),
+        )
+        want = [1, 2, 0, 3, 4, 5, 6, 7]
+        assert scalar_order(spec, sampler_of(means), 7) == want
+        assert (batch.play_block(spec, sampler_of(means), derive_rng(8), 4) == want).all()
+
 
 def pooled_bins(a: dict, b: dict, min_count=20):
     """Two histograms over shared bins, the rarest values of the upper tail
@@ -157,7 +176,20 @@ class TestDistributionsMatch:
             kind, best_of_three=bo3, seeding=RANDOM_SEEDING,
             decisive=DecisivePolicy(max_replays=replays),
         )
-        truth = fixtures.published_truth(year)
+        self.check(fmt, sampler, fixtures.published_truth(year))
+
+    @pytest.mark.parametrize("kind", ["proposed", "format_2012"])
+    @pytest.mark.parametrize("year", [2012, 2013])
+    def test_head_to_head(self, kind, year):
+        # Head-to-head decides every tie on points in the round robins.
+        sampler = PoissonSampler(fixtures.load_goal_model(year))
+        fmt = FormatSpec(
+            kind, seeding=RANDOM_SEEDING,
+            policy=TieBreakPolicy(("points", "head_to_head", "seed_order")),
+        )
+        self.check(fmt, sampler, fixtures.published_truth(year))
+
+    def check(self, fmt, sampler, truth):
         assert batch.supports(fmt, sampler)
         assert not batch.supports(fmt, ScalarSampler(sampler))
         scalar = run_campaign(
@@ -181,8 +213,9 @@ class FixedGoals:
 
 
 class TestRoundRobinStandings:
-    """The batched standings and ranking against `standings_from_games`
-    and `rank` on the same games, under every tie-break order."""
+    """The batched ranking against `rank` under every tie-break order of
+    points, goal difference and goals for, and against the reference
+    ranker under every tie-break policy, on the same games."""
 
     POLICIES = [
         TieBreakPolicy(crits + ("seed_order",))
@@ -197,16 +230,18 @@ class TestRoundRobinStandings:
         if any(stage == RR for _, stage, _ in stages)
     }
 
-    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: "-".join(p.criteria))
-    @pytest.mark.parametrize("groups", GROUPS.values(), ids=GROUPS.keys())
-    def test_same_order_as_scalar_rank(self, policy, groups):
+    @staticmethod
+    def tables(groups, policies):
+        """Each policy's batched order of every round robin, and each
+        round robin's (row, group, members, games, standings)."""
         rows = 300
         rng = np.random.default_rng(21)
         # low scoring, so that points and goals often tie
         goals = rng.poisson(0.7, (rows,) + groups.shape + (groups.shape[1],))
         goals[..., np.arange(groups.shape[1]), np.arange(groups.shape[1])] = 0
         games = batch._Games(FixedGoals(goals), np.zeros((rows, 8, 8)), None)
-        got = games.round_robin(groups, policy)
+        got = {policy: games.round_robin(groups, policy) for policy in policies}
+        cases = []
         for r in range(rows):
             for g, members in enumerate(groups):
                 played = [
@@ -218,9 +253,24 @@ class TestRoundRobinStandings:
                     for a in range(len(members)) for b in range(a + 1, len(members))
                 ]
                 names = [NAMES8[m] for m in members]
-                table = standings_from_games(played, names)
-                want = rank(table, policy, names, played).order()
-                assert [NAMES8[m] for m in got[r, g]] == want
+                cases.append((r, g, names, played, standings_from_games(played, names)))
+        return got, cases
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: "-".join(p.criteria))
+    @pytest.mark.parametrize("groups", GROUPS.values(), ids=GROUPS.keys())
+    def test_same_order_as_scalar_rank(self, policy, groups):
+        got, cases = self.tables(groups, [policy])
+        for r, g, names, played, table in cases:
+            want = rank(table, policy, names, played).order()
+            assert [NAMES8[m] for m in got[policy][r, g]] == want
+
+    @pytest.mark.parametrize("groups", GROUPS.values(), ids=GROUPS.keys())
+    def test_same_order_as_reference(self, groups):
+        got, cases = self.tables(groups, ALL_POLICIES)
+        for r, g, names, played, table in cases:
+            for policy in ALL_POLICIES:
+                want = reference_rank(table, policy, names, played)
+                assert [NAMES8[m] for m in got[policy][r, g]] == want, policy
 
 
 def skellam(home_mean, away_mean):
@@ -335,7 +385,7 @@ class TestSupports:
         assert batch.supports(FormatSpec("proposed"), sampler)
         assert not batch.supports(FormatSpec("iterated_round_robin"), sampler)
         h2h = TieBreakPolicy(("points", "head_to_head", "seed_order"))
-        assert not batch.supports(FormatSpec("proposed", policy=h2h), sampler)
+        assert batch.supports(FormatSpec("proposed", policy=h2h), sampler)
         six = PoissonSampler(PairwiseGoalModel(NAMES8[:6], np.ones((6, 6))))
         assert not batch.supports(FormatSpec("proposed"), six)
         assert not batch.supports(FormatSpec("proposed"), ScalarSampler(sampler))

@@ -153,7 +153,33 @@ class TestSimulate:
         assert "stage,home,away" in dest.read_text()
 
 
+# Stdout of the paper's campaign, oracle truth and default seed, recorded
+# before every ranking moved onto one tie-break kernel.
+PAPER_CAMPAIGNS = {
+    2012: (
+        "proposed: mean=4.2922 median=4.0 n=10000 seed=20122013\n"
+        "f2012: mean=6.0946 median=6.0 n=10000 seed=20122013\n"
+        "f2013: mean=6.6188 median=6.0 n=10000 seed=20122013\n"
+    ),
+    2013: (
+        "proposed: mean=7.4326 median=8.0 n=10000 seed=20122013\n"
+        "f2012: mean=9.2542 median=10.0 n=10000 seed=20122013\n"
+        "f2013: mean=10.0980 median=10.0 n=10000 seed=20122013\n"
+    ),
+}
+
+
 class TestCampaign:
+    @pytest.mark.parametrize("year", PAPER_CAMPAIGNS)
+    def test_paper_campaign_pinned(self, capsys, year):
+        model = MODEL_2012 if year == 2012 else MODEL_2013
+        code, out, _ = run(
+            capsys, "campaign", "--model", model,
+            "--format", "proposed", "f2012", "f2013", "--n", "10000",
+        )
+        assert code == 0
+        assert out == PAPER_CAMPAIGNS[year]
+
     def test_single_format_small_n(self, capsys, tmp_path):
         dest = tmp_path / "hist.csv"
         code, out, _ = run(

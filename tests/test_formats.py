@@ -23,10 +23,10 @@ from tournsim import (
     Ranking,
     TeamId,
     TeamStats,
+    TieBreakPolicy,
     TournamentOutcome,
     UnsupportedSizeError,
     derive_rng,
-    rank,
     rank_from_fixed_results,
     replay_outcome,
     run_format,
@@ -34,6 +34,8 @@ from tournsim import (
 )
 from tournsim import fixtures
 from tournsim.formats import league_table
+
+from reference_ranking import ALL_POLICIES, reference_rank
 
 NAMES8 = [f"T{i}" for i in range(8)]
 
@@ -446,11 +448,14 @@ class FixedGoalsSampler:
 def fraction_standings(names, goals, scheme):
     """The schemes' definitions in exact arithmetic: per pair the mean
     points and goals of its k games (continuous), or the pair's mean
-    scoreline rounded half away from zero to one game (discrete)."""
+    scoreline rounded half away from zero to one game (discrete). Returns
+    the standings and the games they score, for head-to-head."""
     n = len(names)
+    teams = [TeamId(i, name) for i, name in enumerate(names)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     zero = Fraction(0)
     table = {name: TeamStats(zero, zero, zero, 0) for name in names}
+    played = []
     for p, (i, j) in enumerate(pairs):
         home, away = goals[0][p], goals[1][p]
         k = len(home)
@@ -458,19 +463,21 @@ def fraction_standings(names, goals, scheme):
             pts_i = Fraction(sum(3 * (a > b) + (a == b) for a, b in zip(home, away)), k)
             pts_j = Fraction(sum(3 * (b > a) + (a == b) for a, b in zip(home, away)), k)
             for_i, for_j = Fraction(sum(home), k), Fraction(sum(away), k)
+            played += [GameResult(teams[i], teams[j], a, b) for a, b in zip(home, away)]
         else:
             # half away from zero; goals are never negative
             for_i = math.floor(Fraction(sum(home), k) + Fraction(1, 2))
             for_j = math.floor(Fraction(sum(away), k) + Fraction(1, 2))
             pts_i = 3 if for_i > for_j else 1 if for_i == for_j else 0
             pts_j = 3 if for_j > for_i else 1 if for_i == for_j else 0
+            played.append(GameResult(teams[i], teams[j], for_i, for_j))
         for team, pts, scored, conceded in ((i, pts_i, for_i, for_j), (j, pts_j, for_j, for_i)):
             s = table[names[team]]
             s.points += pts
             s.goals_for += scored
             s.goals_against += conceded
             s.games_played += k
-    return table
+    return table, played
 
 
 @st.composite
@@ -491,14 +498,16 @@ def flipped(entry):
 class TestLeagueTable:
     @pytest.mark.parametrize("scheme", ["continuous", "discrete"])
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(case=round_robins(), shuffle=st.randoms(use_true_random=False))
-    def test_exact_totals_and_live_equals_replay(self, scheme, case, shuffle):
+    @given(case=round_robins(), shuffle=st.randoms(use_true_random=False),
+           policy=st.sampled_from(ALL_POLICIES))
+    def test_exact_totals_and_live_equals_replay(self, scheme, case, shuffle, policy):
         names, k, goals = case
         n = len(names)
-        table = league_table(
-            names, np.array(np.triu_indices(n, 1)), np.array(goals), scheme
+        table, ranking = league_table(
+            names, np.array(np.triu_indices(n, 1)), np.array(goals), scheme, policy
         )
-        exact = fraction_standings(names, goals, scheme)
+        exact, played = fraction_standings(names, goals, scheme)
+        assert ranking.order() == reference_rank(exact, policy, names, played)
         divisor = k if scheme == "continuous" else 1
         for name in names:
             got, want = table[name], exact[name]
@@ -509,16 +518,44 @@ class TestLeagueTable:
                 assert total / divisor == float(getattr(want, field))
             assert got.games_played == want.games_played == (n - 1) * k
 
-        spec = FormatSpec("iterated_round_robin", games_per_pair=k, scheme=scheme)
+        spec = FormatSpec("iterated_round_robin", games_per_pair=k, scheme=scheme,
+                          policy=policy)
         live = run_format(spec, FixedGoalsSampler(names, goals), derive_rng(15, 0))
         assert live.games_total == len(live.games) == k * n * (n - 1) // 2
-        assert live.ranking.places == rank(exact, spec.policy, names).places
+        assert live.ranking.places == ranking.places
         assert replay_outcome(spec, names, live).places == live.ranking.places
         # any game order, either orientation
         games = [flipped(e) if shuffle.random() < 0.5 else e for e in live.games]
         shuffle.shuffle(games)
         mixed = TournamentOutcome(live.ranking, games, len(games))
         assert replay_outcome(spec, names, mixed).places == live.ranking.places
+
+
+class TestOracleHeadToHead:
+    """A and B finish level on points, goal difference and goals for, A
+    beat B, and B is seeded first."""
+
+    NAMES = ["B", "A", "C", "D"]
+    # Two games of each pair (B, A), (B, C), (B, D), (A, C), (A, D), (C, D).
+    GOALS = [
+        [[0, 0], [1, 1], [1, 1], [0, 0], [1, 1], [0, 0]],
+        [[1, 1], [0, 0], [0, 0], [1, 1], [0, 0], [0, 0]],
+    ]
+
+    @pytest.mark.parametrize("scheme", ["continuous", "discrete"])
+    @pytest.mark.parametrize(
+        "criteria,order",
+        [
+            (("points", "head_to_head", "seed_order"), ["A", "B", "C", "D"]),
+            (("points", "goal_difference", "goals_for", "seed_order"), ["B", "A", "C", "D"]),
+        ],
+    )
+    def test_head_to_head_decides_live_and_replayed(self, scheme, criteria, order):
+        spec = FormatSpec("iterated_round_robin", games_per_pair=2, scheme=scheme,
+                          policy=TieBreakPolicy(criteria))
+        live = run_format(spec, FixedGoalsSampler(self.NAMES, self.GOALS), derive_rng(17))
+        assert live.ranking.order() == order
+        assert replay_outcome(spec, self.NAMES, live).order() == order
 
 
 # Four teams, ten games a pair, as (count, home goals, away goals). A and B

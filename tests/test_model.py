@@ -144,6 +144,11 @@ class TestEmpiricalPool:
         with pytest.raises(InvalidInputError, match="two different teams"):
             EmpiricalPoolSampler(["A", "B"], pool)
 
+    def test_pool_under_other_names_rejected(self):
+        pool = [GameResult(TeamId(0, "X"), TeamId(1, "Y"), 1, 0)]
+        with pytest.raises(InvalidInputError, match="indices of A and B"):
+            EmpiricalPoolSampler(["A", "B"], pool)
+
 
 def test_derive_rng_independent_streams():
     a = derive_rng(10, 0).integers(0, 2**32, 8)

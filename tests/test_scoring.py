@@ -24,6 +24,8 @@ from tournsim import (
 from tournsim import fixtures
 from tournsim.scoring import TeamStats
 
+from reference_ranking import ALL_POLICIES, reference_rank
+
 
 def game(a, b, ga, gb):
     return GameResult(TeamId(0, a), TeamId(1, b), ga, gb)
@@ -127,6 +129,34 @@ class TestDiscreteStandings:
         assert points.sum(1).tolist() == (3 * (15 - drawn) + 2 * drawn).tolist()
 
 
+@st.composite
+def ranked_tables(draw):
+    """Standings and games of a round robin of 1-3 games a pair, with
+    integer totals or float per-game means, and a seed order."""
+    n, k = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    names = [f"T{i}" for i in range(n)]
+    teams = [TeamId(i, name) for i, name in enumerate(names)]
+    games = [
+        GameResult(teams[i], teams[j], draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        for i, j in itertools.combinations(range(n), 2)
+        for _ in range(k)
+    ]
+    table = standings_from_games(games, names)
+    if draw(st.booleans()):
+        table = {t: TeamStats(s.points / k, s.goals_for / k, s.goals_against / k)
+                 for t, s in table.items()}
+    return table, games, draw(st.none() | st.permutations(names))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=ranked_tables())
+def test_rank_equals_reference_under_every_policy(case):
+    table, games, seed_order = case
+    for policy in ALL_POLICIES:
+        want = reference_rank(table, policy, seed_order, games)
+        assert rank(table, policy, seed_order, games).order() == want, policy
+
+
 class TestRank:
     def test_rd_2012_with_goal_diff_tiebreak(self):
         table, model = fixtures.discrete_fixture_standings(2012)
@@ -177,6 +207,12 @@ class TestRank:
         # so goal difference decides: C (+1), A (-1)... C 2-1, A 1-2, B 1-1
         r = rank(table, policy, seed_order=["A", "B", "C"], games=games)
         assert r.order() == ["C", "B", "A"]
+
+    def test_seed_order_must_list_every_team_once(self):
+        table = {t: TeamStats() for t in "ABC"}
+        for seed_order in (["A", "B"], ["A", "B", "B"], ["A", "B", "D"]):
+            with pytest.raises(InvalidInputError, match="seed_order"):
+                rank(table, seed_order=seed_order)
 
     def test_policy_validation(self):
         with pytest.raises(InvalidInputError):
