@@ -29,7 +29,6 @@ from .model import (
     GameResult,
     PairwiseGoalModel,
     PoissonSampler,
-    TeamId,
     derive_rng,
     load_model,
 )

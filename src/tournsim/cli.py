@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
     for e in outcome.games:
         r = e.result
         lines.append(
-            f"{e.stage},{r.home.name},{r.away.name},"
+            f"{e.stage},{r.home},{r.away},"
             f"{r.home_goals},{r.away_goals},{e.winner or ''}\n"
         )
     lines.append("team,rank\n")
@@ -311,8 +311,8 @@ def build_parser() -> _Parser:
     sp.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help=f"worker processes (default ${'{'}TOURNSIM_WORKERS{'}'} or 1)",
+        default=1,
+        help="worker processes (default 1)",
     )
     sp.set_defaults(func=cmd_campaign)
 

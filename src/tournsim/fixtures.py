@@ -181,7 +181,6 @@ def published_truth(year: int) -> Ranking:
 class GoldenCheck:
     name: str
     run: Callable[[], bool]
-    detail: str = ""
 
 
 def golden_checks() -> list[GoldenCheck]:

@@ -41,7 +41,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedSizeError,
 )
-from .model import GameResult, TeamId
+from .model import GameResult
 from .scoring import (
     CONTINUOUS,
     DEFAULT_POLICY,
@@ -222,10 +222,7 @@ class _LiveProvider:
 
     def play(self, stage: str, i: int, j: int) -> LedgerEntry:
         gi, gj = self.sampler.sample(i, j, self.rng)
-        entry = LedgerEntry(
-            stage,
-            GameResult(TeamId(i, self.names[i]), TeamId(j, self.names[j]), gi, gj),
-        )
+        entry = LedgerEntry(stage, GameResult(self.names[i], self.names[j], gi, gj))
         self.entries.append(entry)
         return entry
 
@@ -267,9 +264,9 @@ class _ReplayProvider:
                 f"ledger stage {entry.stage!r} does not match expected {stage!r}"
             )
         r = entry.result
-        if (r.home.index, r.away.index) != (i, j):
+        if (r.home, r.away) != (self.names[i], self.names[j]):
             raise InvalidInputError(
-                f"ledger game {stage!r} is {r.home.name} v {r.away.name}, "
+                f"ledger game {stage!r} is {r.home} v {r.away}, "
                 f"expected {self.names[i]} v {self.names[j]}"
             )
         return entry
@@ -309,9 +306,7 @@ class _FixedProvider:
     def play(self, stage: str, i: int, j: int) -> LedgerEntry:
         a, b = self.names[i], self.names[j]
         ga, gb = self.table.score(a, b)
-        return LedgerEntry(
-            stage, GameResult(TeamId(i, a), TeamId(j, b), round_half_away(ga), round_half_away(gb))
-        )
+        return LedgerEntry(stage, GameResult(a, b, round_half_away(ga), round_half_away(gb)))
 
     def resolve(self, entry: LedgerEntry, i: int, j: int, natural: Optional[int]) -> int:
         pair = (self.names[i], self.names[j])
@@ -403,6 +398,9 @@ def _seed_list(sampler, seeding) -> list[int]:
     names = list(sampler.names)
     if seeding is None:
         return list(range(len(names)))
+    for s in seeding:
+        if isinstance(s, str) and s not in names:
+            raise InvalidInputError(f"seeding names {s!r}, not a team of the model")
     idx = [names.index(s) if isinstance(s, str) else int(s) for s in seeding]
     if sorted(idx) != list(range(len(names))):
         raise InvalidInputError("seeding must be a permutation of all teams")
@@ -430,9 +428,8 @@ def run_iterated_round_robin(
     goals = np.empty((2, pairs.shape[1], k), dtype=np.int64)
     for p, (i, j) in enumerate(pairs.T.tolist()):
         goals[:, p] = sampler.sample_many(i, j, k, rng)
-    teams = [TeamId(i, name) for i, name in enumerate(names)]
     entries = [
-        LedgerEntry(f"rr-{i + 1}v{j + 1}-g{g}", GameResult(teams[i], teams[j], a, b))
+        LedgerEntry(f"rr-{i + 1}v{j + 1}-g{g}", GameResult(names[i], names[j], a, b))
         for (i, j), home_goals, away_goals in zip(pairs.T.tolist(), *goals.tolist())
         for g, (a, b) in enumerate(zip(home_goals, away_goals), 1)
     ] if keep_games else None
@@ -513,11 +510,13 @@ def _ledger_pairs(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
     """An oracle ledger of k games a pair as league_table's pairs (i < j,
     row-major) and goals, each game oriented (i, j) whichever way it is named."""
     n = len(names)
-    rows = np.array([(g.result.home.index, g.result.away.index, g.result.home_goals,
-                      g.result.away_goals) for g in games], dtype=np.int64).reshape(-1, 4).T
+    index = {name: i for i, name in enumerate(names)}
+    try:
+        rows = np.array([(index[r.home], index[r.away], r.home_goals, r.away_goals)
+                         for r in (g.result for g in games)], dtype=np.int64).reshape(-1, 4).T
+    except KeyError as e:
+        raise InvalidInputError(f"ledger game of {e.args[0]!r}, a team not in names") from None
     lo, hi = np.minimum(rows[0], rows[1]), np.maximum(rows[0], rows[1])
-    if np.any((lo < 0) | (hi >= n) | (lo == hi)):
-        raise InvalidInputError(f"ledger game of a team outside 0..{n - 1} or against itself")
     pair = lo * n + hi
     pairs = np.array(np.triu_indices(n, 1))
     counts = np.bincount(pair, minlength=n * n)[pairs[0] * n + pairs[1]]

@@ -20,17 +20,11 @@ from .errors import IngestionError, InvalidInputError, InvalidPairingError
 
 
 @dataclass(frozen=True)
-class TeamId:
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
 class GameResult:
-    """One sampled game: integer goals for each side."""
+    """One sampled game: the two teams by name, integer goals for each side."""
 
-    home: TeamId
-    away: TeamId
+    home: str
+    away: str
     home_goals: int
     away_goals: int
 
@@ -71,21 +65,6 @@ class PairwiseGoalModel:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    @property
-    def teams(self) -> list[TeamId]:
-        return [TeamId(i, name) for i, name in enumerate(self.names)]
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise InvalidInputError(f"unknown team {name!r}") from None
-
-    def mean(self, i: int, j: int) -> float:
-        if i == j:
-            raise InvalidPairingError("diagonal entry requested")
-        return float(self.mean_goals[i, j])
 
     def to_csv(self) -> str:
         """Serialize back to the tabular text format; values round-trip
@@ -190,10 +169,6 @@ class PoissonSampler:
         self.names = model.names
         self._m = model.mean_goals
 
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
     def sample(self, i: int, j: int, rng: np.random.Generator) -> tuple[int, int]:
         if i == j:
             raise InvalidPairingError("a team cannot play itself")
@@ -210,25 +185,25 @@ class PoissonSampler:
 
 class EmpiricalPoolSampler:
     """Alternative backend drawing uniformly from a recorded pool of game
-    results, one pool per unordered pair; every pair of `names` needs at
-    least one game, the teams of a game being indices into `names`."""
+    results, one pool per unordered pair; every pair of the distinct
+    `names` needs at least one game, and every game is of two of them."""
 
     backend = "empirical"
 
     def __init__(self, names: Sequence[str], games: Iterable[GameResult]):
         self.names = list(names)
         n = len(self.names)
+        index = {name: i for i, name in enumerate(self.names)}
+        if len(index) != n:
+            raise InvalidInputError("duplicate team name in pool names")
         self._pools: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for g in games:
-            i, j = g.home.index, g.away.index
-            if not (0 <= i < n and 0 <= j < n) or i == j:
+            try:
+                i, j = index[g.home], index[g.away]
+            except KeyError as e:
                 raise InvalidInputError(
-                    f"pool game {g.home.name} v {g.away.name} has team indices "
-                    f"{i}, {j}, not two different teams of 0..{n - 1}"
-                )
-            if (g.home.name, g.away.name) != (self.names[i], self.names[j]):
-                raise InvalidInputError(f"pool game {g.home.name} v {g.away.name} has "
-                                        f"the indices of {self.names[i]} and {self.names[j]}")
+                    f"pool game {g.home} v {g.away}: {e.args[0]!r} is not in names"
+                ) from None
             gi, gj = g.home_goals, g.away_goals
             if i > j:
                 i, j, gi, gj = j, i, gj, gi
@@ -240,10 +215,6 @@ class EmpiricalPoolSampler:
                 raise InvalidInputError(
                     f"no recorded games for pair ({self.names[i]}, {self.names[j]})"
                 )
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
 
     def sample(self, i: int, j: int, rng: np.random.Generator) -> tuple[int, int]:
         if i == j:

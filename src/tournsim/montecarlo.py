@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,8 +35,6 @@ from .errors import InvalidComparisonError, InvalidInputError, TournsimError
 from .formats import FormatSpec, run_format
 from .model import derive_rng
 from .scoring import Ranking, l1_distance
-
-WORKERS_ENV = "TOURNSIM_WORKERS"
 
 BLOCK_SIZE = 250  # tournaments per block of the stream layout
 STREAM_LAYOUT = "v2"  # written as `stream=` in campaign histogram headers
@@ -220,7 +217,7 @@ def _simulate_block(spec: CampaignSpec, first: int, last: int) -> Counter:
     return Counter({int(v): int(c) for v, c in enumerate(totals) if c})
 
 
-def run_campaign(spec: CampaignSpec, workers: Optional[int] = None) -> DiscrepancyDistribution:
+def run_campaign(spec: CampaignSpec, workers: int = 1) -> DiscrepancyDistribution:
     """Simulate spec.n_tournaments independent format runs and aggregate
     their L1 discrepancies. Output is a pure function of the spec; worker
     count only affects wall-clock time."""
@@ -228,13 +225,11 @@ def run_campaign(spec: CampaignSpec, workers: Optional[int] = None) -> Discrepan
 
 
 def run_campaigns(
-    specs: Sequence[CampaignSpec], workers: Optional[int] = None
+    specs: Sequence[CampaignSpec], workers: int = 1
 ) -> list[DiscrepancyDistribution]:
     """run_campaign of every spec, with one process pool for all of them:
     each spec's blocks are split into up to `workers` runs, and the runs of
     all specs share the pool, which is started once."""
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     runs = []  # (spec number, first block, last block)
     for s, spec in enumerate(specs):
         first, last = _block_range(spec)

@@ -58,11 +58,11 @@ def standings_from_games(
     """Plain league-table accumulation: 3/1/0 points plus raw goal sums."""
     table = {name: TeamStats() for name in (teams or [])}
     for g in games:
-        for name in (g.home.name, g.away.name):
+        for name in (g.home, g.away):
             if name not in table:
                 table[name] = TeamStats()
         ph, pa = points_per_game(g)
-        h, a = table[g.home.name], table[g.away.name]
+        h, a = table[g.home], table[g.away]
         h.points += ph
         a.points += pa
         h.goals_for += g.home_goals
@@ -171,8 +171,8 @@ def rank(
         index = {n: i for i, n in enumerate(names)}
         pair_points = [[0] * len(names) for _ in names]  # lists: numpy adds cost ~10x
         for g in games or ():
-            if g.home.name in index and g.away.name in index:
-                i, j = index[g.home.name], index[g.away.name]
+            if g.home in index and g.away in index:
+                i, j = index[g.home], index[g.away]
                 ph, pa = points_per_game(g)
                 pair_points[i][j] += ph
                 pair_points[j][i] += pa

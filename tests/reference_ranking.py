@@ -32,7 +32,7 @@ def reference_rank(standings, policy, seed_order=None, games=None) -> list:
         if crit == "head_to_head":
             sub = set(group)
             mini = standings_from_games(
-                [g for g in (games or []) if g.home.name in sub and g.away.name in sub],
+                [g for g in (games or []) if g.home in sub and g.away in sub],
                 group,
             )
             key = {n: mini[n].points for n in group}

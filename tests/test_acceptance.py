@@ -165,7 +165,7 @@ def _loss_violations(out):
         if e.winner is None or e.stage.startswith("class-"):
             continue
         loser = (
-            e.result.away.name if e.winner == e.result.home.name else e.result.home.name
+            e.result.away if e.winner == e.result.home else e.result.home
         )
         losses[loser] = losses.get(loser, 0) + 1
     order = out.ranking.order()
@@ -182,8 +182,8 @@ def _swap_violations(out):
     playoffs = [e for e in out.games if not e.stage.startswith("rr-")]
     bad = 0
     for e in playoffs:
-        pa = out.ranking[e.result.home.name]
-        pb = out.ranking[e.result.away.name]
+        pa = out.ranking[e.result.home]
+        pb = out.ranking[e.result.away]
         # each playoff pairs two teams that end in the same bracket of two
         if {pa, pb} not in ({1, 2}, {3, 4}, {5, 6}, {7, 8}):
             bad += 1

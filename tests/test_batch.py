@@ -16,7 +16,6 @@ from tournsim import (
     GameResult,
     PairwiseGoalModel,
     PoissonSampler,
-    TeamId,
     TieBreakPolicy,
     derive_rng,
     fixtures,
@@ -245,11 +244,8 @@ class TestRoundRobinStandings:
         for r in range(rows):
             for g, members in enumerate(groups):
                 played = [
-                    GameResult(
-                        TeamId(members[a], NAMES8[members[a]]),
-                        TeamId(members[b], NAMES8[members[b]]),
-                        int(goals[r, g, a, b]), int(goals[r, g, b, a]),
-                    )
+                    GameResult(NAMES8[members[a]], NAMES8[members[b]],
+                               int(goals[r, g, a, b]), int(goals[r, g, b, a]))
                     for a in range(len(members)) for b in range(a + 1, len(members))
                 ]
                 names = [NAMES8[m] for m in members]

@@ -192,6 +192,15 @@ class TestCampaign:
         assert text.startswith("# tournsim-histogram v1")
         assert "n_samples=5" in text
 
+    def test_workers_come_from_the_flag_alone(self, capsys, monkeypatch):
+        # no environment variable sets the worker count
+        monkeypatch.setenv("TOURNSIM_WORKERS", "abc")
+        code, out, _ = run(
+            capsys, "campaign", "--model", MODEL_2012, "--format", "f2012", "--n", "5",
+        )
+        assert code == 0
+        assert "f2012: mean=" in out
+
     def test_histogram_names_stream_layout(self, capsys, tmp_path):
         dest = tmp_path / "hist.csv"
         run(

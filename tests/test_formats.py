@@ -21,7 +21,6 @@ from tournsim import (
     PairwiseGoalModel,
     PoissonSampler,
     Ranking,
-    TeamId,
     TeamStats,
     TieBreakPolicy,
     TournamentOutcome,
@@ -101,8 +100,8 @@ class TestPerTeamCounts:
         out = run_format(FormatSpec("format_2012"), flat_sampler(), derive_rng(3, 0))
         played = Counter()
         for e in out.games:
-            played[e.result.home.name] += 1
-            played[e.result.away.name] += 1
+            played[e.result.home] += 1
+            played[e.result.away] += 1
         assert sorted(played.values()) == [4, 4, 4, 4, 6, 6, 6, 6]
 
     def test_double_elim_loss_invariant(self):
@@ -117,9 +116,9 @@ class TestPerTeamCounts:
                 if e.winner is None or e.stage.startswith("class-"):
                     continue
                 loser = (
-                    e.result.away.name
-                    if e.winner == e.result.home.name
-                    else e.result.home.name
+                    e.result.away
+                    if e.winner == e.result.home
+                    else e.result.home
                 )
                 losses[loser] += 1
             order = out.ranking.order()
@@ -174,12 +173,20 @@ class TestSeeding:
         out = run_format(FormatSpec("format_2012", seeding=seeding), sampler, derive_rng(8, 0))
         assert out.ranking["T0"] == 1
 
+    def test_seeding_of_unknown_team_rejected(self):
+        seeding = ("Nope",) + tuple(NAMES8[1:])
+        with pytest.raises(InvalidInputError, match="'Nope'"):
+            run_format(FormatSpec("proposed", seeding=seeding), flat_sampler(), derive_rng(8, 1))
+        out = run_format(FormatSpec("proposed"), flat_sampler(), derive_rng(8, 1))
+        with pytest.raises(InvalidInputError, match="'Nope'"):
+            replay_outcome(FormatSpec("proposed", seeding=seeding), NAMES8, out)
+
     def test_random_seeding_varies_pairings(self):
         spec = FormatSpec("format_2013_double_elim", seeding="random")
         sampler = flat_sampler()
         openers = {
             frozenset(
-                (e.result.home.name, e.result.away.name)
+                (e.result.home, e.result.away)
             )
             for k in range(20)
             for e in run_format(spec, sampler, derive_rng(9, k)).games[:1]
@@ -263,8 +270,7 @@ class TestReplayChecksLedger:
         spec, out = self.live(kind)
         p = next(p for p, e in enumerate(out.games) if e.stage == stage)
         r = out.games[p].result
-        others = [TeamId(i, n) for i, n in enumerate(NAMES8)
-                  if i not in (r.home.index, r.away.index)]
+        others = [n for n in NAMES8 if n not in (r.home, r.away)]
         for home, away in ((r.away, r.home), (others[0], r.away), (r.home, others[1])):
             out.games[p] = swapped_teams(out.games[p], home, away)
             with pytest.raises(InvalidInputError, match="expected"):
@@ -275,7 +281,7 @@ class TestReplayChecksLedger:
         spec, out = self.live(kind)
         entry = next(e for e in out.games if e.winner is not None)
         r = entry.result
-        outsider = next(n for n in NAMES8 if n not in (r.home.name, r.away.name))
+        outsider = next(n for n in NAMES8 if n not in (r.home, r.away))
         for winner in ("T9", outsider):
             entry.winner = winner
             with pytest.raises(InvalidInputError, match="winner"):
@@ -290,7 +296,7 @@ class TestReplayChecksLedger:
         )
         r = out.games[-1].result
         loser = r.away if r.home_goals > r.away_goals else r.home
-        out.games[-1].winner = loser.name
+        out.games[-1].winner = loser
         with pytest.raises(InvalidInputError, match="winner"):
             replay_outcome(spec, NAMES8, out)
 
@@ -406,9 +412,8 @@ class TestSamplerInterchangeability:
 
         goal = flat_sampler()
         rng = derive_rng(14, 0)
-        teams = goal.model.teams
         pool = [
-            GameResult(teams[i], teams[j], *goal.sample(i, j, rng))
+            GameResult(NAMES8[i], NAMES8[j], *goal.sample(i, j, rng))
             for i in range(8)
             for j in range(8)
             if i != j
@@ -451,7 +456,6 @@ def fraction_standings(names, goals, scheme):
     scoreline rounded half away from zero to one game (discrete). Returns
     the standings and the games they score, for head-to-head."""
     n = len(names)
-    teams = [TeamId(i, name) for i, name in enumerate(names)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     zero = Fraction(0)
     table = {name: TeamStats(zero, zero, zero, 0) for name in names}
@@ -463,14 +467,14 @@ def fraction_standings(names, goals, scheme):
             pts_i = Fraction(sum(3 * (a > b) + (a == b) for a, b in zip(home, away)), k)
             pts_j = Fraction(sum(3 * (b > a) + (a == b) for a, b in zip(home, away)), k)
             for_i, for_j = Fraction(sum(home), k), Fraction(sum(away), k)
-            played += [GameResult(teams[i], teams[j], a, b) for a, b in zip(home, away)]
+            played += [GameResult(names[i], names[j], a, b) for a, b in zip(home, away)]
         else:
             # half away from zero; goals are never negative
             for_i = math.floor(Fraction(sum(home), k) + Fraction(1, 2))
             for_j = math.floor(Fraction(sum(away), k) + Fraction(1, 2))
             pts_i = 3 if for_i > for_j else 1 if for_i == for_j else 0
             pts_j = 3 if for_j > for_i else 1 if for_i == for_j else 0
-            played.append(GameResult(teams[i], teams[j], for_i, for_j))
+            played.append(GameResult(names[i], names[j], for_i, for_j))
         for team, pts, scored, conceded in ((i, pts_i, for_i, for_j), (j, pts_j, for_j, for_i)):
             s = table[names[team]]
             s.points += pts
@@ -577,9 +581,9 @@ class TestOracleLedger:
     SPEC = FormatSpec("iterated_round_robin", games_per_pair=10)
 
     def ledger(self, pairs=TIED_ON_POINTS):
-        teams = [TeamId(i, name) for i, name in enumerate(self.NAMES)]
+        names = self.NAMES
         games = [
-            LedgerEntry(f"rr-{i + 1}v{j + 1}", GameResult(teams[i], teams[j], a, b))
+            LedgerEntry(f"rr-{i + 1}v{j + 1}", GameResult(names[i], names[j], a, b))
             for (i, j), runs in pairs.items()
             for count, a, b in runs
             for _ in range(count)
@@ -596,16 +600,14 @@ class TestOracleLedger:
         live = run_format(self.SPEC, FixedGoalsSampler(self.NAMES, goals), derive_rng(16, 0))
         assert live.ranking.places == replayed.places
 
-    @pytest.mark.parametrize(
-        "away", [TeamId(4, "E"), TeamId(-1, "Z"), TeamId(0, "A2")], ids=str
-    )
+    @pytest.mark.parametrize("away", ["E", "Z", "A2"])
     def test_team_outside_names_rejected(self, away):
         outcome = self.ledger()
         r = outcome.games[0].result
         outcome.games[0] = LedgerEntry(
             "rr-1v5", GameResult(r.home, away, r.home_goals, r.away_goals)
         )
-        with pytest.raises(InvalidInputError, match="outside"):
+        with pytest.raises(InvalidInputError, match=f"'{away}', a team not in names"):
             replay_outcome(self.SPEC, self.NAMES, outcome)
 
     def test_missing_pair_rejected(self):

@@ -11,7 +11,6 @@ from tournsim import (
     InvalidPairingError,
     PairwiseGoalModel,
     PoissonSampler,
-    TeamId,
     derive_rng,
     load_model,
 )
@@ -31,15 +30,13 @@ def model2013():
 class TestLoadModel:
     def test_2012_fixture(self, model2012):
         assert model2012.n == 8
-        assert model2012.mean(
-            model2012.index("Helios"), model2012.index("Wright")
-        ) == 2.3
+        names = model2012.names
+        assert model2012.mean_goals[names.index("Helios"), names.index("Wright")] == 2.3
 
     def test_2013_fixture(self, model2013):
         assert model2013.n == 8
-        assert model2013.mean(
-            model2013.index("Wright"), model2013.index("Helios")
-        ) == 1.9
+        names = model2013.names
+        assert model2013.mean_goals[names.index("Wright"), names.index("Helios")] == 1.9
 
     def test_negative_cell_rejected(self):
         text = ",A,B\nA,,-1.0\nB,0.5,\n"
@@ -116,8 +113,7 @@ class TestPoissonSampler:
 
 class TestEmpiricalPool:
     def test_samples_only_recorded_results(self, model2012):
-        ta, tb = TeamId(0, "Helios"), TeamId(1, "Wright")
-        pool = [GameResult(ta, tb, 3, 1), GameResult(ta, tb, 0, 0)]
+        pool = [GameResult("Helios", "Wright", 3, 1), GameResult("Helios", "Wright", 0, 0)]
         s = EmpiricalPoolSampler(model2012.names[:2], pool)
         rng = derive_rng(5)
         seen = {s.sample(0, 1, rng) for _ in range(100)}
@@ -127,27 +123,29 @@ class TestEmpiricalPool:
         assert seen_rev <= {(1, 3), (0, 0)}
 
     def test_missing_pair_rejected(self, model2012):
-        ta, tb = TeamId(0, "Helios"), TeamId(1, "Wright")
         with pytest.raises(InvalidInputError, match="no recorded games"):
-            EmpiricalPoolSampler(model2012.names, [GameResult(ta, tb, 1, 0)])
+            EmpiricalPoolSampler(model2012.names, [GameResult("Helios", "Wright", 1, 0)])
 
-    def test_team_index_out_of_range_rejected(self):
-        pool = [GameResult(TeamId(0, "A"), TeamId(1, "B"), 1, 0),
-                GameResult(TeamId(0, "A"), TeamId(2, "C"), 2, 2)]
-        with pytest.raises(InvalidInputError, match="0..1"):
+    def test_team_outside_names_rejected(self):
+        pool = [GameResult("A", "B", 1, 0), GameResult("A", "C", 2, 2)]
+        with pytest.raises(InvalidInputError, match="'C' is not in names"):
             EmpiricalPoolSampler(["A", "B"], pool)
 
     def test_self_pair_rejected(self):
-        # different names, so GameResult accepts it; the indices coincide
-        pool = [GameResult(TeamId(0, "A"), TeamId(1, "B"), 1, 0),
-                GameResult(TeamId(1, "B"), TeamId(1, "A"), 2, 2)]
-        with pytest.raises(InvalidInputError, match="two different teams"):
-            EmpiricalPoolSampler(["A", "B"], pool)
+        # a game names each team once, so a self pair fails as it is recorded
+        with pytest.raises(InvalidPairingError, match="cannot play itself"):
+            EmpiricalPoolSampler(["A", "B"], [GameResult("A", "B", 1, 0),
+                                              GameResult("A", "A", 2, 2)])
 
     def test_pool_under_other_names_rejected(self):
-        pool = [GameResult(TeamId(0, "X"), TeamId(1, "Y"), 1, 0)]
-        with pytest.raises(InvalidInputError, match="indices of A and B"):
+        pool = [GameResult("X", "Y", 1, 0)]
+        with pytest.raises(InvalidInputError, match="'X' is not in names"):
             EmpiricalPoolSampler(["A", "B"], pool)
+
+    def test_duplicate_names_rejected(self):
+        pool = [GameResult("A", "B", 1, 0)]
+        with pytest.raises(InvalidInputError, match="duplicate team name"):
+            EmpiricalPoolSampler(["A", "B", "A"], pool)
 
 
 def test_derive_rng_independent_streams():

@@ -13,7 +13,6 @@ from tournsim import (
     InvalidInputError,
     PairwiseGoalModel,
     Ranking,
-    TeamId,
     TieBreakPolicy,
     l1_distance,
     points_per_game,
@@ -28,7 +27,7 @@ from reference_ranking import ALL_POLICIES, reference_rank
 
 
 def game(a, b, ga, gb):
-    return GameResult(TeamId(0, a), TeamId(1, b), ga, gb)
+    return GameResult(a, b, ga, gb)
 
 
 @pytest.mark.parametrize(
@@ -63,14 +62,14 @@ def round_robins(draw):
 @given(goals=round_robins())
 def test_round_robin_totals_equal_standings_from_games(goals):
     n = goals.shape[-1]
-    teams = [TeamId(i, f"T{i}") for i in range(n)]
+    teams = [f"T{i}" for i in range(n)]
     totals = np.stack(round_robin_totals(goals), -1)
     for r, g in enumerate(goals):
         table = standings_from_games(
             GameResult(teams[i], teams[j], int(g[i, j]), int(g[j, i]))
             for i, j in itertools.combinations(range(n), 2)
         )
-        want = [[table[t.name].points, table[t.name].goals_for, table[t.name].goals_against]
+        want = [[table[t].points, table[t].goals_for, table[t].goals_against]
                 for t in teams]
         assert totals[r].tolist() == want
 
@@ -135,9 +134,8 @@ def ranked_tables(draw):
     integer totals or float per-game means, and a seed order."""
     n, k = draw(st.integers(2, 8)), draw(st.integers(1, 3))
     names = [f"T{i}" for i in range(n)]
-    teams = [TeamId(i, name) for i, name in enumerate(names)]
     games = [
-        GameResult(teams[i], teams[j], draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        GameResult(names[i], names[j], draw(st.integers(0, 3)), draw(st.integers(0, 3)))
         for i, j in itertools.combinations(range(n), 2)
         for _ in range(k)
     ]
