@@ -108,7 +108,7 @@ class FormatSpec:
             raise InvalidInputError(f"unknown scheme {self.scheme!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
     """One played game: stage label, the sampled result, and (for knockout
     slots) the team that advanced."""
@@ -428,11 +428,16 @@ def run_iterated_round_robin(
     goals = np.empty((2, pairs.shape[1], k), dtype=np.int64)
     for p, (i, j) in enumerate(pairs.T.tolist()):
         goals[:, p] = sampler.sample_many(i, j, k, rng)
-    entries = [
-        LedgerEntry(f"rr-{i + 1}v{j + 1}-g{g}", GameResult(names[i], names[j], a, b))
-        for (i, j), home_goals, away_goals in zip(pairs.T.tolist(), *goals.tolist())
-        for g, (a, b) in enumerate(zip(home_goals, away_goals), 1)
-    ] if keep_games else None
+    entries = None
+    if keep_games:
+        # Column by column: labels, team names and goals of the games in
+        # ledger order (pair by pair, game by game).
+        prefixes = [f"rr-{i + 1}v{j + 1}-g" for i, j in pairs.T.tolist()]
+        suffixes = [str(g) for g in range(1, k + 1)]
+        labels = [p + s for p in prefixes for s in suffixes]
+        home, away = np.array(names, dtype=object)[pairs].repeat(k, axis=1).tolist()
+        results = map(GameResult, home, away, *goals.reshape(2, -1).tolist())
+        entries = list(map(LedgerEntry, labels, results))
     _, ranking = league_table(names, pairs, goals, scheme, policy)
     return TournamentOutcome(ranking, entries, goals[0].size)
 
@@ -511,9 +516,14 @@ def _ledger_pairs(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
     row-major) and goals, each game oriented (i, j) whichever way it is named."""
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
+    # One list per column: zip(*results) would allocate one tracked iterator
+    # a game, which, with the live run's ledger still alive, starts a
+    # garbage collection in nearly every replay.
+    results = [g.result for g in games]
     try:
-        rows = np.array([(index[r.home], index[r.away], r.home_goals, r.away_goals)
-                         for r in (g.result for g in games)], dtype=np.int64).reshape(-1, 4).T
+        rows = np.array([[index[r.home] for r in results], [index[r.away] for r in results],
+                         [r.home_goals for r in results], [r.away_goals for r in results]],
+                        dtype=np.int64)
     except KeyError as e:
         raise InvalidInputError(f"ledger game of {e.args[0]!r}, a team not in names") from None
     lo, hi = np.minimum(rows[0], rows[1]), np.maximum(rows[0], rows[1])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,20 +19,24 @@ import numpy as np
 from .errors import IngestionError, InvalidInputError, InvalidPairingError
 
 
-@dataclass(frozen=True)
-class GameResult:
-    """One sampled game: the two teams by name, integer goals for each side."""
+class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
+    """One sampled game: the two teams by name, integer goals for each side.
+    An immutable tuple that unpacks as (home, away, home_goals, away_goals);
+    every way of building one (the constructor, `_make`, `_replace`, copy
+    and unpickling) runs its checks."""
 
-    home: str
-    away: str
-    home_goals: int
-    away_goals: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.home == self.away:
+    def __new__(cls, home: str, away: str, home_goals: int, away_goals: int):
+        if home == away:
             raise InvalidPairingError("a team cannot play itself")
-        if self.home_goals < 0 or self.away_goals < 0:
+        if home_goals < 0 or away_goals < 0:
             raise InvalidInputError("goals must be nonnegative")
+        return tuple.__new__(cls, (home, away, home_goals, away_goals))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class PairwiseGoalModel:

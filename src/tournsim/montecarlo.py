@@ -230,10 +230,12 @@ def run_campaigns(
     """run_campaign of every spec, with one process pool for all of them:
     each spec's blocks are split into up to `workers` runs, and the runs of
     all specs share the pool, which is started once."""
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, not {workers}")
     runs = []  # (spec number, first block, last block)
     for s, spec in enumerate(specs):
         first, last = _block_range(spec)
-        bounds = np.linspace(first, last, max(1, min(workers, last - first)) + 1, dtype=int)
+        bounds = np.linspace(first, last, min(workers, last - first) + 1, dtype=int)
         runs += [(s, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
     counts = [Counter() for _ in specs]
     if min(workers, len(runs)) <= 1:

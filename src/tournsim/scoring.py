@@ -5,8 +5,9 @@ Every complete round robin is scored by one kernel, `round_robin_totals`,
 on n x n matrices: the batched engine's groups, the oracle's integer
 totals (`formats.league_table`) and the league tables of the bundled
 models under both schemes (`fixtures`). Games of a bracket are scored one
-at a time by `points_per_game` and `standings_from_games`. Every ranking
-is ordered by one tie-break kernel, `tiebreak_order`, which `rank` wraps."""
+at a time by `standings_from_games`, 3/1/0 a game as `points_per_game`
+gives them. Every ranking is ordered by one tie-break kernel,
+`tiebreak_order`, which `rank` wraps."""
 
 from __future__ import annotations
 
@@ -57,18 +58,24 @@ def standings_from_games(
 ) -> dict[str, TeamStats]:
     """Plain league-table accumulation: 3/1/0 points plus raw goal sums."""
     table = {name: TeamStats() for name in (teams or [])}
-    for g in games:
-        for name in (g.home, g.away):
+    # Each game is unpacked once and scored here, not by points_per_game:
+    # reading a tuple record's fields by name costs about twice as much.
+    for home, away, home_goals, away_goals in games:
+        for name in (home, away):
             if name not in table:
                 table[name] = TeamStats()
-        ph, pa = points_per_game(g)
-        h, a = table[g.home], table[g.away]
-        h.points += ph
-        a.points += pa
-        h.goals_for += g.home_goals
-        h.goals_against += g.away_goals
-        a.goals_for += g.away_goals
-        a.goals_against += g.home_goals
+        h, a = table[home], table[away]
+        if home_goals > away_goals:
+            h.points += 3
+        elif home_goals < away_goals:
+            a.points += 3
+        else:
+            h.points += 1
+            a.points += 1
+        h.goals_for += home_goals
+        h.goals_against += away_goals
+        a.goals_for += away_goals
+        a.goals_against += home_goals
         h.games_played += 1
         a.games_played += 1
     return table
@@ -170,12 +177,16 @@ def rank(
     if "head_to_head" in policy.criteria:
         index = {n: i for i, n in enumerate(names)}
         pair_points = [[0] * len(names) for _ in names]  # lists: numpy adds cost ~10x
-        for g in games or ():
-            if g.home in index and g.away in index:
-                i, j = index[g.home], index[g.away]
-                ph, pa = points_per_game(g)
-                pair_points[i][j] += ph
-                pair_points[j][i] += pa
+        for home, away, home_goals, away_goals in games or ():
+            if home in index and away in index:
+                i, j = index[home], index[away]
+                if home_goals > away_goals:
+                    pair_points[i][j] += 3
+                elif home_goals < away_goals:
+                    pair_points[j][i] += 3
+                else:
+                    pair_points[i][j] += 1
+                    pair_points[j][i] += 1
         pair_points = np.array(pair_points)
     order = tiebreak_order(*stats, policy, pair_points)
     return Ranking.from_order([names[i] for i in order])

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -153,6 +154,40 @@ class TestSimulate:
         assert "stage,home,away" in dest.read_text()
 
 
+# SHA-256 of the `tournsim simulate` text at seed 7 without its "#" header
+# lines (which name the model path and the version): the ledger and the
+# ranking. Recorded before the oracle wrote its ledger by columns.
+PINNED_LEDGERS = {
+    (2012, "oracle"): "b009cb79ace4d8783bad5db38c8cb1a851c7670e086cde29799785e2cae7e32d",
+    (2012, "f2012"): "4174d4a7a0f935a899eb27855816135283b1201f3ddaef31c30e09abc92154d1",
+    (2012, "f2013"): "2c5aad9f0b2a7fc9fe3c0904bad72c903ec7cea90d7e4a26cb4b4985da1e8eec",
+    (2012, "proposed-bo3"): "352d71ec1b4e80fd4c8cfce12b8d5bbd77fbb1c45b25800ba6b959717f6f18db",
+    (2013, "oracle"): "91d850a287b72e927233b3c15c19b28dec14ef8a44358a4a9d80b73509320b80",
+    (2013, "f2012"): "f34eae6ab448bd2761eb5b23e5e237e25ada1f54909e2ddd71df43a3b8aa5dd8",
+    (2013, "f2013"): "c758ebf3f02152f5b098aa789722b37ad9085cd3d2fae81153f24ea21dafe4ec",
+    (2013, "proposed-bo3"): "1366eabb8d8f46f2e322ae2d27d9fb75c50838a1b60d296d8fb306d300377521",
+}
+LEDGER_FLAGS = {
+    "oracle": ["oracle", "--games-per-pair", "3"],
+    "f2012": ["f2012"],
+    "f2013": ["f2013"],
+    "proposed-bo3": ["proposed", "--best-of-three"],
+}
+
+
+class TestPinnedLedgers:
+    @pytest.mark.parametrize("year, fmt", PINNED_LEDGERS)
+    def test_simulate_text_pinned(self, capsys, year, fmt):
+        model = MODEL_2012 if year == 2012 else MODEL_2013
+        code, out, _ = run(
+            capsys, "simulate", "--model", model, "--seed", "7",
+            "--format", *LEDGER_FLAGS[fmt],
+        )
+        assert code == 0
+        body = "".join(ln for ln in out.splitlines(True) if not ln.startswith("#"))
+        assert hashlib.sha256(body.encode()).hexdigest() == PINNED_LEDGERS[year, fmt]
+
+
 # Stdout of the paper's campaign, oracle truth and default seed, recorded
 # before every ranking moved onto one tie-break kernel.
 PAPER_CAMPAIGNS = {
@@ -200,6 +235,16 @@ class TestCampaign:
         )
         assert code == 0
         assert "f2012: mean=" in out
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_data_error(self, capsys, workers):
+        code, out, err = run(
+            capsys, "campaign", "--model", MODEL_2012, "--format", "f2012",
+            "--n", "5", "--workers", workers,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"workers must be >= 1, not {workers}" in err
 
     def test_histogram_names_stream_layout(self, capsys, tmp_path):
         dest = tmp_path / "hist.csv"

@@ -610,6 +610,19 @@ class TestOracleLedger:
         with pytest.raises(InvalidInputError, match=f"'{away}', a team not in names"):
             replay_outcome(self.SPEC, self.NAMES, outcome)
 
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_home_team_outside_names_rejected(self, position):
+        outcome = self.ledger()
+        r = outcome.games[position].result
+        outcome.games[position] = LedgerEntry("rr-5v1", r._replace(home="E"))
+        with pytest.raises(InvalidInputError, match="'E', a team not in names"):
+            replay_outcome(self.SPEC, self.NAMES, outcome)
+
+    def test_empty_ledger_rejected(self):
+        outcome = TournamentOutcome(Ranking.from_order(self.NAMES), [], 0)
+        with pytest.raises(InvalidInputError, match=r"0 games of \(A, B\), not 10"):
+            replay_outcome(self.SPEC, self.NAMES, outcome)
+
     def test_missing_pair_rejected(self):
         pairs = {p: runs for p, runs in TIED_ON_POINTS.items() if p != (1, 3)}
         with pytest.raises(InvalidInputError, match=r"0 games of \(B, D\)"):

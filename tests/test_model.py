@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -109,6 +111,62 @@ class TestPoissonSampler:
         se_var = math.sqrt((lam + 2 * lam * lam) / n)
         assert abs(draws.mean() - lam) < 4 * se_mean
         assert abs(draws.var() - lam) < 4 * se_var
+
+
+class TestGameResult:
+    def test_self_play_rejected(self):
+        with pytest.raises(InvalidPairingError, match="cannot play itself"):
+            GameResult("A", "A", 1, 0)
+
+    @pytest.mark.parametrize("goals", [(-1, 0), (0, -1), (-2, -3)])
+    def test_negative_goals_rejected(self, goals):
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            GameResult("A", "B", *goals)
+
+    def test_fields_unpack_and_repr(self):
+        g = GameResult("A", "B", 2, 1)
+        home, away, home_goals, away_goals = g
+        assert (home, away, home_goals, away_goals) == ("A", "B", 2, 1)
+        assert (g.home, g.away, g.home_goals, g.away_goals) == ("A", "B", 2, 1)
+        assert repr(g) == "GameResult(home='A', away='B', home_goals=2, away_goals=1)"
+
+    @pytest.mark.parametrize("field", ["home", "away", "home_goals", "away_goals", "other"])
+    def test_attributes_cannot_be_set(self, field):
+        g = GameResult("A", "B", 2, 1)
+        with pytest.raises(AttributeError):
+            setattr(g, field, 0)
+        assert g == GameResult("A", "B", 2, 1)
+
+    def test_equal_values_equal_and_hash_alike(self):
+        a, b = GameResult("A", "B", 2, 1), GameResult("A", "B", 2, 1)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, GameResult("B", "A", 1, 2)}) == 2
+
+    def test_pickle_round_trip(self):
+        g = GameResult("A", "B", 2, 1)
+        back = pickle.loads(pickle.dumps(g))
+        assert type(back) is GameResult and back == g
+
+    @pytest.mark.parametrize("fields, error", [
+        (("A", "A", 1, 0), InvalidPairingError),
+        (("A", "B", -1, 0), InvalidInputError),
+    ])
+    def test_every_constructor_path_checks(self, fields, error):
+        # A record forged past the constructor is rebuilt through it by
+        # unpickling and copying, and `_make`/`_replace` build through it.
+        forged = tuple.__new__(GameResult, fields)
+        for rebuild in (lambda: pickle.loads(pickle.dumps(forged)),
+                        lambda: copy.copy(forged), lambda: copy.deepcopy(forged),
+                        lambda: GameResult._make(fields),
+                        lambda: GameResult("A", "B", 0, 0)._replace(
+                            **dict(zip(GameResult._fields, fields)))):
+            with pytest.raises(error):
+                rebuild()
+
+    def test_make_and_replace_build_records(self):
+        g = GameResult._make(["A", "B", 2, 1])
+        assert type(g) is GameResult and g == GameResult("A", "B", 2, 1)
+        assert g._replace(away_goals=3) == GameResult("A", "B", 2, 3)
 
 
 class TestEmpiricalPool:

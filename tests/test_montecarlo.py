@@ -78,6 +78,13 @@ class TestCampaignDeterminism:
         assert one.counts == two.counts
         assert one.to_text() == two.to_text()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(InvalidInputError, match=f"workers must be >= 1, not {workers}"):
+            run_campaign(spec(n=5), workers=workers)
+        with pytest.raises(InvalidInputError, match="workers must be >= 1"):
+            run_campaigns([spec(n=5), spec(n=5, kind="proposed")], workers=workers)
+
 
 class DuckSampler:
     """Only the attributes perfbench's timing wrapper has; the batched
