@@ -9,11 +9,13 @@ all its games for all rows in one `rng.poisson` call. Round robins are
 scored and ranked by the `scoring` kernels that every league table and
 ranking use, and knockout slots are settled with `np.where`.
 
-Results live on one (rows, columns) int board. Columns 0-7 hold the seed
-positions (0 is the top seed), and each stage writes what it yields, its
-finishing order or its winner then its loser, to columns of its own. So
-the higher-seed rule picks the smaller value, and a team's identity
-matters only for its goal means and for the final order that is returned.
+Results live on one (rows, columns) int board of team indices. Columns
+0-7 hold the block's seeds, the team at each seed position (column 0 is
+the top seed), and each stage writes what it yields, its finishing order
+or its winner then its loser, to columns of its own. Games read their
+goal means by team index and the final order is read off the board as it
+stands. Only the higher-seed rule needs seed positions: it reads them from
+the inverse permutation of the seeds, in the rows with a drawn slot.
 
 The outcome distribution is that of the scalar interpreter; the random
 stream is consumed differently, so a row does not reproduce the scalar
@@ -76,48 +78,43 @@ def play_block(fmt, sampler, rng: np.random.Generator, size: int) -> np.ndarray:
     indices of shape (size, teams), best first."""
     calls, places, width = _PLANS[fmt.kind]
     teams = len(places)
+    board = np.empty((size, width), dtype=np.intp)
     if fmt.seeding == RANDOM_SEEDING:
-        seeds = rng.permuted(np.tile(np.arange(teams), (size, 1)), axis=1)
+        board[:, :teams] = rng.permuted(np.tile(np.arange(teams), (size, 1)), axis=1)
     else:
-        seeds = np.tile(_seed_list(sampler, fmt.seeding), (size, 1))
-    means = np.array(sampler.model.mean_goals)
-    np.fill_diagonal(means, 0.0)  # never played; a model may leave it NaN
-    games = _Games(rng, means[seeds[:, :, None], seeds[:, None, :]], fmt.decisive)
+        board[:, :teams] = _seed_list(sampler, fmt.seeding)
+    games = _Games(rng, sampler.model.mean_goals, board[:, :teams], fmt.decisive)
     play = {
         KO: games.knockout,
         LEGS: games.two_legs,
         PLAYOFF: games.best_of_three if fmt.best_of_three else games.knockout,
     }
-    board = np.empty((size, width), dtype=np.intp)
-    board[:, :teams] = np.arange(teams)
     for kind, team_cols, yield_cols in calls:
         if kind == RR:
-            board[:, yield_cols] = games.round_robin(team_cols, fmt.policy)
+            board[:, yield_cols] = games.round_robin(board[:, team_cols], fmt.policy)
         else:
             home, away = board[:, team_cols[:, 0]], board[:, team_cols[:, 1]]
             board[:, yield_cols[:, 0]], board[:, yield_cols[:, 1]] = play[kind](home, away)
-    return np.take_along_axis(seeds, board[:, places], axis=1)
+    return board[:, places]
 
 
 class _Games:
-    """Samples and settles games for every row of a block. `means[r, i, j]`
-    is the mean goals seed position i scores against j in row r."""
+    """Samples and settles games for every row of a block. `means[i, j]` is
+    the mean goals team i scores against team j, and `seeds[r]` lists the
+    teams of row r by seed position."""
 
-    def __init__(self, rng, means, decisive):
+    def __init__(self, rng, means, seeds, decisive):
         self.rng = rng
-        self.means = means
+        self.means = np.array(means)
+        np.fill_diagonal(self.means, 0.0)  # never played; a model may leave it NaN
+        self.seeds = seeds
         self.decisive = decisive
-        self.rows = np.arange(len(means))
 
-    def _rows(self, slots):
-        """Row indices that broadcast against a (rows, ...) slot array."""
-        return self.rows.reshape((-1,) + (1,) * (slots.ndim - 1))
-
-    def goals(self, rows, home, away, count=None):
+    def goals(self, home, away, count=None):
         """Goals of home and away in one game per slot, or in `count` games
         per slot along a new last axis."""
         m = self.means
-        means = np.stack((m[rows, home, away], m[rows, away, home]))
+        means = np.stack((m[home, away], m[away, home]))
         if count is None:
             g = self.rng.poisson(means)
         else:
@@ -125,19 +122,20 @@ class _Games:
         return g[0], g[1]
 
     def round_robin(self, groups, policy):
-        """Single round robin within each row of `groups` (group count by
-        group size, seed positions ascending): positions of each group in
-        finishing order, shape (rows, groups, size)."""
-        g = self.rng.poisson(self.means[:, groups[:, :, None], groups[:, None, :]])
+        """Single round robin within each group of each row: `groups` holds
+        team indices in seed order and broadcasts against (rows, groups,
+        size). Returns each group's teams in finishing order, of that shape."""
+        teams = np.broadcast_to(groups, self.seeds.shape[:1] + groups.shape[-2:])
+        g = self.rng.poisson(self.means[teams[..., :, None], teams[..., None, :]])
         against = np.swapaxes(g, -1, -2)
         # Each team's 0-0 "draw" with itself adds a point to every total.
         points = 3 * (g > against) + (g == against)
         local = tiebreak_order(*round_robin_totals(g, points), policy, points)
-        return np.take_along_axis(np.broadcast_to(groups, local.shape), local, -1)
+        return np.take_along_axis(teams, local, -1)
 
     def knockout(self, home, away):
         """Winners and losers of one game per slot."""
-        return self.decide(home, away, *self.goals(self._rows(home), home, away))
+        return self.decide(home, away, *self.goals(home, away))
 
     def decide(self, home, away, score_home, score_away):
         """Winners and losers of slots whose result is score_home to
@@ -158,19 +156,21 @@ class _Games:
             if not open_.size:
                 break
             h, a = home[open_], away[open_]
-            gh, ga = self.goals(rows[open_], h, a)
+            gh, ga = self.goals(h, a)
             winner[open_] = np.where(gh > ga, h, a)
             open_ = open_[gh == ga]
         h, a = home[open_], away[open_]
         if self.decisive.final_resolution == HIGHER_SEED:
-            winner[open_] = np.minimum(h, a)
+            seat = np.argsort(self.seeds[rows[open_]], axis=1)  # seed position of each team
+            slot = np.arange(open_.size)
+            winner[open_] = np.where(seat[slot, h] < seat[slot, a], h, a)
         else:
             winner[open_] = np.where(self.rng.integers(2, size=open_.size) == 0, h, a)
         return winner
 
     def two_legs(self, home, away):
         """Two-legged ties on aggregate goals, no away-goals rule."""
-        gh, ga = self.goals(self._rows(home), home, away, 2)
+        gh, ga = self.goals(home, away, 2)
         return self.decide(home, away, gh.sum(-1), ga.sum(-1))
 
     def best_of_three(self, home, away):
@@ -179,5 +179,5 @@ class _Games:
         start cannot change the winner, so all three count. Series points
         (3/1/0) never decide: with equal wins both sides have the same
         draws, hence the same points."""
-        gh, ga = self.goals(self._rows(home), home, away, 3)
+        gh, ga = self.goals(home, away, 3)
         return self.decide(home, away, (gh > ga).sum(-1), (ga > gh).sum(-1))

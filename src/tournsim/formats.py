@@ -31,6 +31,7 @@ Every round robin is ranked by the tie-break kernel of `tournsim.scoring`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -407,6 +408,15 @@ def _seed_list(sampler, seeding) -> list[int]:
     return idx
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_index(n: int) -> np.ndarray:
+    """The teams (i, j), i < j, of every pair of n teams in row-major order,
+    as a read-only (2, pairs) array built once per team count."""
+    pairs = np.array(np.triu_indices(n, 1))
+    pairs.setflags(write=False)
+    return pairs
+
+
 def run_iterated_round_robin(
     sampler,
     rng: np.random.Generator,
@@ -424,7 +434,7 @@ def run_iterated_round_robin(
     if len(names) < 2:
         raise UnsupportedSizeError("need at least 2 teams")
     k = games_per_pair
-    pairs = np.array(np.triu_indices(len(names), 1))
+    pairs = _pair_index(len(names))
     goals = np.empty((2, pairs.shape[1], k), dtype=np.int64)
     for p, (i, j) in enumerate(pairs.T.tolist()):
         goals[:, p] = sampler.sample_many(i, j, k, rng)
@@ -528,7 +538,7 @@ def _ledger_pairs(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
         raise InvalidInputError(f"ledger game of {e.args[0]!r}, a team not in names") from None
     lo, hi = np.minimum(rows[0], rows[1]), np.maximum(rows[0], rows[1])
     pair = lo * n + hi
-    pairs = np.array(np.triu_indices(n, 1))
+    pairs = _pair_index(n)
     counts = np.bincount(pair, minlength=n * n)[pairs[0] * n + pairs[1]]
     for (i, j), c in zip(pairs.T.tolist(), counts.tolist()):
         if c != k:

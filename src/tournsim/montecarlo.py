@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import io
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -242,6 +241,10 @@ def run_campaigns(
         for s, lo, hi in runs:
             counts[s].update(_simulate_block(specs[s], lo, hi))
     else:
+        # Imported here, so that `import tournsim` leaves the pool machinery
+        # (concurrent.futures, multiprocessing, socket, subprocess) unloaded.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(runs))) as pool:
             futures = [(s, pool.submit(_simulate_block, specs[s], lo, hi)) for s, lo, hi in runs]
             for s, future in futures:

@@ -238,7 +238,8 @@ class TestRoundRobinStandings:
         # low scoring, so that points and goals often tie
         goals = rng.poisson(0.7, (rows,) + groups.shape + (groups.shape[1],))
         goals[..., np.arange(groups.shape[1]), np.arange(groups.shape[1])] = 0
-        games = batch._Games(FixedGoals(goals), np.zeros((rows, 8, 8)), None)
+        seeds = np.tile(np.arange(8), (rows, 1))
+        games = batch._Games(FixedGoals(goals), np.zeros((8, 8)), seeds, None)
         got = {policy: games.round_robin(groups, policy) for policy in policies}
         cases = []
         for r in range(rows):
@@ -283,9 +284,10 @@ class TestSlotProbabilities:
     SLOTS = 60_000
 
     def advance_rate(self, method, decisive):
-        means = np.zeros((self.SLOTS, 8, 8))
-        means[:, 0, 1], means[:, 1, 0] = self.HOME, self.AWAY
-        games = batch._Games(np.random.default_rng(31), means, decisive)
+        means = np.zeros((8, 8))
+        means[0, 1], means[1, 0] = self.HOME, self.AWAY
+        seeds = np.tile(np.arange(8), (self.SLOTS, 1))
+        games = batch._Games(np.random.default_rng(31), means, seeds, decisive)
         side = np.zeros((self.SLOTS, 1), dtype=int)
         winner, loser = getattr(games, method)(side, side + 1)
         assert ((winner == 0) ^ (loser == 0)).all()
@@ -331,10 +333,19 @@ class TestSlotProbabilities:
         self.check(self.advance_rate("best_of_three", DecisivePolicy(replays)), want)
 
     def test_higher_seed_takes_level_slots(self):
-        means = np.zeros((5, 8, 8))
-        games = batch._Games(np.random.default_rng(0), means, DecisivePolicy(1, HIGHER_SEED))
+        seeds = np.tile(np.arange(8), (5, 1))
+        games = batch._Games(np.random.default_rng(0), np.zeros((8, 8)), seeds,
+                             DecisivePolicy(1, HIGHER_SEED))
         winner, loser = games.knockout(np.array([[5, 2]] * 5), np.array([[3, 6]] * 5))
         assert (winner == [3, 2]).all() and (loser == [5, 6]).all()
+
+    def test_higher_seed_reads_each_rows_seeding(self):
+        # Team 7 is seeded first in row 0 and last in row 1.
+        seeds = np.array([[7, 6, 5, 4, 3, 2, 1, 0], list(range(8))])
+        games = batch._Games(np.random.default_rng(0), np.zeros((8, 8)), seeds,
+                             DecisivePolicy(0, HIGHER_SEED))
+        winner, loser = games.knockout(np.array([[7, 2], [7, 2]]), np.array([[0, 5]] * 2))
+        assert (winner == [[7, 5], [0, 2]]).all() and (loser == [[0, 2], [7, 5]]).all()
 
 
 class TestPinnedDraws:
@@ -373,6 +384,59 @@ class TestPinnedDraws:
             CampaignSpec(fmt, sampler, fixtures.published_truth(year), 500, 2014)
         )
         assert got.counts == self.COUNTS[kind, bo3, year]
+
+    # Fixed seeding in truth order, so the higher seed is the stronger team
+    # and seed positions differ from team indices.
+    DECISIVE = {"replays": DecisivePolicy(max_replays=2),
+                "higher_seed": DecisivePolicy(1, HIGHER_SEED)}
+    SETTLED_COUNTS = {
+        ("replays", "proposed", False, 2012): {
+            0: 53, 2: 129, 4: 142, 6: 118, 8: 44, 10: 13, 12: 1},
+        ("replays", "proposed", False, 2013): {
+            0: 6, 2: 29, 4: 71, 6: 132, 8: 127, 10: 80, 12: 35, 14: 13, 16: 3, 18: 4},
+        ("replays", "proposed", True, 2012): {
+            0: 79, 2: 120, 4: 152, 6: 97, 8: 42, 10: 10},
+        ("replays", "proposed", True, 2013): {
+            0: 11, 2: 36, 4: 79, 6: 125, 8: 126, 10: 78, 12: 28, 14: 11, 16: 5, 18: 1},
+        ("replays", "format_2012", False, 2012): {
+            0: 74, 2: 142, 4: 132, 6: 78, 8: 56, 10: 16, 12: 2},
+        ("replays", "format_2012", False, 2013): {
+            0: 5, 2: 29, 4: 59, 6: 73, 8: 108, 10: 117, 12: 50, 14: 31, 16: 15, 18: 9,
+            20: 1, 22: 2, 24: 1},
+        ("replays", "format_2013_double_elim", False, 2012): {
+            0: 38, 2: 94, 4: 165, 6: 118, 8: 62, 10: 23},
+        ("replays", "format_2013_double_elim", False, 2013): {
+            0: 12, 2: 45, 4: 76, 6: 118, 8: 116, 10: 86, 12: 37, 14: 6, 16: 3, 18: 1},
+        ("higher_seed", "proposed", False, 2012): {
+            0: 59, 2: 128, 4: 146, 6: 113, 8: 40, 10: 13, 12: 1},
+        ("higher_seed", "proposed", False, 2013): {
+            0: 8, 2: 35, 4: 76, 6: 130, 8: 126, 10: 71, 12: 35, 14: 12, 16: 3, 18: 4},
+        ("higher_seed", "proposed", True, 2012): {
+            0: 83, 2: 126, 4: 150, 6: 91, 8: 42, 10: 8},
+        ("higher_seed", "proposed", True, 2013): {
+            0: 13, 2: 38, 4: 79, 6: 130, 8: 120, 10: 81, 12: 22, 14: 11, 16: 5, 18: 1},
+        ("higher_seed", "format_2012", False, 2012): {
+            0: 69, 2: 156, 4: 114, 6: 92, 8: 47, 10: 19, 12: 3},
+        ("higher_seed", "format_2012", False, 2013): {
+            0: 4, 2: 31, 4: 59, 6: 76, 8: 111, 10: 110, 12: 53, 14: 31, 16: 14, 18: 6,
+            20: 2, 22: 2, 24: 1},
+        ("higher_seed", "format_2013_double_elim", False, 2012): {
+            0: 45, 2: 99, 4: 166, 6: 133, 8: 44, 10: 11, 12: 2},
+        ("higher_seed", "format_2013_double_elim", False, 2013): {
+            0: 9, 2: 59, 4: 87, 6: 107, 8: 118, 10: 73, 12: 30, 14: 15, 16: 2},
+    }
+
+    @pytest.mark.parametrize("kind,bo3", VARIANTS, ids=VARIANT_IDS)
+    @pytest.mark.parametrize("year", [2012, 2013])
+    @pytest.mark.parametrize("decisive", DECISIVE)
+    def test_settled_campaign_counts(self, kind, bo3, year, decisive):
+        sampler = PoissonSampler(fixtures.load_goal_model(year))
+        truth = fixtures.published_truth(year)
+        fmt = FormatSpec(kind, best_of_three=bo3, seeding=tuple(truth.order()),
+                         decisive=self.DECISIVE[decisive])
+        assert batch.supports(fmt, sampler)
+        got = run_campaign(CampaignSpec(fmt, sampler, truth, 500, 2014))
+        assert got.counts == self.SETTLED_COUNTS[decisive, kind, bo3, year]
 
 
 class TestSupports:

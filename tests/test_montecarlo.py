@@ -1,4 +1,6 @@
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +86,15 @@ class TestCampaignDeterminism:
             run_campaign(spec(n=5), workers=workers)
         with pytest.raises(InvalidInputError, match="workers must be >= 1"):
             run_campaigns([spec(n=5), spec(n=5, kind="proposed")], workers=workers)
+
+    def test_import_does_not_load_the_process_pool(self):
+        # The pool machinery is imported only when a campaign starts a pool.
+        root = str(Path(montecarlo.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {root!r}); import tournsim; "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
 
 
 class DuckSampler:
