@@ -82,7 +82,7 @@ def play_block(fmt, sampler, rng: np.random.Generator, size: int) -> np.ndarray:
     if fmt.seeding == RANDOM_SEEDING:
         board[:, :teams] = rng.permuted(np.tile(np.arange(teams), (size, 1)), axis=1)
     else:
-        board[:, :teams] = _seed_list(sampler, fmt.seeding)
+        board[:, :teams] = _seed_list(sampler.names, fmt.seeding)
     games = _Games(rng, sampler.model.mean_goals, board[:, :teams], fmt.decisive)
     play = {
         KO: games.knockout,

@@ -173,7 +173,10 @@ def _truth_ranking(args, model) -> Ranking:
         return outcome.ranking
     lines = _read(args.truth).splitlines()
     names = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
-    return Ranking.from_order(names)
+    try:
+        return Ranking.from_order(names)
+    except TournsimError as exc:
+        raise type(exc)(f"{args.truth}: {exc}") from exc
 
 
 def cmd_campaign(args) -> int:

@@ -12,12 +12,17 @@ lists the stages in playing order and the stages that give places 1-8:
 * the proposed format (28-game preliminary round-robin + 4 classification
   playoffs, optionally best-of-three; 32 games in the single-game variant).
 
-The interpreter asks a provider for each game and for the winner of each
-knockout slot, so the same tables serve three kinds of run:
+A knockout slot is one pairing. The interpreter plays a slot's games and
+reduces them to one score per side: goals for a single game, aggregate
+goals for two legs, wins for a best of three (which stops once one side
+leads by two). The higher score wins. A provider hands the interpreter
+every game and, once per slot, is told the slot's natural winner (None
+when the scores are level) and names the winner. So the same tables
+serve three kinds of run:
 
-* live (`run_format`): games are sampled; a drawn knockout slot is
-  resolved by a DecisivePolicy (resampled "replays" followed by a coin
-  flip or higher-seed rule), and the resolved winner is recorded on the
+* live (`run_format`): games are sampled; a level slot is resolved by a
+  DecisivePolicy (resampled "replays" followed by a coin flip or
+  higher-seed rule), and the winner is recorded on the slot's last
   ledger entry so replays never need the random stream;
 * replay (`replay_outcome`): games and winners are read back off a
   recorded ledger, which must match the table slot by slot;
@@ -56,8 +61,6 @@ from .scoring import (
     standings_from_games,
     tiebreak_order,
 )
-
-KINDS = ("iterated_round_robin", "format_2012", "format_2013_double_elim", "proposed")
 
 UNIFORM_COIN = "uniform_coin"
 HIGHER_SEED = "higher_seed"
@@ -209,15 +212,17 @@ BRACKETS = {
     ),
 }
 
+KINDS = ("iterated_round_robin", *BRACKETS)
+
 
 class _LiveProvider:
     """Samples fresh games and resolves draws via the decisive policy."""
 
-    def __init__(self, sampler, rng, decisive: DecisivePolicy, seed_pos):
+    def __init__(self, sampler, rng, decisive: DecisivePolicy, seeds: list[int]):
         self.sampler = sampler
         self.rng = rng
         self.decisive = decisive
-        self.seed_pos = seed_pos
+        self.seeds = seeds
         self.entries: list[LedgerEntry] = []
         self.names = sampler.names
 
@@ -228,8 +233,8 @@ class _LiveProvider:
         return entry
 
     def resolve(self, entry: LedgerEntry, i: int, j: int, natural: Optional[int]) -> int:
-        """Attach a winner to a knockout slot. `natural` is the winner the
-        recorded result(s) imply, or None for a draw."""
+        """Attach a winner to a knockout slot's last entry. `natural` is the
+        winner the slot's score implies, or None when it is level."""
         w = natural
         if w is None:
             for _ in range(self.decisive.max_replays):
@@ -241,7 +246,7 @@ class _LiveProvider:
             if self.decisive.final_resolution == UNIFORM_COIN:
                 w = i if int(self.rng.integers(2)) == 0 else j
             else:
-                w = i if self.seed_pos[i] < self.seed_pos[j] else j
+                w = i if self.seeds.index(i) < self.seeds.index(j) else j
         entry.winner = self.names[w]
         return w
 
@@ -319,46 +324,6 @@ class _FixedProvider:
         return i if w == pair[0] else j
 
 
-def _natural_winner(entry: LedgerEntry, i: int, j: int) -> Optional[int]:
-    r = entry.result
-    if r.home_goals > r.away_goals:
-        return i
-    if r.home_goals < r.away_goals:
-        return j
-    return None
-
-
-def _knockout(provider, stage: str, i: int, j: int) -> int:
-    entry = provider.play(stage, i, j)
-    return provider.resolve(entry, i, j, _natural_winner(entry, i, j))
-
-
-def _two_legs(provider, stage: str, i: int, j: int) -> int:
-    """Home leg, then away leg; aggregate goals decide."""
-    leg1 = provider.play(f"{stage}-leg1", i, j).result
-    leg2 = provider.play(f"{stage}-leg2", j, i)
-    gi = leg1.home_goals + leg2.result.away_goals
-    gj = leg1.away_goals + leg2.result.home_goals
-    return provider.resolve(leg2, i, j, i if gi > gj else j if gj > gi else None)
-
-
-def _best_of_three(provider, stage: str, i: int, j: int) -> int:
-    """First to 2 wins within 3 games; drawn games count for neither side.
-    An undecided series goes to the side with more wins, then to the
-    decisive policy. Series points (3/1/0) cannot decide it: after three
-    games, equal wins mean equal draws, hence equal points."""
-    wins = {i: 0, j: 0}
-    for g in range(1, 4):
-        last = provider.play(f"{stage}-g{g}", i, j)
-        w = _natural_winner(last, i, j)
-        if w is not None:
-            wins[w] += 1
-            if wins[w] == 2:
-                return provider.resolve(last, i, j, w)
-    natural = None if wins[i] == wins[j] else max(wins, key=wins.get)
-    return provider.resolve(last, i, j, natural)
-
-
 def _round_robin(provider, prefix, members, policy) -> list[int]:
     """Single round-robin among `members`, in seed order; their finishing order."""
     games = [
@@ -386,17 +351,34 @@ def _play(provider, kind: str, seeds: Sequence[int], policy: TieBreakPolicy,
             continue
         i, j = teams
         if stage_kind == LEGS:
-            w = _two_legs(provider, label, i, j)
+            # Home leg, then away leg; aggregate goals, no away-goals rule.
+            leg1 = provider.play(f"{label}-leg1", i, j).result
+            last = provider.play(f"{label}-leg2", j, i)
+            si = leg1.home_goals + last.result.away_goals
+            sj = leg1.away_goals + last.result.home_goals
         elif stage_kind == PLAYOFF and best_of_three:
-            w = _best_of_three(provider, label, i, j)
+            # Wins, drawn games counting for neither side; the series stops
+            # once a side leads by two. Series points (3/1/0) cannot decide
+            # it: equal wins after three games mean equal draws.
+            si = sj = 0
+            for g in range(1, 4):
+                last = provider.play(f"{label}-g{g}", i, j)
+                r = last.result
+                si += r.home_goals > r.away_goals
+                sj += r.away_goals > r.home_goals
+                if abs(si - sj) == 2:
+                    break
         else:
-            w = _knockout(provider, label, i, j)
+            last = provider.play(label, i, j)
+            si, sj = last.result.home_goals, last.result.away_goals
+        w = provider.resolve(last, i, j, i if si > sj else j if sj > si else None)
         yielded[label] = (w, j if w == i else i)
     return [yielded[stage][p] for stage, p in places]
 
 
-def _seed_list(sampler, seeding) -> list[int]:
-    names = list(sampler.names)
+def _seed_list(names: Sequence[str], seeding) -> list[int]:
+    """Team indices into `names` by seed position, seed 1 first, of a
+    seeding of names or indices; None seeds `names` in order."""
     if seeding is None:
         return list(range(len(names)))
     for s in seeding:
@@ -486,16 +468,23 @@ def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> Tourn
         )
     seeding = spec.seeding
     if seeding == RANDOM_SEEDING:
-        seeding = tuple(int(x) for x in rng.permutation(len(sampler.names)))
-    seeds = _seed_list(sampler, seeding)
-    provider = _LiveProvider(sampler, rng, spec.decisive, {t: p for p, t in enumerate(seeds)})
-    order = _play(provider, spec.kind, seeds, spec.policy, spec.best_of_three)
-    return TournamentOutcome(
-        Ranking.from_order([sampler.names[i] for i in order]),
-        provider.entries if keep_games else None,
-        len(provider.entries),
-        tuple(seeds),
+        seeding = rng.permutation(len(sampler.names)).tolist()
+    provider, ranking = _run_bracket(
+        spec, sampler.names, seeding,
+        lambda seeds: _LiveProvider(sampler, rng, spec.decisive, seeds),
     )
+    entries = provider.entries
+    return TournamentOutcome(ranking, entries if keep_games else None, len(entries),
+                             tuple(provider.seeds))
+
+
+def _run_bracket(spec: FormatSpec, names: Sequence[str], seeding, provider_for):
+    """Play bracket spec.kind on `seeding` (see `_seed_list`) with the games
+    of provider_for(seed list); returns the provider and the final Ranking."""
+    seeds = _seed_list(names, seeding)
+    provider = provider_for(seeds)
+    order = _play(provider, spec.kind, seeds, spec.policy, spec.best_of_three)
+    return provider, Ranking.from_order([names[i] for i in order])
 
 
 def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOutcome) -> Ranking:
@@ -514,11 +503,11 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
             raise InvalidInputError(
                 "replay of a 'random' seeding needs the seeding the outcome recorded"
             )
-    provider = _ReplayProvider(names, outcome.games)
-    order = _play(provider, spec.kind, _seed_list(provider, seeding), spec.policy,
-                  spec.best_of_three)
+    provider, ranking = _run_bracket(
+        spec, names, seeding, lambda seeds: _ReplayProvider(names, outcome.games)
+    )
     provider.finish()
-    return Ranking.from_order([names[i] for i in order])
+    return ranking
 
 
 def _ledger_pairs(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
@@ -577,6 +566,7 @@ def rank_from_fixed_results(
     override always takes precedence. A drawn head-to-head without an
     override leaves the higher preliminary rank in place.
     """
-    provider = _FixedProvider(table, playoff_overrides or {})
-    order = _play(provider, "proposed", list(range(len(table.names))), policy, False)
-    return Ranking.from_order([table.names[i] for i in order])
+    return _run_bracket(
+        FormatSpec("proposed", policy=policy), table.names, None,
+        lambda seeds: _FixedProvider(table, playoff_overrides or {}),
+    )[1]

@@ -238,4 +238,6 @@ class EmpiricalPoolSampler:
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Independent substream for (master_seed, key...); the backbone of the
     one-master-seed reproducibility discipline."""
+    if master_seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, not {master_seed}")
     return np.random.default_rng(np.random.SeedSequence([master_seed, *key]))

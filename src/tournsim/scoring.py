@@ -127,7 +127,11 @@ class Ranking:
 
     @classmethod
     def from_order(cls, names: Sequence[str]) -> "Ranking":
-        return cls({name: i + 1 for i, name in enumerate(names)})
+        places = {name: i + 1 for i, name in enumerate(names)}
+        if len(places) < len(names):
+            twice = next(name for name in names if names.count(name) > 1)
+            raise InvalidInputError(f"team {twice!r} is listed more than once")
+        return cls(places)
 
     def order(self) -> list[str]:
         return sorted(self.places, key=self.places.get)

@@ -153,6 +153,14 @@ class TestSimulate:
         assert code == 0
         assert "stage,home,away" in dest.read_text()
 
+    def test_negative_seed_is_data_error(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--model", MODEL_2012, "--format", "f2012", "--seed", "-5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0, not -5" in err
+
 
 # SHA-256 of the `tournsim simulate` text at seed 7 without its "#" header
 # lines (which name the model path and the version): the ledger and the
@@ -245,6 +253,26 @@ class TestCampaign:
         assert code == 2
         assert out == ""
         assert f"workers must be >= 1, not {workers}" in err
+
+    def test_negative_seed_is_data_error(self, capsys):
+        code, out, err = run(
+            capsys, "campaign", "--model", MODEL_2012, "--format", "f2012",
+            "--n", "5", "--seed", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0, not -1" in err
+
+    def test_truth_file_naming_a_team_twice_is_data_error(self, capsys, tmp_path):
+        truth = tmp_path / "truth.txt"
+        truth.write_text("Wright\nHelios\nYushan\nGliders\nMarlik\nGDUT\nHelios\nAUT\n")
+        code, out, err = run(
+            capsys, "campaign", "--model", MODEL_2012, "--format", "f2012",
+            "--n", "5", "--truth", str(truth),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{truth}: team 'Helios' is listed more than once" in err
 
     def test_histogram_names_stream_layout(self, capsys, tmp_path):
         dest = tmp_path / "hist.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -360,6 +362,69 @@ class TestBracketProperties:
         assert replay_outcome(spec, NAMES8, out).places == out.ranking.places
 
 
+# SHA-256 of `ledger_text` over every DecisivePolicy with up to two replays
+# and seeds 0-19 of `run_format` on a bundled model, recorded before the
+# interpreter settled every knockout slot by one rule.
+PINNED_RUN_LEDGERS = {
+    (2012, "f2012", "model"): "6be1a1a13a0a7c038647184a8f614296b33b9a702be7e7f98c2af313f2d934c5",
+    (2012, "f2012", "random"): "205c450f572b2b329946a9536034857157207227d0435ca6bb8f16ae4e45f9a0",
+    (2012, "f2013", "model"): "d08587efa139bce8f794bc25d252957c6ee34a8761de1023f77294225f3c1ef9",
+    (2012, "f2013", "random"): "273d6d66759c6ded56c0018968bf4e98063652e0d11a11e23fdda708072e89c2",
+    (2012, "proposed", "model"): "f453aaef665d387824fbe82af668ea2c2e45b09c29238c3455f8cbbafd0d9f5c",
+    (2012, "proposed", "random"): "bbdb39a3aaa6720c22634b6ee8fe7de0dcef7d96578da868725affc94cb10cf5",
+    (2012, "proposed-bo3", "model"): "aa6098701d491557edf26cc4efdbee2b8e234960f8d81cf5005e41e359c100ac",
+    (2012, "proposed-bo3", "random"): "58b2a2d690f53e185e80c5d17f17d0446ac1071776cfeb1898865db5f175b993",
+    (2013, "f2012", "model"): "d83ba1bbd572261b639d15eed00cf980c7320fd7eef87c5a6a49bf7ffdfe632f",
+    (2013, "f2012", "random"): "851041233da1b7ad6a5d436c61a52682356c1dbe77a630d0d7d378a89556a01f",
+    (2013, "f2013", "model"): "e10687e919c7d1b5f7766839da51dc99df67baf188acfe0fcc1250757be868a4",
+    (2013, "f2013", "random"): "e0717574b0e777f96c6fa7d7fd723bbc3edfac6b651150e39e2cb3439d109849",
+    (2013, "proposed", "model"): "bf63fca8a98323548362dff23f53071afc92e6a103166e457cf2e6ac88f0d674",
+    (2013, "proposed", "random"): "e92a07ca514998c8a62187f72e2a2066193bd5ccdd3e460ac9aa2c18e0e106f0",
+    (2013, "proposed-bo3", "model"): "638a684354244b5dbba2832bb14fcd2ae25b95615ce4a9c91ec1fa441ddfee21",
+    (2013, "proposed-bo3", "random"): "fa92369a9f1e19282c598141af96c426ac756346d3134b8f24f45cd3331353f9",
+}
+PINNED_SPECS = {
+    "f2012": FormatSpec("format_2012"),
+    "f2013": FormatSpec("format_2013_double_elim"),
+    "proposed": FormatSpec("proposed"),
+    "proposed-bo3": FormatSpec("proposed", best_of_three=True),
+}
+PINNED_SEEDINGS = {"model": None, "random": RANDOM_SEEDING}
+ALL_DECISIVE = [DecisivePolicy(r, f) for r in range(3) for f in (UNIFORM_COIN, HIGHER_SEED)]
+
+
+def ledger_text(outcome):
+    """A live run as text: its seeding and game count, every ledger entry
+    and the final order."""
+    lines = [f"{outcome.seeding} {outcome.games_total}\n"]
+    lines += [f"{e.stage},{','.join(map(str, e.result))},{e.winner or ''}\n"
+              for e in outcome.games]
+    lines.append(",".join(outcome.ranking.order()) + "\n")
+    return "".join(lines)
+
+
+def pinned_runs(year, fmt, seeding):
+    """(spec, outcome) of every run one PINNED_RUN_LEDGERS entry covers."""
+    sampler = PoissonSampler(fixtures.load_goal_model(year))
+    for decisive in ALL_DECISIVE:
+        spec = dataclasses.replace(PINNED_SPECS[fmt], decisive=decisive,
+                                   seeding=PINNED_SEEDINGS[seeding])
+        for seed in range(20):
+            yield spec, run_format(spec, sampler, derive_rng(seed, 0))
+
+
+class TestPinnedRunLedgers:
+    @pytest.mark.parametrize("year, fmt, seeding", PINNED_RUN_LEDGERS)
+    def test_ledger_pinned_and_replayed(self, year, fmt, seeding):
+        names = fixtures.load_goal_model(year).names
+        text = []
+        for spec, out in pinned_runs(year, fmt, seeding):
+            assert replay_outcome(spec, names, out).places == out.ranking.places
+            text.append(ledger_text(out))
+        digest = hashlib.sha256("".join(text).encode()).hexdigest()
+        assert digest == PINNED_RUN_LEDGERS[year, fmt, seeding]
+
+
 class TestFixedResults:
     def test_2012_combined_table_gives_published_proposed_ranking(self):
         table = fixtures.load_combined_table(2012)
@@ -398,6 +463,20 @@ class TestFixedResults:
         swapped = {frozenset(("T0", "T1")): "T1", frozenset(("T6", "T7")): "T7"}
         r = rank_from_fixed_results(FixedResultTable(NAMES8, scores), playoff_overrides=swapped)
         assert r.order() == ["T1", "T0", *NAMES8[2:6], "T7", "T6"]
+
+    def test_policy_orders_the_preliminary_round(self):
+        # Every game 1-1 but T1 1-0 T2, T2 5-0 T7 and T6 1-0 T1. T6 leads on
+        # 9 points; T1 and T2 are level on 8, T2 on goal difference, T1 on
+        # head to head. Second place meets T6 in the final (the home side
+        # keeps a drawn playoff), third meets T0.
+        scores = {(a, b): (1.0, 1.0) for a in NAMES8 for b in NAMES8 if a != b}
+        for a, b, ga, gb in (("T1", "T2", 1, 0), ("T2", "T7", 5, 0), ("T6", "T1", 1, 0)):
+            scores[a, b], scores[b, a] = (ga, gb), (gb, ga)
+        table = FixedResultTable(NAMES8, scores)
+        rest = ["T0", "T3", "T4", "T5", "T7"]
+        assert rank_from_fixed_results(table).order() == ["T6", "T2", "T1", *rest]
+        h2h = TieBreakPolicy(("points", "head_to_head", "goal_difference", "seed_order"))
+        assert rank_from_fixed_results(table, h2h).order() == ["T6", "T1", "T2", *rest]
 
     def test_override_outside_the_playoff_pair_rejected(self):
         table = fixtures.load_combined_table(2012)

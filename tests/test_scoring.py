@@ -218,6 +218,10 @@ class TestRank:
         with pytest.raises(InvalidInputError):
             TieBreakPolicy(("points", "goal_difference"))
 
+    def test_order_naming_a_team_twice_rejected(self):
+        with pytest.raises(InvalidInputError, match="team 'B' is listed more than once"):
+            Ranking.from_order(["A", "B", "C", "B"])
+
 
 class TestL1Distance:
     def test_golden_2012(self):
