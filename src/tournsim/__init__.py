@@ -2,7 +2,6 @@
 simulators, ranking schemes, and Monte Carlo discrepancy campaigns."""
 
 from .errors import (
-    IncompleteInputError,
     IngestionError,
     InvalidComparisonError,
     InvalidInputError,
@@ -22,7 +21,6 @@ from .formats import (
     rank_from_fixed_results,
     replay_outcome,
     run_format,
-    run_iterated_round_robin,
 )
 from .model import (
     EmpiricalPoolSampler,
@@ -48,7 +46,6 @@ from .scoring import (
     TeamStats,
     TieBreakPolicy,
     l1_distance,
-    points_per_game,
     rank,
     round_robin_totals,
     standings_from_games,

@@ -9,7 +9,6 @@ success, 1 usage error, 2 data error, 3 golden-check failure.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 
@@ -60,10 +59,10 @@ def _emit(text: str, out_path):
 
 
 def _read(path: str) -> str:
-    """The text of an input file; a file that cannot be read is a data
-    error naming it."""
+    """The text of an input file, without the byte-order mark a spreadsheet
+    may write; a file that cannot be read is a data error naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise TournsimError(f"{path}: {exc.strerror}") from exc
@@ -84,7 +83,7 @@ def _write(path: str, text: str) -> None:
 def _load(path: str):
     text = _read(path)
     try:
-        return load_model(io.StringIO(text))
+        return load_model(text)
     except TournsimError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -97,12 +96,12 @@ def _points_path(model_path: str) -> str:
 def cmd_rank(args) -> int:
     model = _load(args.model)
     if args.scheme == DISCRETE:
-        table, _ = fixtures.discrete_fixture_standings(model)
+        table = fixtures.discrete_fixture_standings(model)
     else:
         points_path = args.points or _points_path(args.model)
         points = _load(points_path)
         try:
-            table, _ = fixtures.continuous_fixture_standings(model, points)
+            table = fixtures.continuous_fixture_standings(model, points)
         except TournsimError as exc:
             raise type(exc)(f"{points_path}: {exc}") from exc
     ranking = rank(table, seed_order=list(model.names))
@@ -115,8 +114,6 @@ def _seeding(args, truth=None):
     if args.seeding == "random":
         return RANDOM_SEEDING
     if args.seeding == "truth":
-        if truth is None:
-            raise TournsimError("--seeding truth requires a truth ranking")
         return tuple(truth.order())
     return None  # model order
 
@@ -267,7 +264,7 @@ def build_parser() -> _Parser:
     )
     sp.set_defaults(func=cmd_rank)
 
-    def format_flags(sp, default_replays, default_seeding):
+    def format_flags(sp, default_replays, seedings, default_seeding):
         sp.add_argument("--games-per-pair", type=int, default=1000)
         sp.add_argument("--best-of-three", action="store_true")
         sp.add_argument("--scheme", choices=[CONTINUOUS, DISCRETE], default=CONTINUOUS)
@@ -279,16 +276,16 @@ def build_parser() -> _Parser:
         )
         sp.add_argument(
             "--seeding",
-            choices=["model", "truth", "random"],
+            choices=seedings,
             default=default_seeding,
-            help="bracket/group seeding: model order, truth-ranking order, "
-            "or a fresh random permutation per tournament",
+            help="bracket/group seeding: model order, truth-ranking order "
+            "(campaign only), or a fresh random permutation per tournament",
         )
 
     sp = sub.add_parser("simulate", help="run one tournament, print its ledger")
     common(sp)
     sp.add_argument("--format", choices=list(FORMAT_ALIASES), required=True)
-    format_flags(sp, default_replays=1, default_seeding="model")
+    format_flags(sp, default_replays=1, seedings=["model", "random"], default_seeding="model")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("campaign", help="Monte Carlo discrepancy campaign")
@@ -303,7 +300,8 @@ def build_parser() -> _Parser:
     )
     # Defaults reproduce the published across-format ordering: random
     # per-tournament seeding, drawn knockout games decided by a coin.
-    format_flags(sp, default_replays=0, default_seeding="random")
+    format_flags(sp, default_replays=0, seedings=["model", "truth", "random"],
+                 default_seeding="random")
     sp.add_argument("--n", type=int, default=10000, help="tournaments per format")
     sp.add_argument(
         "--truth",

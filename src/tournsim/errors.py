@@ -23,7 +23,3 @@ class InvalidComparisonError(TournsimError):
 
 class UnsupportedSizeError(TournsimError):
     """Format engine invoked with a team count it does not support."""
-
-
-class IncompleteInputError(TournsimError):
-    """A fixed result table is missing pairings."""

@@ -7,10 +7,13 @@ actual/average score tables used to infer the proposed-format placements.
 The published rankings and the classification-playoff winners they imply
 are recorded here as constants.
 
-`discrete_fixture_standings` and `continuous_fixture_standings` score a
-model's mean matrices, of a bundled year or of any model `tournsim rank`
-reads, with `scoring.round_robin_totals`, the kernel of every complete
-round robin.
+All three kinds of table are read by `model._read_table`, so they share
+its checks of header, row order, cell count and diagonal; the combined
+tables' 'a:b' cells become a `FixedResultTable`. `discrete_fixture_standings`
+and `continuous_fixture_standings` score the mean matrices of a goal model
+(and, under the continuous scheme, of its points model), bundled or read by
+`tournsim rank`, with `scoring.round_robin_totals`, the kernel of every
+complete round robin.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import IngestionError
 from .formats import FixedResultTable, rank_from_fixed_results
-from .model import PairwiseGoalModel, load_model
+from .model import PairwiseGoalModel, _read_table, load_model
 from .scoring import (
     Ranking,
     TeamStats,
@@ -110,55 +113,41 @@ def load_points_model(year: int) -> PairwiseGoalModel:
 
 
 def load_combined_table(year: int) -> FixedResultTable:
-    """Combined actual/average score table ('a:b' cells, diagonal blank)."""
-    lines = [ln for ln in fixture_text(f"combined{year}.csv").splitlines() if ln.strip()]
-    names = [c.strip() for c in lines[0].split(",")][1:]
-    scores: dict[tuple[str, str], tuple[float, float]] = {}
-    for r, line in enumerate(lines[1:]):
-        cells = [c.strip() for c in line.split(",")]
-        row = cells[0]
-        for c, cell in enumerate(cells[1:]):
-            if r == c:
+    """Combined actual/average score table: cell (i, j) reads 'a:b', the
+    goals of the row team and of the column team, diagonal blank."""
+    names, rows = _read_table(fixture_text(f"combined{year}.csv"))
+    goals = np.zeros((len(names), len(names), 2))
+    for r, cells in enumerate(rows):
+        for c, cell in enumerate(cells):
+            if cell is None:
                 continue
             try:
                 a, b = cell.split(":")
-                scores[(row, names[c])] = (float(a), float(b))
+                goals[r, c] = float(a), float(b)
             except ValueError:
                 raise IngestionError(
-                    f"row {row!r}, column {names[c]!r}: bad score cell {cell!r}"
+                    f"row {names[r]!r}, column {names[c]!r}: bad score cell {cell!r}"
                 ) from None
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if (a, b) not in scores or (b, a) not in scores:
-                raise IngestionError(f"combined table missing pair ({a}, {b})")
-    return FixedResultTable(names, scores)
+    return FixedResultTable(names, goals)
 
 
-def discrete_fixture_standings(model):
-    """League table of `model`, a bundled year or a PairwiseGoalModel,
-    under the discrete scheme: each pair plays its mean scoreline, rounded
-    half away from zero (1.9 : 1.2 becomes 2 : 1), once. Returns
-    (standings, model)."""
-    model = _goal_model(model)
+def discrete_fixture_standings(model: PairwiseGoalModel) -> dict[str, TeamStats]:
+    """League table of `model` under the discrete scheme: each pair plays
+    its mean scoreline, rounded half away from zero (1.9 : 1.2 becomes
+    2 : 1), once."""
     goals = np.vectorize(round_half_away, otypes=[np.int64])(_played(model))
-    return _standings(model, round_robin_totals(goals)), model
+    return _standings(model, round_robin_totals(goals))
 
 
-def continuous_fixture_standings(model, points=None):
-    """League table of `model`, a bundled year or a PairwiseGoalModel,
-    under the continuous scheme: summed per-pair mean points and goals.
-    `points` holds the mean points per ordered pair, by default the bundled
-    year's. Returns (standings, model)."""
-    if points is None:
-        points = load_points_model(model)
-    model = _goal_model(model)
+def continuous_fixture_standings(
+    model: PairwiseGoalModel, points: PairwiseGoalModel
+) -> dict[str, TeamStats]:
+    """League table of `model` under the continuous scheme: summed per-pair
+    mean points and goals. `points` holds the mean points per ordered pair
+    (`load_points_model`), in the goal model's team order."""
     if points.names != model.names:
         raise IngestionError("points table team order differs from the goal model's")
-    return _standings(model, round_robin_totals(_played(model), _played(points))), model
-
-
-def _goal_model(model) -> PairwiseGoalModel:
-    return load_goal_model(model) if isinstance(model, int) else model
+    return _standings(model, round_robin_totals(_played(model), _played(points)))
 
 
 def _played(model: PairwiseGoalModel) -> np.ndarray:
@@ -190,7 +179,8 @@ def golden_checks() -> list[GoldenCheck]:
 
     def discrete(year, expected_points, expected_rank):
         def run():
-            table, model = discrete_fixture_standings(year)
+            model = load_goal_model(year)
+            table = discrete_fixture_standings(model)
             pts = tuple(int(table[n].points) for n in model.names)
             r = rank(table, seed_order=list(model.names))
             return pts == expected_points and r.places == expected_rank.places
@@ -202,7 +192,7 @@ def golden_checks() -> list[GoldenCheck]:
                               discrete(2013, DISCRETE_POINTS_2013, R_D_2013)))
 
     def tiebreak_2012():
-        table, _ = discrete_fixture_standings(2012)
+        table = discrete_fixture_standings(load_goal_model(2012))
         return (
             table["Wright"].points == table["Helios"].points
             and table["Wright"].goal_difference == 39
@@ -213,7 +203,8 @@ def golden_checks() -> list[GoldenCheck]:
 
     def continuous(year, expected_points, expected_rank):
         def run():
-            table, model = continuous_fixture_standings(year)
+            model = load_goal_model(year)
+            table = continuous_fixture_standings(model, load_points_model(year))
             ok = all(
                 abs(table[n].points - e) <= 5e-4
                 for n, e in zip(model.names, expected_points)

@@ -26,8 +26,9 @@ serve three kinds of run:
   ledger entry so replays never need the random stream;
 * replay (`replay_outcome`): games and winners are read back off a
   recorded ledger, which must match the table slot by slot;
-* fixed (`rank_from_fixed_results`): games are read off a fixed result
-  table, as the golden checks over the published tables do.
+* fixed (`rank_from_fixed_results`): games are read by team index off
+  the goals array of a `FixedResultTable`, each side's goals rounded half
+  away from zero, as the golden checks over the published tables do.
 
 The iterated round-robin (the ground-truth oracle) is not a bracket: it
 samples each pair's games in bulk and ranks them with `league_table`.
@@ -42,11 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    IncompleteInputError,
-    InvalidInputError,
-    UnsupportedSizeError,
-)
+from .errors import InvalidInputError, UnsupportedSizeError
 from .model import GameResult
 from .scoring import (
     CONTINUOUS,
@@ -311,7 +308,7 @@ class _FixedProvider:
 
     def play(self, stage: str, i: int, j: int) -> LedgerEntry:
         a, b = self.names[i], self.names[j]
-        ga, gb = self.table.score(a, b)
+        ga, gb = self.table.goals[i, j].tolist()
         return LedgerEntry(stage, GameResult(a, b, round_half_away(ga), round_half_away(gb)))
 
     def resolve(self, entry: LedgerEntry, i: int, j: int, natural: Optional[int]) -> int:
@@ -399,23 +396,13 @@ def _pair_index(n: int) -> np.ndarray:
     return pairs
 
 
-def run_iterated_round_robin(
-    sampler,
-    rng: np.random.Generator,
-    games_per_pair: int,
-    scheme: str = CONTINUOUS,
-    policy: TieBreakPolicy = DEFAULT_POLICY,
-    keep_games: bool = True,
-) -> TournamentOutcome:
-    """Ground-truth oracle: every unordered pair plays games_per_pair games;
-    teams are ranked under the selected scheme. With keep_games=False the
-    (potentially huge) ledger is dropped but games_total is still exact."""
-    if games_per_pair < 1:
-        raise InvalidInputError("games_per_pair must be >= 1")
+def _iterated_round_robin(spec: FormatSpec, sampler, rng, keep_games: bool) -> TournamentOutcome:
+    """Ground-truth oracle: every unordered pair plays spec.games_per_pair
+    games; teams are ranked under spec.scheme and spec.policy."""
     names = list(sampler.names)
     if len(names) < 2:
         raise UnsupportedSizeError("need at least 2 teams")
-    k = games_per_pair
+    k = spec.games_per_pair
     pairs = _pair_index(len(names))
     goals = np.empty((2, pairs.shape[1], k), dtype=np.int64)
     for p, (i, j) in enumerate(pairs.T.tolist()):
@@ -430,7 +417,7 @@ def run_iterated_round_robin(
         home, away = np.array(names, dtype=object)[pairs].repeat(k, axis=1).tolist()
         results = map(GameResult, home, away, *goals.reshape(2, -1).tolist())
         entries = list(map(LedgerEntry, labels, results))
-    _, ranking = league_table(names, pairs, goals, scheme, policy)
+    _, ranking = league_table(names, pairs, goals, spec.scheme, spec.policy)
     return TournamentOutcome(ranking, entries, goals[0].size)
 
 
@@ -463,9 +450,7 @@ def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> Tourn
     `rng`. With keep_games=False the ledger is dropped (games is None) but
     games_total is still exact."""
     if spec.kind == "iterated_round_robin":
-        return run_iterated_round_robin(
-            sampler, rng, spec.games_per_pair, spec.scheme, spec.policy, keep_games
-        )
+        return _iterated_round_robin(spec, sampler, rng, keep_games)
     seeding = spec.seeding
     if seeding == RANDOM_SEEDING:
         seeding = rng.permutation(len(sampler.names)).tolist()
@@ -538,18 +523,22 @@ def _ledger_pairs(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
 
 @dataclass
 class FixedResultTable:
-    """A complete pairwise score table (possibly mixing integer and
-    average-valued cells), used to replay the proposed format over fixed,
-    non-sampled results."""
+    """A complete pairwise score table, used to replay the proposed format
+    over fixed, non-sampled results. goals[i, j] holds the goals of
+    names[i] and of names[j] in their game with names[i] at home, each as
+    printed (integer or average-valued); the diagonal is unused. The two
+    cells of a pair need not mirror each other."""
 
     names: list[str]
-    scores: dict  # (name_a, name_b) -> (goals_a, goals_b), both orientations
+    goals: np.ndarray  # (n, n, 2) floats
 
-    def score(self, a: str, b: str) -> tuple[float, float]:
-        try:
-            return self.scores[(a, b)]
-        except KeyError:
-            raise IncompleteInputError(f"missing result for ({a}, {b})") from None
+    def __post_init__(self):
+        self.goals = np.asarray(self.goals, dtype=float)
+        n = len(self.names)
+        if self.goals.shape != (n, n, 2):
+            raise InvalidInputError(
+                f"goals of shape {self.goals.shape} do not fit {n} teams, need {(n, n, 2)}"
+            )
 
 
 def rank_from_fixed_results(

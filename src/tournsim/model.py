@@ -4,6 +4,11 @@ The generative ground truth is an n x n matrix of mean goals per ordered
 team pair. Game results are drawn as two independent Poisson variates, one
 per side; an empirical-pool sampler drawing from a recorded game log is
 available behind the same interface.
+
+Every team-by-team table, the goal means and per-pair points that
+`load_model` reads and the combined score tables of `tournsim.fixtures`,
+goes through one reader, `_read_table`, which checks the table's shape
+and hands back its cells as text.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import io
 import itertools
 import math
 from collections import namedtuple
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -89,23 +94,18 @@ def _fmt(v: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
-def load_model(source) -> PairwiseGoalModel:
-    """Read a comma-separated matrix: first row and first column are team
-    names, cell (i, j) is the mean goals of the row team against the column
-    team, diagonal blank.
-
-    `source` may be a file-like object, text (a string containing a
-    newline) or a path (any other string). Raises IngestionError naming
-    the offending row/column.
-    """
-    text = _read_text(source)
+def _read_table(text: str) -> tuple[list[str], list[list[Optional[str]]]]:
+    """The team names and the cells of a team-by-team table, one list per
+    row: a comma-separated matrix whose first row (after an optional blank
+    cell) and first column name the teams in the same order, with a blank
+    or '-' diagonal. Diagonal cells come back as None; the other cells as
+    stripped text. Raises IngestionError naming the offending row."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise IngestionError("empty model file")
-    header = [c.strip() for c in lines[0].split(",")]
-    if header and header[0] == "":
-        header = header[1:]
-    names = header
+    names = [c.strip() for c in lines[0].split(",")]
+    if names[0] == "":
+        names = names[1:]
     n = len(names)
     if n < 2:
         raise IngestionError("header must list at least 2 teams")
@@ -113,53 +113,51 @@ def load_model(source) -> PairwiseGoalModel:
         raise IngestionError(
             f"expected {n} data rows for {n} teams, found {len(lines) - 1}"
         )
-    matrix = np.zeros((n, n))
-    seen = set()
+    rows = []
     for r, line in enumerate(lines[1:]):
-        cells = [c.strip() for c in line.split(",")]
-        row_name = cells[0]
+        row_name, *cells = [c.strip() for c in line.split(",")]
         if row_name != names[r]:
             raise IngestionError(
                 f"row {r + 1}: name {row_name!r} does not match header order"
             )
-        if row_name in seen:
+        if row_name in names[:r]:
             raise IngestionError(f"duplicate team name {row_name!r}")
-        seen.add(row_name)
-        if len(cells) - 1 != n:
+        if len(cells) != n:
             raise IngestionError(
-                f"row {row_name!r}: expected {n} cells, found {len(cells) - 1}"
+                f"row {row_name!r}: expected {n} cells, found {len(cells)}"
             )
-        for c, cell in enumerate(cells[1:]):
-            if r == c:
-                if cell not in ("", "-"):
-                    raise IngestionError(
-                        f"row {row_name!r}: diagonal cell must be blank"
-                    )
+        if cells[r] not in ("", "-"):
+            raise IngestionError(f"row {row_name!r}: diagonal cell must be blank")
+        cells[r] = None
+        rows.append(cells)
+    return names, rows
+
+
+def load_model(text: str) -> PairwiseGoalModel:
+    """Read a comma-separated matrix (see `_read_table`): cell (i, j) is
+    the mean goals of the row team against the column team, a finite
+    nonnegative number. Raises IngestionError naming the offending
+    row/column."""
+    names, rows = _read_table(text)
+    matrix = np.zeros((len(names), len(names)))
+    for r, cells in enumerate(rows):
+        for c, cell in enumerate(cells):
+            if cell is None:
                 continue
             try:
                 v = float(cell)
             except ValueError:
                 raise IngestionError(
-                    f"row {row_name!r}, column {names[c]!r}: "
+                    f"row {names[r]!r}, column {names[c]!r}: "
                     f"unparsable cell {cell!r}"
                 ) from None
             if not math.isfinite(v) or v < 0:
                 raise IngestionError(
-                    f"row {row_name!r}, column {names[c]!r}: "
+                    f"row {names[r]!r}, column {names[c]!r}: "
                     f"invalid mean goals {cell!r}"
                 )
             matrix[r, c] = v
     return PairwiseGoalModel(names, matrix)
-
-
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    s = str(source)
-    if "\n" in s:
-        return s
-    with open(s, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 class PoissonSampler:

@@ -5,9 +5,9 @@ Every complete round robin is scored by one kernel, `round_robin_totals`,
 on n x n matrices: the batched engine's groups, the oracle's integer
 totals (`formats.league_table`) and the league tables of the bundled
 models under both schemes (`fixtures`). Games of a bracket are scored one
-at a time by `standings_from_games`, 3/1/0 a game as `points_per_game`
-gives them. Every ranking is ordered by one tie-break kernel,
-`tiebreak_order`, which `rank` wraps."""
+at a time by `standings_from_games`, 3 points a win and 1 a draw. Every
+ranking is ordered by one tie-break kernel, `tiebreak_order`, which `rank`
+wraps."""
 
 from __future__ import annotations
 
@@ -25,15 +25,6 @@ CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
 CRITERIA = ("points", "goal_difference", "goals_for", "head_to_head", "seed_order")
-
-
-def points_per_game(g: GameResult) -> tuple[int, int]:
-    """3 for a win, 1 for a draw, 0 for a loss."""
-    if g.home_goals > g.away_goals:
-        return 3, 0
-    if g.home_goals < g.away_goals:
-        return 0, 3
-    return 1, 1
 
 
 def round_half_away(x: float) -> int:
@@ -58,8 +49,8 @@ def standings_from_games(
 ) -> dict[str, TeamStats]:
     """Plain league-table accumulation: 3/1/0 points plus raw goal sums."""
     table = {name: TeamStats() for name in (teams or [])}
-    # Each game is unpacked once and scored here, not by points_per_game:
-    # reading a tuple record's fields by name costs about twice as much.
+    # Each game is unpacked once: reading a tuple record's fields by name
+    # costs about twice as much.
     for home, away, home_goals, away_goals in games:
         for name in (home, away):
             if name not in table:

@@ -1,6 +1,7 @@
 """The tie-break rules written out one criterion at a time, as a recursive
 split of each group of level teams: a reference for `scoring.rank` and
-the array kernel `scoring.tiebreak_order` behind it."""
+the array kernel `scoring.tiebreak_order` behind it, and the points of
+one game."""
 
 import itertools
 
@@ -14,6 +15,15 @@ ALL_POLICIES = [
         ("points", "goal_difference", "goals_for", "head_to_head"), k
     )
 ]
+
+
+def points_per_game(g) -> tuple[int, int]:
+    """3 for a win, 1 for a draw, 0 for a loss."""
+    if g.home_goals > g.away_goals:
+        return 3, 0
+    if g.home_goals < g.away_goals:
+        return 0, 3
+    return 1, 1
 
 
 def reference_rank(standings, policy, seed_order=None, games=None) -> list:

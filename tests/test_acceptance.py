@@ -21,11 +21,14 @@ from tournsim import (
     rank,
     run_campaign,
     run_format,
-    run_iterated_round_robin,
 )
 from tournsim import fixtures
 
 SEED = 20122013
+
+
+def oracle(games_per_pair):
+    return FormatSpec("iterated_round_robin", games_per_pair=games_per_pair)
 
 
 def report(label):
@@ -38,13 +41,14 @@ class TestCriterion1DiscreteReconstruction:
             (2012, (19, 19, 10, 12, 6, 0, 13, 3), fixtures.R_D_2012),
             (2013, (21, 18, 11, 1, 7, 11, 1, 10), fixtures.R_D_2013),
         ):
-            table, model = fixtures.discrete_fixture_standings(year)
+            model = fixtures.load_goal_model(year)
+            table = fixtures.discrete_fixture_standings(model)
             got = tuple(int(table[n].points) for n in model.names)
             assert got == points, f"{year} discrete points mismatch: {got}"
             r = rank(table, seed_order=list(model.names))
             assert r.places == truth.places, f"{year} discrete ranking mismatch"
         # the 2012 co-leaders split on goal difference, not seed order
-        table, _ = fixtures.discrete_fixture_standings(2012)
+        table = fixtures.discrete_fixture_standings(fixtures.load_goal_model(2012))
         assert table["Wright"].points == table["Helios"].points
         assert table["Wright"].goal_difference > table["Helios"].goal_difference
         report("criterion-1 discrete points and rankings exact (tie-break incl.)")
@@ -58,7 +62,10 @@ class TestCriterion2ContinuousReconstruction:
             2013: (18.308, 16.937, 9.434, 3.713, 8.371, 9.543, 4.416, 8.408),
         }
         for year, truth in ((2012, fixtures.R_C_2012), (2013, fixtures.R_C_2013)):
-            table, model = fixtures.continuous_fixture_standings(year)
+            model = fixtures.load_goal_model(year)
+            table = fixtures.continuous_fixture_standings(
+                model, fixtures.load_points_model(year)
+            )
             for name, want in zip(model.names, expected[year]):
                 got = table[name].points
                 assert abs(got - want) <= tol, f"{year} {name}: {got} vs {want}"
@@ -217,11 +224,11 @@ class TestCriterion7OracleStability:
         sampler = PoissonSampler(fixtures.load_goal_model(2012))
         identical = 0
         for k in range(100):
-            r1 = run_iterated_round_robin(
-                sampler, derive_rng(SEED, 2 * k), 1000, keep_games=False
+            r1 = run_format(
+                oracle(1000), sampler, derive_rng(SEED, 2 * k), keep_games=False
             ).ranking
-            r2 = run_iterated_round_robin(
-                sampler, derive_rng(SEED, 2 * k + 1), 1000, keep_games=False
+            r2 = run_format(
+                oracle(1000), sampler, derive_rng(SEED, 2 * k + 1), keep_games=False
             ).ranking
             if r1.places == r2.places:
                 identical += 1
@@ -233,8 +240,8 @@ class TestCriterion7OracleStability:
         for gpp in (1, 100):
             ds = [
                 l1_distance(
-                    run_iterated_round_robin(
-                        sampler, derive_rng(SEED, 3, gpp, k), gpp, keep_games=False
+                    run_format(
+                        oracle(gpp), sampler, derive_rng(SEED, 3, gpp, k), keep_games=False
                     ).ranking,
                     truth,
                 )

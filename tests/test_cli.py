@@ -122,6 +122,18 @@ class TestRank:
         code, _, _ = run(capsys, "rank", "--model", "/nonexistent.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("scheme", ["discrete", "continuous"])
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, scheme):
+        # A spreadsheet may save its CSV with a UTF-8 byte-order mark.
+        for name in ("robocup2013.csv", "robocup2013.points.csv"):
+            text = "\ufeff" + fixtures.fixture_text(name)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        model = str(tmp_path / "robocup2013.csv")
+        code, out, _ = run(capsys, "rank", "--model", model, "--scheme", scheme)
+        assert code == 0
+        want = run(capsys, "rank", "--model", MODEL_2013, "--scheme", scheme)[1]
+        assert out.replace(model, MODEL_2013) == want
+
 
 class TestSimulate:
     def test_runs_and_prints_ledger(self, capsys):
@@ -160,6 +172,16 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "seed must be >= 0, not -5" in err
+
+    def test_truth_seeding_not_offered(self, capsys):
+        # simulate computes no truth ranking to seed by
+        code, out, err = run(
+            capsys, "simulate", "--model", MODEL_2012, "--format", "f2012",
+            "--seeding", "truth",
+        )
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'truth'" in err
 
 
 # SHA-256 of the `tournsim simulate` text at seed 7 without its "#" header
@@ -273,6 +295,19 @@ class TestCampaign:
         assert code == 2
         assert out == ""
         assert f"{truth}: team 'Helios' is listed more than once" in err
+
+    def test_truth_file_with_byte_order_mark(self, capsys, tmp_path):
+        order = "".join(f"{name}\n" for name in fixtures.R_C_2012.order())
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(order, encoding="utf-8")
+        bom.write_text("\ufeff" + order, encoding="utf-8")
+        outs = [
+            run(capsys, "campaign", "--model", MODEL_2012, "--format", "f2012",
+                "--n", "20", "--truth", str(path))
+            for path in (plain, bom)
+        ]
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0]
 
     def test_histogram_names_stream_layout(self, capsys, tmp_path):
         dest = tmp_path / "hist.csv"

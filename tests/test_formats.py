@@ -16,7 +16,6 @@ from tournsim import (
     DecisivePolicy,
     FormatSpec,
     GameResult,
-    IncompleteInputError,
     InvalidInputError,
     FixedResultTable,
     LedgerEntry,
@@ -31,7 +30,6 @@ from tournsim import (
     rank_from_fixed_results,
     replay_outcome,
     run_format,
-    run_iterated_round_robin,
 )
 from tournsim import fixtures
 from tournsim.formats import league_table
@@ -39,6 +37,10 @@ from tournsim.formats import league_table
 from reference_ranking import ALL_POLICIES, reference_rank
 
 NAMES8 = [f"T{i}" for i in range(8)]
+
+
+def oracle(games_per_pair):
+    return FormatSpec("iterated_round_robin", games_per_pair=games_per_pair)
 
 
 def flat_sampler(n=8, mean=1.3):
@@ -93,7 +95,7 @@ class TestGameCounts:
             assert len(out.games) == out.games_total
 
     def test_oracle_count_is_pairs_times_gpp(self):
-        out = run_iterated_round_robin(flat_sampler(), derive_rng(1, 3), 5)
+        out = run_format(oracle(5), flat_sampler(), derive_rng(1, 3))
         assert out.games_total == 28 * 5
 
 
@@ -139,7 +141,7 @@ class TestDominance:
                 assert out.ranking["T0"] == 1
 
     def test_chain_model_oracle_recovers_order(self):
-        out = run_iterated_round_robin(chain_sampler(), derive_rng(6, 0), 1)
+        out = run_format(oracle(1), chain_sampler(), derive_rng(6, 0))
         assert out.ranking.order() == NAMES8
 
     def test_proposed_adjacent_swap_only(self):
@@ -207,7 +209,7 @@ class TestSeeding:
     def test_oracle_works_for_two_teams(self):
         m = np.array([[np.nan, 3.0], [0.5, np.nan]])
         sampler = PoissonSampler(PairwiseGoalModel(["A", "B"], m))
-        out = run_iterated_round_robin(sampler, derive_rng(11, 0), 50)
+        out = run_format(oracle(50), sampler, derive_rng(11, 0))
         assert out.games_total == 50
         assert out.ranking["A"] == 1
 
@@ -442,26 +444,25 @@ class TestFixedResults:
 
     def test_dominant_fixed_table(self):
         names = ["A", "B", "C", "D", "E", "F", "G", "H"]
-        scores = {}
-        for i, a in enumerate(names):
-            for j, b in enumerate(names):
-                if i < j:
-                    scores[(a, b)] = (2.0, 0.0)
-                    scores[(b, a)] = (0.0, 2.0)
-        r = rank_from_fixed_results(FixedResultTable(names, scores))
+        goals = np.zeros((8, 8, 2))
+        upper = np.triu(np.ones((8, 8), dtype=bool), 1)
+        goals[upper] = 2.0, 0.0
+        goals[upper.T] = 0.0, 2.0
+        r = rank_from_fixed_results(FixedResultTable(names, goals))
         assert r.order() == names
 
-    def test_incomplete_table_rejected(self):
-        with pytest.raises(IncompleteInputError):
-            rank_from_fixed_results(FixedResultTable(NAMES8, {}))
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 7, 2), (7, 7, 2), (8, 8, 3)])
+    def test_goals_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="shape"):
+            FixedResultTable(NAMES8, np.zeros(shape))
 
     def test_drawn_playoff_keeps_the_higher_preliminary_place(self):
-        scores = {(a, b): (1.0, 1.0) for a in NAMES8 for b in NAMES8 if a != b}
+        goals = np.ones((8, 8, 2))
         # every game drawn: the preliminary order is the seeding, table order
-        r = rank_from_fixed_results(FixedResultTable(NAMES8, scores))
+        r = rank_from_fixed_results(FixedResultTable(NAMES8, goals))
         assert r.order() == NAMES8
         swapped = {frozenset(("T0", "T1")): "T1", frozenset(("T6", "T7")): "T7"}
-        r = rank_from_fixed_results(FixedResultTable(NAMES8, scores), playoff_overrides=swapped)
+        r = rank_from_fixed_results(FixedResultTable(NAMES8, goals), playoff_overrides=swapped)
         assert r.order() == ["T1", "T0", *NAMES8[2:6], "T7", "T6"]
 
     def test_policy_orders_the_preliminary_round(self):
@@ -469,10 +470,10 @@ class TestFixedResults:
         # 9 points; T1 and T2 are level on 8, T2 on goal difference, T1 on
         # head to head. Second place meets T6 in the final (the home side
         # keeps a drawn playoff), third meets T0.
-        scores = {(a, b): (1.0, 1.0) for a in NAMES8 for b in NAMES8 if a != b}
-        for a, b, ga, gb in (("T1", "T2", 1, 0), ("T2", "T7", 5, 0), ("T6", "T1", 1, 0)):
-            scores[a, b], scores[b, a] = (ga, gb), (gb, ga)
-        table = FixedResultTable(NAMES8, scores)
+        goals = np.ones((8, 8, 2))
+        for a, b, ga, gb in ((1, 2, 1, 0), (2, 7, 5, 0), (6, 1, 1, 0)):
+            goals[a, b], goals[b, a] = (ga, gb), (gb, ga)
+        table = FixedResultTable(NAMES8, goals)
         rest = ["T0", "T3", "T4", "T5", "T7"]
         assert rank_from_fixed_results(table).order() == ["T6", "T2", "T1", *rest]
         h2h = TieBreakPolicy(("points", "head_to_head", "goal_difference", "seed_order"))

@@ -16,6 +16,7 @@ from tournsim import (
     derive_rng,
     load_model,
 )
+from tournsim import fixtures
 from tournsim.fixtures import fixture_text
 
 
@@ -61,22 +62,49 @@ class TestLoadModel:
         with pytest.raises(IngestionError, match="empty"):
             load_model("\n")
 
-    def test_path_with_comma_is_a_path(self, tmp_path, model2012):
-        path = tmp_path / "robocup,2012.csv"
-        path.write_text(model2012.to_csv(), encoding="utf-8")
-        for source in (path, str(path)):
-            assert load_model(source).names == model2012.names
-
-    def test_string_without_newline_is_a_path(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_model(str(tmp_path / "A,B"))
-
     def test_roundtrip_exact(self, model2012):
         again = load_model(model2012.to_csv())
         assert again.names == model2012.names
         off = ~np.eye(8, dtype=bool)
         assert np.array_equal(again.mean_goals[off], model2012.mean_goals[off])
         assert again.to_csv() == model2012.to_csv()
+
+
+# Edits of the Oxsy row of the 2013 combined table, each breaking it in one
+# way, and how the error must name the row.
+OXSY = "Oxsy,3:5,0.4:2.2,0:3,6:1,0:4,,2.3:0.8,2.2:1.0"
+BROKEN_ROWS = {
+    "long row": (OXSY + ",1:1", "row 'Oxsy'"),
+    "misnamed row": (OXSY.replace("Oxsy", "Oksy"), "row 6: name 'Oksy'"),
+    "filled diagonal": (OXSY.replace(",,", ",1:1,"), "row 'Oxsy'"),
+    "cell without a colon": (OXSY.replace("2.3:0.8", "2.3"), "row 'Oxsy'"),
+}
+
+
+class TestCombinedTable:
+    """The combined tables go through the reader `load_model` uses."""
+
+    def test_2013_table_as_printed(self):
+        # not mirror-symmetric: Wright-AUT reads 6.4:0.3, AUT-Wright 0:7
+        table = fixtures.load_combined_table(2013)
+        wright, aut = table.names.index("Wright"), table.names.index("AUT")
+        assert table.goals.shape == (8, 8, 2)
+        assert table.goals[wright, aut].tolist() == [6.4, 0.3]
+        assert table.goals[aut, wright].tolist() == [0.0, 7.0]
+
+    @pytest.mark.parametrize("broken", BROKEN_ROWS)
+    def test_malformed_row_named(self, monkeypatch, broken):
+        row, named = BROKEN_ROWS[broken]
+        real = fixtures.fixture_text
+
+        def corrupted(name):
+            text = real(name)
+            assert OXSY in text
+            return text.replace(OXSY, row)
+
+        monkeypatch.setattr(fixtures, "fixture_text", corrupted)
+        with pytest.raises(IngestionError, match=named):
+            fixtures.load_combined_table(2013)
 
 
 class TestPoissonSampler:

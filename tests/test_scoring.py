@@ -15,7 +15,6 @@ from tournsim import (
     Ranking,
     TieBreakPolicy,
     l1_distance,
-    points_per_game,
     rank,
     round_robin_totals,
     standings_from_games,
@@ -23,11 +22,16 @@ from tournsim import (
 from tournsim import fixtures
 from tournsim.scoring import TeamStats
 
-from reference_ranking import ALL_POLICIES, reference_rank
+from reference_ranking import ALL_POLICIES, points_per_game, reference_rank
 
 
 def game(a, b, ga, gb):
     return GameResult(a, b, ga, gb)
+
+
+def models(year):
+    """The bundled goal and points models of `year`."""
+    return fixtures.load_goal_model(year), fixtures.load_points_model(year)
 
 
 @pytest.mark.parametrize(
@@ -44,7 +48,7 @@ def test_points_per_game(score, expected):
 )
 def test_discrete_scheme_rounds_each_mean_half_away(means, goals, points):
     model = PairwiseGoalModel(["A", "B"], [[0, means[0]], [means[1], 0]])
-    table, _ = fixtures.discrete_fixture_standings(model)
+    table = fixtures.discrete_fixture_standings(model)
     assert (table["A"].goals_for, table["B"].goals_for) == goals
     assert (table["A"].points, table["B"].points) == points
 
@@ -76,11 +80,11 @@ def test_round_robin_totals_equal_standings_from_games(goals):
 
 class TestContinuousPoints:
     def test_wright_2012_total(self):
-        table, _ = fixtures.continuous_fixture_standings(2012)
+        table = fixtures.continuous_fixture_standings(*models(2012))
         assert table["Wright"].points == pytest.approx(18.899, abs=5e-4)
 
     def test_aut_2012_total(self):
-        table, _ = fixtures.continuous_fixture_standings(2012)
+        table = fixtures.continuous_fixture_standings(*models(2012))
         assert table["AUT"].points == pytest.approx(0.377, abs=5e-4)
 
     def test_equals_per_game_points_mean(self):
@@ -104,13 +108,15 @@ class TestContinuousPoints:
 
 class TestDiscreteStandings:
     def test_2012_points_column(self):
-        table, model = fixtures.discrete_fixture_standings(2012)
+        model = fixtures.load_goal_model(2012)
+        table = fixtures.discrete_fixture_standings(model)
         assert tuple(int(table[n].points) for n in model.names) == (
             19, 19, 10, 12, 6, 0, 13, 3,
         )
 
     def test_2013_points_column(self):
-        table, model = fixtures.discrete_fixture_standings(2013)
+        model = fixtures.load_goal_model(2013)
+        table = fixtures.discrete_fixture_standings(model)
         assert tuple(int(table[n].points) for n in model.names) == (
             21, 18, 11, 1, 7, 11, 1, 10,
         )
@@ -157,7 +163,8 @@ def test_rank_equals_reference_under_every_policy(case):
 
 class TestRank:
     def test_rd_2012_with_goal_diff_tiebreak(self):
-        table, model = fixtures.discrete_fixture_standings(2012)
+        model = fixtures.load_goal_model(2012)
+        table = fixtures.discrete_fixture_standings(model)
         r = rank(table, seed_order=list(model.names))
         assert r.places == fixtures.R_D_2012.places
         # the tie-break separates Wright (+39) from Helios
@@ -165,7 +172,8 @@ class TestRank:
         assert table["Wright"].goal_difference == 39
 
     def test_rc_2013_oxsy_third_yushan_fourth(self):
-        table, model = fixtures.continuous_fixture_standings(2013)
+        model, points = models(2013)
+        table = fixtures.continuous_fixture_standings(model, points)
         r = rank(table, seed_order=list(model.names))
         assert r["Oxsy"] == 3 and r["Yushan"] == 4
         assert r.places == fixtures.R_C_2013.places
