@@ -2,8 +2,12 @@
 
 Commands: rank, simulate, campaign, compare, reproduce. Every command is
 deterministic given its flags; simulate and campaign, the commands that
-draw games, take --seed and echo it in their outputs. Exit status: 0
-success, 1 usage error, 2 data error, 3 golden-check failure.
+draw games, take --seed. The files rank, simulate and campaign write open
+with `# key=value` header lines, built in one place from the parsed flags:
+the command, every flag that has a value (--seed too, but not --out or
+--workers, which change no byte written), the fields the command computed
+and the version. Exit status: 0 success, 1 usage error, 2 data error, 3
+golden-check failure.
 """
 
 from __future__ import annotations
@@ -44,11 +48,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _header(command: str, **fields) -> str:
-    parts = [f"# command={command}"]
-    parts += [f"# {k}={v}" for k, v in fields.items()]
-    parts.append(f"# version={__version__}")
-    return "\n".join(parts) + "\n"
+# Namespace entries no header records: the command's handler, and the
+# flags that change no byte a command writes.
+_UNRECORDED = ("func", "out", "workers")
+
+
+def _header(args, **computed) -> dict:
+    """The header fields of a command's output: the command, every parsed
+    flag that has a value, in parser order (the order of `vars(args)`),
+    the fields the command computed, and the version. A computed field
+    named like a flag replaces that flag's value in place."""
+    fields = {k: v for k, v in vars(args).items() if v is not None and k not in _UNRECORDED}
+    fields.update(computed, version=__version__)
+    return fields
+
+
+def _comments(fields: dict) -> str:
+    return "".join(f"# {k}={v}\n" for k, v in fields.items())
 
 
 def _emit(text: str, out_path):
@@ -105,8 +121,7 @@ def cmd_rank(args) -> int:
         except TournsimError as exc:
             raise type(exc)(f"{points_path}: {exc}") from exc
     ranking = rank(table, seed_order=list(model.names))
-    header = _header("rank", model=args.model, scheme=args.scheme)
-    _emit(header + standings_to_csv(table, ranking), args.out)
+    _emit(_comments(_header(args)) + standings_to_csv(table, ranking), args.out)
     return 0
 
 
@@ -135,14 +150,7 @@ def cmd_simulate(args) -> int:
     sampler = PoissonSampler(model)
     outcome = run_format(spec, sampler, derive_rng(args.seed, 0))
     lines = [
-        _header(
-            "simulate",
-            model=args.model,
-            format=args.format,
-            seed=args.seed,
-            sampling=sampler.backend,
-            games_total=outcome.games_total,
-        ),
+        _comments(_header(args, sampling=sampler.backend, games_total=outcome.games_total)),
         "stage,home,away,home_goals,away_goals,winner\n",
     ]
     for e in outcome.games:
@@ -192,17 +200,6 @@ def cmd_campaign(args) -> int:
     ]
     dists = run_campaigns(specs, workers=args.workers)
     for fmt, dist in zip(args.format, dists):
-        header = {
-            "command": "campaign",
-            "model": args.model,
-            "format": fmt,
-            "seed": str(args.seed),
-            "n": str(args.n),
-            "sampling": sampler.backend,
-            "truth": args.truth,
-            "stream": STREAM_LAYOUT,
-            "version": __version__,
-        }
         print(
             f"{fmt}: mean={dist.mean:.4f} median={dist.median:.1f} "
             f"n={dist.n_samples} seed={args.seed}"
@@ -213,6 +210,7 @@ def cmd_campaign(args) -> int:
                 if len(args.format) == 1
                 else _suffixed(args.out, fmt)
             )
+            header = _header(args, format=fmt, sampling=sampler.backend, stream=STREAM_LAYOUT)
             _write(path, dist.to_text(header))
     return 0
 

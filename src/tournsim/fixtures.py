@@ -159,7 +159,7 @@ def _played(model: PairwiseGoalModel) -> np.ndarray:
 
 def _standings(model: PairwiseGoalModel, totals):
     totals = (t.tolist() for t in totals)
-    return {name: TeamStats(*stats, model.n - 1) for name, *stats in zip(model.names, *totals)}
+    return {name: TeamStats(*stats) for name, *stats in zip(model.names, *totals)}
 
 
 def published_truth(year: int) -> Ranking:

@@ -441,7 +441,7 @@ def league_table(names: Sequence[str], pairs, goals, scheme: str, policy=DEFAULT
     matrix[cells], points[cells] = scored, pair_points
     totals = np.array(round_robin_totals(matrix, points))
     order = tiebreak_order(*totals, policy, points)
-    table = {name: TeamStats(*s, (n - 1) * k) for name, *s in zip(names, *totals.tolist())}
+    table = {name: TeamStats(*s) for name, *s in zip(names, *totals.tolist())}
     return table, Ranking.from_order([names[i] for i in order])
 
 
@@ -526,8 +526,9 @@ class FixedResultTable:
     """A complete pairwise score table, used to replay the proposed format
     over fixed, non-sampled results. goals[i, j] holds the goals of
     names[i] and of names[j] in their game with names[i] at home, each as
-    printed (integer or average-valued); the diagonal is unused. The two
-    cells of a pair need not mirror each other."""
+    printed (integer or average-valued), finite and nonnegative; the
+    diagonal is unused. The two cells of a pair need not mirror each
+    other."""
 
     names: list[str]
     goals: np.ndarray  # (n, n, 2) floats
@@ -538,6 +539,13 @@ class FixedResultTable:
         if self.goals.shape != (n, n, 2):
             raise InvalidInputError(
                 f"goals of shape {self.goals.shape} do not fit {n} teams, need {(n, n, 2)}"
+            )
+        valid = (np.isfinite(self.goals) & (self.goals >= 0)).all(-1) | np.eye(n, dtype=bool)
+        if not valid.all():
+            i, j = np.argwhere(~valid)[0]
+            raise InvalidInputError(
+                f"row {self.names[i]!r}, column {self.names[j]!r}: "
+                f"goals {self.goals[i, j].tolist()} are not finite and nonnegative"
             )
 
 

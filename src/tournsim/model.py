@@ -13,7 +13,6 @@ and hands back its cells as text.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from collections import namedtuple
@@ -74,24 +73,6 @@ class PairwiseGoalModel:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    def to_csv(self) -> str:
-        """Serialize back to the tabular text format; values round-trip
-        exactly (shortest decimal representation)."""
-        out = io.StringIO()
-        out.write("," + ",".join(self.names) + "\n")
-        for i, name in enumerate(self.names):
-            cells = [
-                "" if i == j else _fmt(self.mean_goals[i, j])
-                for j in range(self.n)
-            ]
-            out.write(name + "," + ",".join(cells) + "\n")
-        return out.getvalue()
-
-
-def _fmt(v: float) -> str:
-    s = repr(float(v))
-    return s[:-2] if s.endswith(".0") else s
 
 
 def _read_table(text: str) -> tuple[list[str], list[list[Optional[str]]]]:

@@ -52,6 +52,8 @@ class CampaignSpec:
     def __post_init__(self):
         if self.n_tournaments < 1:
             raise InvalidInputError("n_tournaments must be >= 1")
+        if self.start_index < 0:
+            raise InvalidInputError(f"start_index must be >= 0, not {self.start_index}")
         if set(self.truth.places) != set(self.sampler.names):
             raise InvalidInputError("truth ranking does not cover the model's teams")
 

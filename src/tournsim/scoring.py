@@ -37,7 +37,6 @@ class TeamStats:
     points: float = 0.0
     goals_for: float = 0.0
     goals_against: float = 0.0
-    games_played: int = 0
 
     @property
     def goal_difference(self) -> float:
@@ -67,8 +66,6 @@ def standings_from_games(
         h.goals_against += away_goals
         a.goals_for += away_goals
         a.goals_against += home_goals
-        h.games_played += 1
-        a.games_played += 1
     return table
 
 
@@ -194,23 +191,17 @@ def l1_distance(a: Ranking, b: Ranking) -> int:
     return sum(abs(a.places[n] - b.places[n]) for n in a.places)
 
 
-def standings_to_csv(
-    standings: dict[str, TeamStats], ranking: Optional[Ranking] = None
-) -> str:
-    """Tabular text mirroring the Points / Goal Diff / Rank columns."""
+def standings_to_csv(standings: dict[str, TeamStats], ranking: Ranking) -> str:
+    """Tabular text mirroring the Points / Goal Diff / Rank columns, in
+    ranking order."""
     out = io.StringIO()
-    out.write("team,points,goals_for,goals_against,goal_diff"
-              + (",rank\n" if ranking else "\n"))
-    names = ranking.order() if ranking else list(standings)
-    for name in names:
+    out.write("team,points,goals_for,goals_against,goal_diff,rank\n")
+    for name in ranking.order():
         s = standings[name]
-        row = (
+        out.write(
             f"{name},{_num(s.points)},{_num(s.goals_for)},"
-            f"{_num(s.goals_against)},{_num(s.goal_difference)}"
+            f"{_num(s.goals_against)},{_num(s.goal_difference)},{ranking[name]}\n"
         )
-        if ranking:
-            row += f",{ranking[name]}"
-        out.write(row + "\n")
     return out.getvalue()
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tournsim import InvalidInputError, fixtures
+from tournsim import InvalidInputError, __version__, fixtures
 from tournsim.cli import main
 
 MODEL_2012 = str(fixtures.fixture_path("robocup2012.csv"))
@@ -63,6 +63,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def header_lines(text):
+    """The `# key=value` lines above an output's body (and above a
+    histogram's statistics lines)."""
+    lines = text.splitlines()
+    end = next((i for i, ln in enumerate(lines) if ln.startswith("# n_teams=")), len(lines))
+    return [ln for ln in lines[:end] if ln.startswith("# ") and "=" in ln]
+
+
 def csv_rows(text):
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     header = lines[0].split(",")
@@ -98,6 +106,19 @@ class TestRank:
             f"# command=rank\n# model={model}\n# scheme={scheme}\n"
             "team,points,goals_for,goals_against,goal_diff,rank\n" + RANK_TABLES[year, scheme]
         )
+
+    def test_header_names_points_file(self, capsys, tmp_path):
+        points = str(fixtures.fixture_path("robocup2013.points.csv"))
+        dest = tmp_path / "rank.csv"
+        code, _, _ = run(
+            capsys, "rank", "--model", MODEL_2013, "--scheme", "continuous",
+            "--points", points, "--out", str(dest),
+        )
+        assert code == 0
+        assert header_lines(dest.read_text()) == [
+            "# command=rank", f"# model={MODEL_2013}", "# scheme=continuous",
+            f"# points={points}", f"# version={__version__}",
+        ]
 
     def test_seed_flag_rejected(self, capsys):
         # rank draws nothing, so it takes no seed
@@ -164,6 +185,25 @@ class TestSimulate:
         )
         assert code == 0
         assert "stage,home,away" in dest.read_text()
+
+    def test_header_records_every_flag(self, tmp_path, capsys):
+        # every flag given, in parser order, but not --out
+        dest = tmp_path / "ledger.csv"
+        code, _, _ = run(
+            capsys, "simulate", "--model", MODEL_2012, "--format", "proposed",
+            "--games-per-pair", "5", "--best-of-three", "--scheme", "discrete",
+            "--max-replays", "3", "--seeding", "random", "--out", str(dest),
+        )
+        assert code == 0
+        header = header_lines(dest.read_text())
+        assert header[:-2] == [
+            "# command=simulate", f"# model={MODEL_2012}", "# seed=20122013",
+            "# format=proposed", "# games_per_pair=5", "# best_of_three=True",
+            "# scheme=discrete", "# max_replays=3", "# seeding=random",
+            "# sampling=poisson",
+        ]
+        assert header[-2].startswith("# games_total=")
+        assert header[-1] == f"# version={__version__}"
 
     def test_negative_seed_is_data_error(self, capsys):
         code, out, err = run(
@@ -312,12 +352,37 @@ class TestCampaign:
     def test_histogram_names_stream_layout(self, capsys, tmp_path):
         dest = tmp_path / "hist.csv"
         run(
-            capsys, "campaign", "--model", MODEL_2012, "--format", "f2012",
-            "--n", "5", "--out", str(dest),
+            capsys, "campaign", "--model", MODEL_2012, "--format", "proposed",
+            "--n", "5", "--games-per-pair", "7", "--best-of-three",
+            "--scheme", "discrete", "--max-replays", "2", "--seeding", "truth",
+            "--workers", "1", "--out", str(dest),
         )
         lines = dest.read_text().splitlines()
         assert lines[0] == "# tournsim-histogram v1"
         assert "# stream=v2" in lines
+        # every flag given, in parser order, but not --out or --workers
+        assert header_lines(dest.read_text()) == [
+            "# command=campaign", f"# model={MODEL_2012}", "# seed=20122013",
+            "# format=proposed", "# games_per_pair=7", "# best_of_three=True",
+            "# scheme=discrete", "# max_replays=2", "# seeding=truth", "# n=5",
+            "# truth=oracle", "# sampling=poisson", "# stream=v2",
+            f"# version={__version__}",
+        ]
+
+    @pytest.mark.parametrize(
+        "flags", [["--best-of-three"], ["--max-replays", "2"], ["--seeding", "truth"]]
+    )
+    def test_header_tells_campaigns_apart(self, capsys, tmp_path, flags):
+        headers = []
+        for extra in ([], flags):
+            dest = tmp_path / f"{len(headers)}.csv"
+            code, _, _ = run(
+                capsys, "campaign", "--model", MODEL_2012, "--format", "proposed",
+                "--n", "5", *extra, "--out", str(dest),
+            )
+            assert code == 0
+            headers.append(header_lines(dest.read_text()))
+        assert headers[0] != headers[1]
 
     def test_failure_inside_campaign_names_tournaments(self, capsys, monkeypatch):
         from tournsim import batch

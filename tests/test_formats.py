@@ -538,7 +538,7 @@ def fraction_standings(names, goals, scheme):
     n = len(names)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     zero = Fraction(0)
-    table = {name: TeamStats(zero, zero, zero, 0) for name in names}
+    table = {name: TeamStats(zero, zero, zero) for name in names}
     played = []
     for p, (i, j) in enumerate(pairs):
         home, away = goals[0][p], goals[1][p]
@@ -560,7 +560,6 @@ def fraction_standings(names, goals, scheme):
             s.points += pts
             s.goals_for += scored
             s.goals_against += conceded
-            s.games_played += k
     return table, played
 
 
@@ -600,7 +599,6 @@ class TestLeagueTable:
                 assert isinstance(total, int)
                 assert Fraction(total, divisor) == getattr(want, field)
                 assert total / divisor == float(getattr(want, field))
-            assert got.games_played == want.games_played == (n - 1) * k
 
         spec = FormatSpec("iterated_round_robin", games_per_pair=k, scheme=scheme,
                           policy=policy)

@@ -350,3 +350,12 @@ def test_campaign_spec_validation():
             n_tournaments=5,
             master_seed=1,
         )
+    with pytest.raises(InvalidInputError, match="start_index must be >= 0, not -5"):
+        CampaignSpec(
+            FormatSpec("proposed"),
+            flat_sampler(),
+            Ranking.from_order(NAMES8),
+            n_tournaments=5,
+            master_seed=1,
+            start_index=-5,
+        )
