@@ -12,10 +12,17 @@ ranking use, and knockout slots are settled with `np.where`.
 Results live on one (rows, columns) int board of team indices. Columns
 0-7 hold the block's seeds, the team at each seed position (column 0 is
 the top seed), and each stage writes what it yields, its finishing order
-or its winner then its loser, to columns of its own. Games read their
-goal means by team index and the final order is read off the board as it
-stands. Only the higher-seed rule needs seed positions: it reads them from
-the inverse permutation of the seeds, in the rows with a drawn slot.
+or its winner then its loser, to columns of its own. The final order is
+read off the board as it stands. Only the higher-seed rule needs seed
+positions: it reads them from the inverse permutation of the seeds, in
+the rows with a drawn slot.
+
+The model's means are kept as one flat n*n vector, the mean of team i
+against team j at `i * n + j`, so a call gathers all its means with one
+flat index: both sides of every knockout slot, or the (rows, groups, m,
+m) matrices of its round robins. Round robin goals and standings stay
+integers, which `scoring.round_robin_totals` sums exactly with its fast
+integer reduction.
 
 The outcome distribution is that of the scalar interpreter; the random
 stream is consumed differently, so a row does not reproduce the scalar
@@ -105,16 +112,17 @@ class _Games:
 
     def __init__(self, rng, means, seeds, decisive):
         self.rng = rng
-        self.means = np.array(means)
-        np.fill_diagonal(self.means, 0.0)  # never played; a model may leave it NaN
+        means = np.array(means)
+        np.fill_diagonal(means, 0.0)  # never played; a model may leave it NaN
+        self.n = len(means)
+        self.means = means.ravel()  # means[i, j] at i * n + j
         self.seeds = seeds
         self.decisive = decisive
 
     def goals(self, home, away, count=None):
         """Goals of home and away in one game per slot, or in `count` games
         per slot along a new last axis."""
-        m = self.means
-        means = np.stack((m[home, away], m[away, home]))
+        means = self.means.take(np.stack((home * self.n + away, away * self.n + home)))
         if count is None:
             g = self.rng.poisson(means)
         else:
@@ -126,7 +134,7 @@ class _Games:
         team indices in seed order and broadcasts against (rows, groups,
         size). Returns each group's teams in finishing order, of that shape."""
         teams = np.broadcast_to(groups, self.seeds.shape[:1] + groups.shape[-2:])
-        g = self.rng.poisson(self.means[teams[..., :, None], teams[..., None, :]])
+        g = self.rng.poisson(self.means.take(teams[..., :, None] * self.n + teams[..., None, :]))
         against = np.swapaxes(g, -1, -2)
         # Each team's 0-0 "draw" with itself adds a point to every total.
         points = 3 * (g > against) + (g == against)

@@ -17,12 +17,18 @@ kernel `scoring.tiebreak_order`. Specs the batched engine supports
 (`batch.supports`) play a whole block as arrays with `batch.play_block`;
 the rest run the scalar interpreter `formats.run_format` row after row
 on the block's generator, up to the campaign's last tournament.
+
+A campaign keeps only the count of each L1 value, and its summary is
+computed from those counts, so its memory does not grow with its size.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import io
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -71,24 +77,40 @@ class DiscrepancyDistribution:
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int], n_teams: int) -> "DiscrepancyDistribution":
+        """The distribution of a count map. Its mean and numpy's 'linear'
+        percentiles are computed from the cumulative counts, without
+        expanding the sample, and equal `np.mean` and `np.percentile` of
+        the expanded sample exactly."""
         bound = (n_teams * n_teams) // 2
-        for v in counts:
+        for v, c in counts.items():
             if v % 2 or not (0 <= v <= bound):
                 raise InvalidInputError(f"impossible L1 value {v} for n={n_teams}")
-        n = sum(counts.values())
+            if c < 0:
+                raise InvalidInputError(f"negative count {c} for L1 value {v}")
+        values = sorted(counts)
+        ends = list(itertools.accumulate(counts[v] for v in values))  # one past each run
+        n = ends[-1] if ends else 0
         if n < 1:
             raise InvalidInputError("empty distribution")
-        values = np.repeat(
-            np.array(sorted(counts)), [counts[v] for v in sorted(counts)]
-        )
-        p5, p25, med, p75, p95 = np.percentile(values, [5, 25, 50, 75, 95])
+
+        def percentile(p):
+            # numpy's rule: index h = (n - 1) * p / 100 of the sorted sample,
+            # between its neighbours a and b at fraction t.
+            h = (n - 1) * (p / 100)
+            i = math.floor(h)
+            t = h - i
+            a = values[bisect.bisect_right(ends, i)]
+            b = values[bisect.bisect_right(ends, min(i + 1, n - 1))]
+            return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+        p5, p25, med, p75, p95 = (float(percentile(p)) for p in (5, 25, 50, 75, 95))
         return cls(
-            dict(sorted(counts.items())),
+            {v: counts[v] for v in values},
             n_teams,
             n,
-            float(np.mean(values)),
-            float(med),
-            (float(p5), float(p25), float(p75), float(p95)),
+            float(sum(v * counts[v] for v in values) / n),
+            med,
+            (p5, p25, p75, p95),
         )
 
     @property
@@ -140,8 +162,10 @@ class DiscrepancyDistribution:
                     continue
                 if not line or line.startswith("l1,"):
                     continue
-                v, c = line.split(",")
-                counts[int(v)] = int(c)
+                v, c = (int(x) for x in line.split(","))
+                if v in counts:
+                    raise ValueError(f"l1 value {v} is listed more than once")
+                counts[v] = c
             n_teams = int(header["n_teams"])
             n_samples = int(header["n_samples"])
         except KeyError as exc:
@@ -206,7 +230,7 @@ def _simulate_block(spec: CampaignSpec, first: int, last: int) -> Counter:
         if batched:
             with _located(f"tournaments {base + r0}-{base + r1 - 1}"):
                 final = batch.play_block(spec.format, spec.sampler, rng, BLOCK_SIZE)
-            l1 = np.abs(places - truth_place[final[r0:r1]]).sum(1)
+            l1 = np.einsum("ij->i", np.abs(places - truth_place[final[r0:r1]]))
         else:
             l1 = []
             for r in range(r1):

@@ -1,5 +1,6 @@
 """The batched campaign engine against the scalar engines it must match."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -437,6 +438,33 @@ class TestPinnedDraws:
         assert batch.supports(fmt, sampler)
         got = run_campaign(CampaignSpec(fmt, sampler, truth, 500, 2014))
         assert got.counts == self.SETTLED_COUNTS[decisive, kind, bo3, year]
+
+
+class TestPinnedBlocks:
+    """Final orders of `play_block`, row by row, pinned by one SHA-256 over
+    two blocks of every variant under every seeding, 0-2 replays, both
+    final resolutions, the default and a head-to-head policy, on both
+    models. A change that moves one draw or one place fails here, and
+    unlike the histograms of `TestPinnedDraws` no two changes can cancel
+    out. The same numpy stream caveat applies."""
+
+    H2H = TieBreakPolicy(("points", "head_to_head", "goal_difference", "seed_order"))
+    SHA256 = "015ce1c81269d56c68ca582c113ea111d0e4f7e01d83eec098f0f42055fa8900"
+
+    def test_final_orders(self):
+        digest = hashlib.sha256()
+        for year in (2012, 2013):
+            sampler = PoissonSampler(fixtures.load_goal_model(year))
+            truth = tuple(fixtures.published_truth(year).order())
+            for (kind, bo3), seeding, replays, resolution, policy in itertools.product(
+                    VARIANTS, (RANDOM_SEEDING, None, truth), (0, 1, 2),
+                    (UNIFORM_COIN, HIGHER_SEED), (TieBreakPolicy(), self.H2H)):
+                fmt = FormatSpec(kind, best_of_three=bo3, seeding=seeding,
+                                 decisive=DecisivePolicy(replays, resolution), policy=policy)
+                for block in (0, 1):
+                    final = batch.play_block(fmt, sampler, derive_rng(2014, block), 250)
+                    digest.update(final.astype("<i8").tobytes())
+        assert digest.hexdigest() == self.SHA256
 
 
 class TestSupports:

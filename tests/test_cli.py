@@ -273,6 +273,47 @@ PAPER_CAMPAIGNS = {
     ),
 }
 
+# The lines below the header of each --out file of the paper's campaign.
+# Stdout shows the mean to 4 decimals and no quantile; these pin all six
+# decimals of mean= and every quantile.
+PAPER_CAMPAIGN_FILES = {
+    (2012, "proposed"): (
+        "# n_teams=8 n_samples=10000\n"
+        "# mean=4.292200 median=4.0 p5=0.0 p25=2.0 p75=6.0 p95=8.0\n"
+        "l1,count\n0,814\n2,2296\n4,3084\n6,2538\n8,987\n10,252\n12,28\n14,1\n"
+    ),
+    (2012, "f2012"): (
+        "# n_teams=8 n_samples=10000\n"
+        "# mean=6.094600 median=6.0 p5=2.0 p25=4.0 p75=8.0 p95=12.0\n"
+        "l1,count\n0,335\n2,1140\n4,2168\n6,2671\n8,2064\n10,1117\n12,407\n14,84\n16,13\n"
+        "18,1\n"
+    ),
+    (2012, "f2013"): (
+        "# n_teams=8 n_samples=10000\n"
+        "# mean=6.618800 median=6.0 p5=2.0 p25=4.0 p75=8.0 p95=12.0\n"
+        "l1,count\n0,243\n2,862\n4,1879\n6,2613\n8,2351\n10,1327\n12,532\n14,151\n16,33\n"
+        "18,7\n20,2\n"
+    ),
+    (2013, "proposed"): (
+        "# n_teams=8 n_samples=10000\n"
+        "# mean=7.432600 median=8.0 p5=2.0 p25=6.0 p75=10.0 p95=12.0\n"
+        "l1,count\n0,155\n2,633\n4,1349\n6,2290\n8,2570\n10,1816\n12,820\n14,273\n16,78\n"
+        "18,13\n20,3\n"
+    ),
+    (2013, "f2012"): (
+        "# n_teams=8 n_samples=10000\n"
+        "# mean=9.254200 median=10.0 p5=4.0 p25=6.0 p75=12.0 p95=16.0\n"
+        "l1,count\n0,55\n2,314\n4,783\n6,1560\n8,2147\n10,2099\n12,1532\n14,902\n16,417\n"
+        "18,142\n20,37\n22,7\n24,4\n26,1\n"
+    ),
+    (2013, "f2013"): (
+        "# n_teams=8 n_samples=10000\n"
+        "# mean=10.098000 median=10.0 p5=4.0 p25=8.0 p75=12.0 p95=16.0\n"
+        "l1,count\n0,46\n2,229\n4,584\n6,1206\n8,1958\n10,2100\n12,1703\n14,1076\n"
+        "16,660\n18,320\n20,80\n22,27\n24,7\n26,4\n"
+    ),
+}
+
 
 class TestCampaign:
     @pytest.mark.parametrize("year", PAPER_CAMPAIGNS)
@@ -284,6 +325,19 @@ class TestCampaign:
         )
         assert code == 0
         assert out == PAPER_CAMPAIGNS[year]
+
+    @pytest.mark.parametrize("year", PAPER_CAMPAIGNS)
+    def test_paper_campaign_files_pinned(self, capsys, tmp_path, year):
+        model = MODEL_2012 if year == 2012 else MODEL_2013
+        code, _, _ = run(
+            capsys, "campaign", "--model", model,
+            "--format", "proposed", "f2012", "f2013", "--n", "10000",
+            "--out", str(tmp_path / "paper.csv"),
+        )
+        assert code == 0
+        for fmt in ("proposed", "f2012", "f2013"):
+            text = (tmp_path / f"paper-{fmt}.csv").read_text()
+            assert text[text.index("# n_teams="):] == PAPER_CAMPAIGN_FILES[year, fmt], fmt
 
     def test_single_format_small_n(self, capsys, tmp_path):
         dest = tmp_path / "hist.csv"
@@ -514,6 +568,25 @@ class TestUnreadableInput:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith(f"tournsim: error: {missing}: No such file")
+
+    @pytest.mark.parametrize(
+        "n_samples,rows,error",
+        [
+            (2, "2,-1\n4,3\n", "negative count -1 for L1 value 2"),
+            # Read as {2: 2, 4: 3} before: the last row overwrote the first,
+            # and the counts then summed to n_samples.
+            (5, "2,1\n4,3\n2,2\n", "l1 value 2 is listed more than once"),
+        ],
+        ids=["negative-count", "repeated-value"],
+    )
+    def test_bad_histogram_counts_are_data_errors(self, capsys, tmp_path, n_samples, rows,
+                                                  error):
+        hist = tmp_path / "hist.csv"
+        hist.write_text(f"# tournsim-histogram v1\n# n_teams=8 n_samples={n_samples}\n"
+                        f"l1,count\n{rows}")
+        code, out, err = run(capsys, "compare", str(hist), str(hist))
+        assert (code, out) == (2, "")
+        assert err.startswith("tournsim: error: ") and error in err
 
     def test_binary_file_is_data_error(self, capsys, tmp_path):
         binary = tmp_path / "hist.bin"

@@ -262,6 +262,31 @@ class TestDistribution:
         with pytest.raises(InvalidInputError):
             DiscrepancyDistribution.from_counts({}, 8)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvalidInputError, match="negative count -1 for L1 value 2"):
+            DiscrepancyDistribution.from_counts({2: -1, 4: 3}, 8)
+
+    @given(
+        st.dictionaries(st.integers(0, 16).map(lambda k: 2 * k), st.integers(0, 400),
+                        min_size=1, max_size=17)
+        .filter(lambda counts: sum(counts.values()) > 0)
+    )
+    @example({6: 1})  # n = 1
+    @example({10: 5000})  # a single value
+    @example({0: 0, 4: 3, 8: 0, 32: 1})  # zero counts around the sample
+    @example({0: 99_999, 2: 1, 30: 100_000})  # large counts
+    @example({4: 1, 18: 1})  # p95: numpy's b - (b - a)(1 - t) is not a + (b - a)t here
+    @settings(max_examples=300, deadline=None)
+    def test_summary_equals_numpy_on_the_expanded_sample(self, counts):
+        d = DiscrepancyDistribution.from_counts(counts, 8)
+        sample = np.repeat(sorted(counts), [counts[v] for v in sorted(counts)])
+        p5, p25, p50, p75, p95 = np.percentile(sample, [5, 25, 50, 75, 95])
+        assert d.n_samples == sample.size
+        assert d.mean == np.mean(sample)
+        assert d.median == p50
+        assert d.quantiles == (p5, p25, p75, p95)
+        assert all(type(x) is float for x in (d.mean, d.median, *d.quantiles))
+
     def test_text_round_trip(self):
         d = run_campaign(spec(n=150))
         text = d.to_text(header={"format": "format_2013_double_elim"})

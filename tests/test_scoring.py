@@ -105,6 +105,39 @@ class TestContinuousPoints:
         points, _, _ = round_robin_totals(np.zeros((n_teams, n_teams)), per_opp)
         assert points == pytest.approx(total / n_games)
 
+    # float.hex of every team's points, goals for and goals against. Ties
+    # must not depend on summation order, so float tables keep np.sum; an
+    # integer-only reduction that reached them would move a last bit here.
+    TOTALS_HEX = {
+        2012: {
+            "Helios": ("0x1.226e978d4fdf4p+4", "0x1.d800000000001p+4", "0x1.c000000000001p+1"),
+            "Wright": ("0x1.2e624dd2f1aa0p+4", "0x1.6000000000000p+5", "0x1.5333333333333p+2"),
+            "Marlik": ("0x1.3ff7ced916872p+3", "0x1.d70a3d70a3d71p+2", "0x1.c3d70a3d70a3ep+2"),
+            "Gliders": ("0x1.494fdf3b645a2p+3", "0x1.a1eb851eb851ep+3", "0x1.351eb851eb852p+3"),
+            "GDUT": ("0x1.f333333333333p+2", "0x1.8cccccccccccdp+3", "0x1.2666666666666p+4"),
+            "AUT": ("0x1.820c49ba5e354p-2", "0x1.4cccccccccccdp+0", "0x1.44ccccccccccdp+5"),
+            "Yushan": ("0x1.835c28f5c28f6p+3", "0x1.6cccccccccccdp+4", "0x1.04cccccccccccp+4"),
+            "RobOTTO": ("0x1.7c8b439581063p+1", "0x1.6666666666667p+2", "0x1.1999999999999p+5"),
+        },
+        2013: {
+            "Wright": ("0x1.24ed916872b02p+4", "0x1.b4ccccccccccep+4", "0x1.3333333333332p+2"),
+            "Helios": ("0x1.0efdf3b645a1dp+4", "0x1.219999999999ap+4", "0x1.999999999999bp+1"),
+            "Yushan": ("0x1.2de353f7ced92p+3", "0x1.3333333333334p+3", "0x1.5cccccccccccdp+3"),
+            "Axiom": ("0x1.db4395810624dp+1", "0x1.5333333333333p+2", "0x1.3cccccccccccdp+4"),
+            "Gliders": ("0x1.0bdf3b645a1cbp+3", "0x1.099999999999ap+3", "0x1.4999999999999p+3"),
+            "Oxsy": ("0x1.31604189374bcp+3", "0x1.5333333333334p+3", "0x1.999999999999ap+3"),
+            "AUT": ("0x1.1a9fbe76c8b44p+2", "0x1.4000000000000p+2", "0x1.3000000000000p+4"),
+            "Cyrus": ("0x1.0d0e560418937p+3", "0x1.1666666666666p+3", "0x1.8333333333334p+3"),
+        },
+    }
+
+    @pytest.mark.parametrize("year", [2012, 2013])
+    def test_totals_pinned_to_the_last_bit(self, year):
+        table = fixtures.continuous_fixture_standings(*models(year))
+        got = {team: (s.points.hex(), s.goals_for.hex(), s.goals_against.hex())
+               for team, s in table.items()}
+        assert got == self.TOTALS_HEX[year]
+
 
 class TestDiscreteStandings:
     def test_2012_points_column(self):
