@@ -13,11 +13,12 @@ golden-check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 from . import __version__, fixtures
-from .errors import TournsimError
+from .errors import InvalidInputError, TournsimError
 from .formats import RANDOM_SEEDING, DecisivePolicy, FormatSpec, run_format
 from .model import PoissonSampler, derive_rng, load_model
 from .montecarlo import (
@@ -74,34 +75,31 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _read(path: str) -> str:
-    """The text of an input file, without the byte-order mark a spreadsheet
-    may write; a file that cannot be read is a data error naming it."""
+@contextlib.contextmanager
+def _naming(path: str):
+    """Name `path` in any data error raised inside the block: a file that
+    cannot be opened, read or written, text that is not UTF-8, or a
+    `TournsimError` about what the file holds."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return fh.read()
+        yield
     except OSError as exc:
         raise TournsimError(f"{path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise TournsimError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except TournsimError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _read(path: str, parse):
+    """`parse` of the text of an input file, without the byte-order mark a
+    spreadsheet may write; a data error in either names the file."""
+    with _naming(path), open(path, "r", encoding="utf-8-sig") as fh:
+        return parse(fh.read())
 
 
 def _write(path: str, text: str) -> None:
-    """Write an output file; a file that cannot be written is a data error
-    naming it."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise TournsimError(f"{path}: {exc.strerror}") from exc
-
-
-def _load(path: str):
-    text = _read(path)
-    try:
-        return load_model(text)
-    except TournsimError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    with _naming(path), open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _points_path(model_path: str) -> str:
@@ -110,16 +108,14 @@ def _points_path(model_path: str) -> str:
 
 
 def cmd_rank(args) -> int:
-    model = _load(args.model)
+    model = _read(args.model, load_model)
     if args.scheme == DISCRETE:
         table = fixtures.discrete_fixture_standings(model)
     else:
-        points_path = args.points or _points_path(args.model)
-        points = _load(points_path)
-        try:
-            table = fixtures.continuous_fixture_standings(model, points)
-        except TournsimError as exc:
-            raise type(exc)(f"{points_path}: {exc}") from exc
+        def standings(text):
+            return fixtures.continuous_fixture_standings(model, load_model(text))
+
+        table = _read(args.points or _points_path(args.model), standings)
     ranking = rank(table, seed_order=list(model.names))
     _emit(_comments(_header(args)) + standings_to_csv(table, ranking), args.out)
     return 0
@@ -145,7 +141,7 @@ def _format_spec(args, fmt=None, truth=None) -> FormatSpec:
 
 
 def cmd_simulate(args) -> int:
-    model = _load(args.model)
+    model = _read(args.model, load_model)
     spec = _format_spec(args)
     sampler = PoissonSampler(model)
     outcome = run_format(spec, sampler, derive_rng(args.seed, 0))
@@ -176,16 +172,19 @@ def _truth_ranking(args, model) -> Ranking:
             keep_games=False,
         )
         return outcome.ranking
-    lines = _read(args.truth).splitlines()
-    names = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
-    try:
-        return Ranking.from_order(names)
-    except TournsimError as exc:
-        raise type(exc)(f"{args.truth}: {exc}") from exc
+
+    def ranking(text):
+        names = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        truth = Ranking.from_order(names)
+        if set(names) != set(model.names):
+            raise InvalidInputError("truth ranking does not cover the model's teams")
+        return truth
+
+    return _read(args.truth, ranking)
 
 
 def cmd_campaign(args) -> int:
-    model = _load(args.model)
+    model = _read(args.model, load_model)
     sampler = PoissonSampler(model)
     truth = _truth_ranking(args, model)
     specs = [
@@ -221,7 +220,7 @@ def _suffixed(path: str, fmt: str) -> str:
 
 
 def cmd_compare(args) -> int:
-    dists = [DiscrepancyDistribution.from_text(_read(path)) for path in (args.a, args.b)]
+    dists = [_read(path, DiscrepancyDistribution.from_text) for path in (args.a, args.b)]
     summary = compare_campaigns(dists[0], dists[1])
     print(f"mean_delta={summary.mean_delta:.4f}")
     print(f"median_delta={summary.median_delta:.1f}")
@@ -232,12 +231,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    checks = fixtures.golden_checks()
     failures = 0
-    for check in fixtures.golden_checks():
+    for check in checks:
         ok = check.run()
         print(f"{'PASS' if ok else 'FAIL'} {check.name}")
         failures += 0 if ok else 1
-    print(f"{failures} failed of {len(fixtures.golden_checks())} checks")
+    print(f"{failures} failed of {len(checks)} checks")
     return 3 if failures else 0
 
 

@@ -8,12 +8,13 @@ The published rankings and the classification-playoff winners they imply
 are recorded here as constants.
 
 All three kinds of table are read by `model._read_table`, so they share
-its checks of header, row order, cell count and diagonal; the combined
-tables' 'a:b' cells become a `FixedResultTable`. `discrete_fixture_standings`
-and `continuous_fixture_standings` score the mean matrices of a goal model
-(and, under the continuous scheme, of its points model), bundled or read by
-`tournsim rank`, with `scoring.round_robin_totals`, the kernel of every
-complete round robin.
+its checks of header, row order, cell count and diagonal and its naming of
+a cell that does not parse; the combined tables' 'a:b' cells are read as
+goal pairs into a `FixedResultTable`, which checks their values.
+`discrete_fixture_standings` and `continuous_fixture_standings` score the
+mean matrices of a goal model (and, under the continuous scheme, of its
+points model), bundled or read by `tournsim rank`, with
+`scoring.round_robin_totals`, the kernel of every complete round robin.
 """
 
 from __future__ import annotations
@@ -115,20 +116,12 @@ def load_points_model(year: int) -> PairwiseGoalModel:
 def load_combined_table(year: int) -> FixedResultTable:
     """Combined actual/average score table: cell (i, j) reads 'a:b', the
     goals of the row team and of the column team, diagonal blank."""
-    names, rows = _read_table(fixture_text(f"combined{year}.csv"))
-    goals = np.zeros((len(names), len(names), 2))
-    for r, cells in enumerate(rows):
-        for c, cell in enumerate(cells):
-            if cell is None:
-                continue
-            try:
-                a, b = cell.split(":")
-                goals[r, c] = float(a), float(b)
-            except ValueError:
-                raise IngestionError(
-                    f"row {names[r]!r}, column {names[c]!r}: bad score cell {cell!r}"
-                ) from None
-    return FixedResultTable(names, goals)
+    return FixedResultTable(*_read_table(fixture_text(f"combined{year}.csv"), _score, (2,)))
+
+
+def _score(cell: str) -> tuple[float, float]:
+    a, b = cell.split(":")
+    return float(a), float(b)
 
 
 def discrete_fixture_standings(model: PairwiseGoalModel) -> dict[str, TeamStats]:

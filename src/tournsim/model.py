@@ -8,15 +8,15 @@ available behind the same interface.
 Every team-by-team table, the goal means and per-pair points that
 `load_model` reads and the combined score tables of `tournsim.fixtures`,
 goes through one reader, `_read_table`, which checks the table's shape
-and hands back its cells as text.
+and parses its cells into one float array. Whether the values are finite
+and nonnegative is checked by the type the array goes into.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import namedtuple
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,8 +45,8 @@ class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
 
 class PairwiseGoalModel:
     """n x n matrix of mean goals; entry (i, j) is the expected goals team i
-    scores against team j. The diagonal is unused. Immutable after
-    construction and safe to share across workers."""
+    scores against team j, finite and nonnegative. The diagonal is unused.
+    Immutable after construction and safe to share across workers."""
 
     def __init__(self, names: Sequence[str], mean_goals):
         names = list(names)
@@ -60,12 +60,13 @@ class PairwiseGoalModel:
             raise IngestionError(
                 f"matrix shape {matrix.shape} does not match {n} teams"
             )
-        off = ~np.eye(n, dtype=bool)
-        vals = matrix[off]
-        if not np.all(np.isfinite(vals)):
-            raise IngestionError("non-finite mean goals entry")
-        if np.any(vals < 0):
-            raise IngestionError("negative mean goals entry")
+        valid = np.isfinite(matrix) & (matrix >= 0) | np.eye(n, dtype=bool)
+        if not valid.all():
+            i, j = np.argwhere(~valid)[0]
+            raise IngestionError(
+                f"row {names[i]!r}, column {names[j]!r}: "
+                f"invalid mean goals {matrix[i, j].item()}"
+            )
         self.names = names
         self.mean_goals = matrix
         self.mean_goals.setflags(write=False)
@@ -75,12 +76,17 @@ class PairwiseGoalModel:
         return len(self.names)
 
 
-def _read_table(text: str) -> tuple[list[str], list[list[Optional[str]]]]:
-    """The team names and the cells of a team-by-team table, one list per
-    row: a comma-separated matrix whose first row (after an optional blank
-    cell) and first column name the teams in the same order, with a blank
-    or '-' diagonal. Diagonal cells come back as None; the other cells as
-    stripped text. Raises IngestionError naming the offending row."""
+def _read_table(
+    text: str, parse: Callable[[str], object], shape: tuple[int, ...] = ()
+) -> tuple[list[str], np.ndarray]:
+    """The team names and the values of a team-by-team table: a
+    comma-separated matrix whose first row (after an optional blank cell)
+    and first column name the teams in the same order, with a blank or '-'
+    diagonal. `parse` reads each other cell's stripped text into a value of
+    `shape`; the values come back as one float array of shape
+    (n, n, *shape) with a zero diagonal. Every row's layout is checked
+    before any cell is parsed. Raises IngestionError naming the offending
+    row, and the column of a cell `parse` rejects with a ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise IngestionError("empty model file")
@@ -109,9 +115,16 @@ def _read_table(text: str) -> tuple[list[str], list[list[Optional[str]]]]:
             )
         if cells[r] not in ("", "-"):
             raise IngestionError(f"row {row_name!r}: diagonal cell must be blank")
-        cells[r] = None
         rows.append(cells)
-    return names, rows
+    values = np.zeros((n, n, *shape))
+    for r, c in itertools.permutations(range(n), 2):
+        try:
+            values[r, c] = parse(rows[r][c])
+        except ValueError:
+            raise IngestionError(
+                f"row {names[r]!r}, column {names[c]!r}: unparsable cell {rows[r][c]!r}"
+            ) from None
+    return names, values
 
 
 def load_model(text: str) -> PairwiseGoalModel:
@@ -119,26 +132,7 @@ def load_model(text: str) -> PairwiseGoalModel:
     the mean goals of the row team against the column team, a finite
     nonnegative number. Raises IngestionError naming the offending
     row/column."""
-    names, rows = _read_table(text)
-    matrix = np.zeros((len(names), len(names)))
-    for r, cells in enumerate(rows):
-        for c, cell in enumerate(cells):
-            if cell is None:
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise IngestionError(
-                    f"row {names[r]!r}, column {names[c]!r}: "
-                    f"unparsable cell {cell!r}"
-                ) from None
-            if not math.isfinite(v) or v < 0:
-                raise IngestionError(
-                    f"row {names[r]!r}, column {names[c]!r}: "
-                    f"invalid mean goals {cell!r}"
-                )
-            matrix[r, c] = v
-    return PairwiseGoalModel(names, matrix)
+    return PairwiseGoalModel(*_read_table(text, float))
 
 
 class PoissonSampler:

@@ -81,6 +81,8 @@ class DiscrepancyDistribution:
         percentiles are computed from the cumulative counts, without
         expanding the sample, and equal `np.mean` and `np.percentile` of
         the expanded sample exactly."""
+        if n_teams < 2:
+            raise InvalidInputError(f"a ranking needs at least 2 teams, not {n_teams}")
         bound = (n_teams * n_teams) // 2
         for v, c in counts.items():
             if v % 2 or not (0 <= v <= bound):

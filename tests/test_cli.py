@@ -390,6 +390,26 @@ class TestCampaign:
         assert out == ""
         assert f"{truth}: team 'Helios' is listed more than once" in err
 
+    @pytest.mark.parametrize(
+        "teams",
+        [
+            ["Wright", "Helios", "Yushan", "Gliders", "Marlik", "GDUT", "RobOTTO"],
+            ["Wright", "Helios", "Yushan", "Gliders", "Marlik", "GDUT", "RobOTTO", "Oxsy"],
+        ],
+        ids=["team-left-out", "team-not-in-model"],
+    )
+    def test_truth_file_not_covering_the_model_names_it(self, capsys, tmp_path, teams):
+        truth = tmp_path / "truth.txt"
+        truth.write_text("".join(f"{team}\n" for team in teams))
+        code, out, err = run(
+            capsys, "campaign", "--model", MODEL_2012, "--format", "f2012",
+            "--n", "5", "--truth", str(truth),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"tournsim: error: {truth}: truth ranking does not cover the model's teams\n"
+        )
+
     def test_truth_file_with_byte_order_mark(self, capsys, tmp_path):
         order = "".join(f"{name}\n" for name in fixtures.R_C_2012.order())
         plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
@@ -527,6 +547,19 @@ class TestReproduce:
         assert not any(ln.startswith("FAIL") for ln in lines)
         assert sum(1 for ln in passes if " L1-" in ln) == 6
 
+    def test_checks_are_built_once(self, capsys, monkeypatch):
+        real = fixtures.golden_checks
+        built = []
+
+        def counted():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(fixtures, "golden_checks", counted)
+        code, out, _ = run(capsys, "reproduce")
+        assert (code, len(built)) == (0, 1)
+        assert out.endswith("0 failed of 13 checks\n")
+
     def test_perturbed_data_fails_named_check(self, capsys, monkeypatch):
         real = fixtures.fixture_text
 
@@ -587,6 +620,32 @@ class TestUnreadableInput:
         code, out, err = run(capsys, "compare", str(hist), str(hist))
         assert (code, out) == (2, "")
         assert err.startswith("tournsim: error: ") and error in err
+
+    def test_malformed_second_histogram_is_named(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        run(capsys, "campaign", "--model", MODEL_2012, "--format", "f2012",
+            "--n", "5", "--out", str(good))
+        bad.write_text("# tournsim-histogram v1\n# n_teams=8 n_samples=2\nl1,count\n2;2\n")
+        code, out, err = run(capsys, "compare", str(good), str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"tournsim: error: {bad}: malformed histogram line: ")
+
+    def test_histogram_over_fewer_than_two_teams_is_data_error(self, capsys, tmp_path):
+        hist = tmp_path / "hist.csv"
+        hist.write_text("# tournsim-histogram v1\n# n_teams=-3 n_samples=2\n"
+                        "l1,count\n2,1\n4,1\n")
+        code, out, err = run(capsys, "compare", str(hist), str(hist))
+        assert (code, out) == (2, "")
+        assert err == f"tournsim: error: {hist}: a ranking needs at least 2 teams, not -3\n"
+
+    def test_bad_model_cell_names_file_row_and_column(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",A,B\nA,,-1.0\nB,0.5,\n")
+        code, out, err = run(capsys, "rank", "--model", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"tournsim: error: {bad}: row 'A', column 'B': invalid mean goals -1.0\n"
+        )
 
     def test_binary_file_is_data_error(self, capsys, tmp_path):
         binary = tmp_path / "hist.bin"

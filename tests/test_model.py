@@ -46,6 +46,22 @@ class TestLoadModel:
         with pytest.raises(IngestionError, match="invalid mean goals"):
             load_model(text)
 
+    @pytest.mark.parametrize(
+        "cell,shown", [("-1.0", "-1.0"), ("-2", "-2.0"), ("nan", "nan"), ("inf", "inf")]
+    )
+    def test_bad_value_message_names_cell_in_plain_numbers(self, cell, shown):
+        with pytest.raises(IngestionError) as info:
+            load_model(f",A,B\nA,,{cell}\nB,0.5,\n")
+        assert str(info.value) == f"row 'A', column 'B': invalid mean goals {shown}"
+
+    def test_model_names_first_bad_cell(self):
+        # The constructor, not the reader, checks the values, so a model
+        # built from an array names the cell too; the diagonal is unused.
+        means = np.array([[np.nan, 1.0, 2.0], [0.5, 0.0, -0.25], [1.0, -3.0, 0.0]])
+        with pytest.raises(IngestionError) as info:
+            PairwiseGoalModel(["A", "B", "C"], means)
+        assert str(info.value) == "row 'B', column 'C': invalid mean goals -0.25"
+
     def test_non_square_rejected(self):
         with pytest.raises(IngestionError):
             load_model(",A,B\nA,,1.0\n")

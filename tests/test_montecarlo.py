@@ -266,6 +266,11 @@ class TestDistribution:
         with pytest.raises(InvalidInputError, match="negative count -1 for L1 value 2"):
             DiscrepancyDistribution.from_counts({2: -1, 4: 3}, 8)
 
+    @pytest.mark.parametrize("n_teams", [1, 0, -3])
+    def test_fewer_than_two_teams_rejected(self, n_teams):
+        with pytest.raises(InvalidInputError, match=f"at least 2 teams, not {n_teams}"):
+            DiscrepancyDistribution.from_counts({0: 1}, n_teams)
+
     @given(
         st.dictionaries(st.integers(0, 16).map(lambda k: 2 * k), st.integers(0, 400),
                         min_size=1, max_size=17)
