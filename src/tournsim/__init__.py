@@ -23,7 +23,6 @@ from .formats import (
     run_format,
 )
 from .model import (
-    EmpiricalPoolSampler,
     GameResult,
     PairwiseGoalModel,
     PoissonSampler,

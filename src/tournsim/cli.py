@@ -162,21 +162,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _truth_ranking(args, model) -> Ranking:
+def _truth_ranking(args, sampler) -> Ranking:
     if args.truth == "oracle":
         spec = FormatSpec(kind="iterated_round_robin", games_per_pair=1000)
-        outcome = run_format(
-            spec,
-            PoissonSampler(model),
-            derive_rng(args.seed, TRUTH_STREAM_KEY),
-            keep_games=False,
-        )
-        return outcome.ranking
+        rng = derive_rng(args.seed, TRUTH_STREAM_KEY)
+        return run_format(spec, sampler, rng, keep_games=False).ranking
 
     def ranking(text):
         names = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
         truth = Ranking.from_order(names)
-        if set(names) != set(model.names):
+        if set(names) != set(sampler.names):
             raise InvalidInputError("truth ranking does not cover the model's teams")
         return truth
 
@@ -186,7 +181,7 @@ def _truth_ranking(args, model) -> Ranking:
 def cmd_campaign(args) -> int:
     model = _read(args.model, load_model)
     sampler = PoissonSampler(model)
-    truth = _truth_ranking(args, model)
+    truth = _truth_ranking(args, sampler)
     specs = [
         CampaignSpec(
             format=_format_spec(args, fmt, truth),

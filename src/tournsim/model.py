@@ -2,21 +2,20 @@
 
 The generative ground truth is an n x n matrix of mean goals per ordered
 team pair. Game results are drawn as two independent Poisson variates, one
-per side; an empirical-pool sampler drawing from a recorded game log is
-available behind the same interface.
+per side.
 
 Every team-by-team table, the goal means and per-pair points that
 `load_model` reads and the combined score tables of `tournsim.fixtures`,
 goes through one reader, `_read_table`, which checks the table's shape
-and parses its cells into one float array. Whether the values are finite
-and nonnegative is checked by the type the array goes into.
+and parses its cells into one float array. Whether the values are in
+range is checked by the type the array goes into.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,9 +42,14 @@ class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
         return cls(*iterable)
 
 
+# The largest mean a model accepts: a team's goal total in any oracle run
+# that fits in memory, about (n - 1) * games_per_pair * mean, stays in int64.
+MAX_MEAN_GOALS = 1e6
+
+
 class PairwiseGoalModel:
     """n x n matrix of mean goals; entry (i, j) is the expected goals team i
-    scores against team j, finite and nonnegative. The diagonal is unused.
+    scores against team j, from 0 to MAX_MEAN_GOALS. The diagonal is unused.
     Immutable after construction and safe to share across workers."""
 
     def __init__(self, names: Sequence[str], mean_goals):
@@ -60,7 +64,7 @@ class PairwiseGoalModel:
             raise IngestionError(
                 f"matrix shape {matrix.shape} does not match {n} teams"
             )
-        valid = np.isfinite(matrix) & (matrix >= 0) | np.eye(n, dtype=bool)
+        valid = (matrix >= 0) & (matrix <= MAX_MEAN_GOALS) | np.eye(n, dtype=bool)
         if not valid.all():
             i, j = np.argwhere(~valid)[0]
             raise IngestionError(
@@ -129,8 +133,8 @@ def _read_table(
 
 def load_model(text: str) -> PairwiseGoalModel:
     """Read a comma-separated matrix (see `_read_table`): cell (i, j) is
-    the mean goals of the row team against the column team, a finite
-    nonnegative number. Raises IngestionError naming the offending
+    the mean goals of the row team against the column team, a number from
+    0 to MAX_MEAN_GOALS. Raises IngestionError naming the offending
     row/column."""
     return PairwiseGoalModel(*_read_table(text, float))
 
@@ -158,54 +162,6 @@ class PoissonSampler:
             raise InvalidPairingError("a team cannot play itself")
         m = self._m
         return rng.poisson(m[i, j], count), rng.poisson(m[j, i], count)
-
-
-class EmpiricalPoolSampler:
-    """Alternative backend drawing uniformly from a recorded pool of game
-    results, one pool per unordered pair; every pair of the distinct
-    `names` needs at least one game, and every game is of two of them."""
-
-    backend = "empirical"
-
-    def __init__(self, names: Sequence[str], games: Iterable[GameResult]):
-        self.names = list(names)
-        n = len(self.names)
-        index = {name: i for i, name in enumerate(self.names)}
-        if len(index) != n:
-            raise InvalidInputError("duplicate team name in pool names")
-        self._pools: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for g in games:
-            try:
-                i, j = index[g.home], index[g.away]
-            except KeyError as e:
-                raise InvalidInputError(
-                    f"pool game {g.home} v {g.away}: {e.args[0]!r} is not in names"
-                ) from None
-            gi, gj = g.home_goals, g.away_goals
-            if i > j:
-                i, j, gi, gj = j, i, gj, gi
-            self._pools.setdefault((i, j), []).append((gi, gj))
-        if not self._pools:
-            raise InvalidInputError("empty game pool")
-        for i, j in itertools.combinations(range(n), 2):
-            if (i, j) not in self._pools:
-                raise InvalidInputError(
-                    f"no recorded games for pair ({self.names[i]}, {self.names[j]})"
-                )
-
-    def sample(self, i: int, j: int, rng: np.random.Generator) -> tuple[int, int]:
-        if i == j:
-            raise InvalidPairingError("a team cannot play itself")
-        pool = self._pools[(i, j) if i < j else (j, i)]
-        ga, gb = pool[int(rng.integers(len(pool)))]
-        return (ga, gb) if i < j else (gb, ga)
-
-    def sample_many(self, i: int, j: int, count: int, rng: np.random.Generator):
-        a = np.empty(count, dtype=np.int64)
-        b = np.empty(count, dtype=np.int64)
-        for k in range(count):
-            a[k], b[k] = self.sample(i, j, rng)
-        return a, b
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:

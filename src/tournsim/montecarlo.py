@@ -49,7 +49,7 @@ HISTOGRAM_MAGIC = "# tournsim-histogram v1"
 @dataclass(frozen=True)
 class CampaignSpec:
     format: FormatSpec
-    sampler: object  # PoissonSampler or EmpiricalPoolSampler
+    sampler: object  # PoissonSampler; any other sampler takes the scalar fallback
     truth: Ranking
     n_tournaments: int
     master_seed: int

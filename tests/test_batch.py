@@ -28,6 +28,7 @@ from tournsim import (
 from tournsim import batch
 from tournsim.formats import BRACKETS, RR
 
+from duck_sampler import DuckSampler
 from reference_ranking import ALL_POLICIES, reference_rank
 
 NAMES8 = [f"T{i}" for i in range(8)]
@@ -65,17 +66,6 @@ def chain_sampler():
     """The lower index scores 40 a game against a higher one and concedes
     none, so every game has the same winner."""
     return sampler_of(np.triu(np.full((8, 8), 40.0), 1))
-
-
-class ScalarSampler:
-    """A Poisson sampler the batched engine does not recognise, so its
-    campaigns run on the scalar engines."""
-
-    def __init__(self, inner):
-        self.names = inner.names
-        self.backend = inner.backend
-        self.sample = inner.sample
-        self.sample_many = inner.sample_many
 
 
 def scalar_order(spec, sampler, seed):
@@ -191,9 +181,9 @@ class TestDistributionsMatch:
 
     def check(self, fmt, sampler, truth):
         assert batch.supports(fmt, sampler)
-        assert not batch.supports(fmt, ScalarSampler(sampler))
+        assert not batch.supports(fmt, DuckSampler(sampler))
         scalar = run_campaign(
-            CampaignSpec(fmt, ScalarSampler(sampler), truth, self.N_SCALAR, 11)
+            CampaignSpec(fmt, DuckSampler(sampler), truth, self.N_SCALAR, 11)
         )
         batched = run_campaign(CampaignSpec(fmt, sampler, truth, self.N_BATCHED, 12))
         table = pooled_bins(scalar.counts, batched.counts)
@@ -476,4 +466,4 @@ class TestSupports:
         assert batch.supports(FormatSpec("proposed", policy=h2h), sampler)
         six = PoissonSampler(PairwiseGoalModel(NAMES8[:6], np.ones((6, 6))))
         assert not batch.supports(FormatSpec("proposed"), six)
-        assert not batch.supports(FormatSpec("proposed"), ScalarSampler(sampler))
+        assert not batch.supports(FormatSpec("proposed"), DuckSampler(sampler))

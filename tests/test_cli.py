@@ -1,10 +1,9 @@
 import hashlib
 import os
 
-import numpy as np
 import pytest
 
-from tournsim import InvalidInputError, __version__, fixtures
+from tournsim import InvalidInputError, PoissonSampler, __version__, cli, fixtures
 from tournsim.cli import main
 
 MODEL_2012 = str(fixtures.fixture_path("robocup2012.csv"))
@@ -410,6 +409,17 @@ class TestCampaign:
             f"tournsim: error: {truth}: truth ranking does not cover the model's teams\n"
         )
 
+    def test_oracle_truth_draws_from_the_campaign_sampler(self, capsys, monkeypatch):
+        built = []
+
+        def recorded(model):
+            built.append(PoissonSampler(model))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "PoissonSampler", recorded)
+        code, _, _ = run(capsys, "campaign", "--model", MODEL_2012, "--format", "f2012", "--n", "5")
+        assert (code, len(built)) == (0, 1)
+
     def test_truth_file_with_byte_order_mark(self, capsys, tmp_path):
         order = "".join(f"{name}\n" for name in fixtures.R_C_2012.order())
         plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
@@ -645,6 +655,27 @@ class TestUnreadableInput:
         assert (code, out) == (2, "")
         assert err == (
             f"tournsim: error: {bad}: row 'A', column 'B': invalid mean goals -1.0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--scheme", "discrete"],
+            ["simulate", "--format", "oracle"],
+            ["campaign", "--format", "proposed", "--n", "5"],
+        ],
+        ids=["rank", "simulate", "campaign"],
+    )
+    @pytest.mark.parametrize("cell", ["1e300", "1000000.5"])
+    def test_model_mean_above_limit_names_file_row_and_column(self, capsys, tmp_path, argv, cell):
+        # numpy cannot draw from a mean of 1e300, and far smaller means
+        # wrap the int64 totals of an oracle run, so loading rejects them.
+        huge = tmp_path / "huge.csv"
+        huge.write_text(f",A,B\nA,,1.0\nB,{cell},\n")
+        code, out, err = run(capsys, *argv, "--model", str(huge))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"tournsim: error: {huge}: row 'B', column 'A': invalid mean goals {float(cell)}\n"
         )
 
     def test_binary_file_is_data_error(self, capsys, tmp_path):

@@ -32,8 +32,9 @@ from tournsim import (
     run_format,
 )
 from tournsim import fixtures
-from tournsim.formats import league_table
+from tournsim.formats import KINDS, league_table
 
+from duck_sampler import DuckSampler
 from reference_ranking import ALL_POLICIES, reference_rank
 
 NAMES8 = [f"T{i}" for i in range(8)]
@@ -487,29 +488,20 @@ class TestFixedResults:
 
 
 class TestSamplerInterchangeability:
-    def test_empirical_pool_backend_runs_all_formats(self):
-        from tournsim import EmpiricalPoolSampler
+    """`run_format` reads a sampler's `names`, `sample` and `sample_many`
+    alone, so a duck sampler plays every format as the sampler it wraps."""
 
-        goal = flat_sampler()
-        rng = derive_rng(14, 0)
-        pool = [
-            GameResult(NAMES8[i], NAMES8[j], *goal.sample(i, j, rng))
-            for i in range(8)
-            for j in range(8)
-            if i != j
-            for _ in range(25)
-        ]
-        emp = EmpiricalPoolSampler(NAMES8, pool)
-        for k, spec in enumerate(
-            [
-                FormatSpec("format_2012"),
-                FormatSpec("format_2013_double_elim"),
-                FormatSpec("proposed"),
-                FormatSpec("iterated_round_robin", games_per_pair=4),
-            ]
-        ):
-            out = run_format(spec, emp, derive_rng(14, 1, k))
-            assert set(out.ranking.places) == set(NAMES8)
+    @pytest.mark.parametrize("bo3", [False, True], ids=["single", "bo3"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_duck_sampler_plays_as_poisson(self, kind, bo3):
+        spec = FormatSpec(kind, games_per_pair=3, best_of_three=bo3, seeding=RANDOM_SEEDING)
+        poisson = flat_sampler()
+        for k in range(10):
+            ref = run_format(spec, poisson, derive_rng(14, k))
+            out = run_format(spec, DuckSampler(poisson), derive_rng(14, k))
+            assert out.games == ref.games
+            assert out.ranking.places == ref.ranking.places
+            assert replay_outcome(spec, NAMES8, out).places == out.ranking.places
 
 
 class FixedGoalsSampler:

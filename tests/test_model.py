@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tournsim import (
-    EmpiricalPoolSampler,
     GameResult,
     IngestionError,
     InvalidInputError,
@@ -18,6 +17,7 @@ from tournsim import (
 )
 from tournsim import fixtures
 from tournsim.fixtures import fixture_text
+from tournsim.model import MAX_MEAN_GOALS
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +47,20 @@ class TestLoadModel:
             load_model(text)
 
     @pytest.mark.parametrize(
-        "cell,shown", [("-1.0", "-1.0"), ("-2", "-2.0"), ("nan", "nan"), ("inf", "inf")]
+        "cell,shown",
+        [("-1.0", "-1.0"), ("-2", "-2.0"), ("nan", "nan"), ("inf", "inf"), ("1e300", "1e+300")],
     )
     def test_bad_value_message_names_cell_in_plain_numbers(self, cell, shown):
         with pytest.raises(IngestionError) as info:
             load_model(f",A,B\nA,,{cell}\nB,0.5,\n")
         assert str(info.value) == f"row 'A', column 'B': invalid mean goals {shown}"
+
+    def test_mean_limit_is_inclusive(self):
+        # 1e6 loads; the next float above it names its cell.
+        assert load_model(",A,B\nA,,1e6\nB,0,\n").mean_goals[0, 1] == MAX_MEAN_GOALS == 1e6
+        above = np.nextafter(MAX_MEAN_GOALS, np.inf)
+        with pytest.raises(IngestionError, match="row 'B', column 'A'"):
+            PairwiseGoalModel(["A", "B"], [[0.0, 1.0], [above, 0.0]])
 
     def test_model_names_first_bad_cell(self):
         # The constructor, not the reader, checks the values, so a model
@@ -210,43 +218,6 @@ class TestGameResult:
         g = GameResult._make(["A", "B", 2, 1])
         assert type(g) is GameResult and g == GameResult("A", "B", 2, 1)
         assert g._replace(away_goals=3) == GameResult("A", "B", 2, 3)
-
-
-class TestEmpiricalPool:
-    def test_samples_only_recorded_results(self, model2012):
-        pool = [GameResult("Helios", "Wright", 3, 1), GameResult("Helios", "Wright", 0, 0)]
-        s = EmpiricalPoolSampler(model2012.names[:2], pool)
-        rng = derive_rng(5)
-        seen = {s.sample(0, 1, rng) for _ in range(100)}
-        assert seen <= {(3, 1), (0, 0)}
-        # reversed orientation flips the scores
-        seen_rev = {s.sample(1, 0, rng) for _ in range(100)}
-        assert seen_rev <= {(1, 3), (0, 0)}
-
-    def test_missing_pair_rejected(self, model2012):
-        with pytest.raises(InvalidInputError, match="no recorded games"):
-            EmpiricalPoolSampler(model2012.names, [GameResult("Helios", "Wright", 1, 0)])
-
-    def test_team_outside_names_rejected(self):
-        pool = [GameResult("A", "B", 1, 0), GameResult("A", "C", 2, 2)]
-        with pytest.raises(InvalidInputError, match="'C' is not in names"):
-            EmpiricalPoolSampler(["A", "B"], pool)
-
-    def test_self_pair_rejected(self):
-        # a game names each team once, so a self pair fails as it is recorded
-        with pytest.raises(InvalidPairingError, match="cannot play itself"):
-            EmpiricalPoolSampler(["A", "B"], [GameResult("A", "B", 1, 0),
-                                              GameResult("A", "A", 2, 2)])
-
-    def test_pool_under_other_names_rejected(self):
-        pool = [GameResult("X", "Y", 1, 0)]
-        with pytest.raises(InvalidInputError, match="'X' is not in names"):
-            EmpiricalPoolSampler(["A", "B"], pool)
-
-    def test_duplicate_names_rejected(self):
-        pool = [GameResult("A", "B", 1, 0)]
-        with pytest.raises(InvalidInputError, match="duplicate team name"):
-            EmpiricalPoolSampler(["A", "B", "A"], pool)
 
 
 def test_derive_rng_independent_streams():

@@ -25,6 +25,8 @@ from tournsim import (
 )
 from tournsim.montecarlo import BLOCK_SIZE
 
+from duck_sampler import DuckSampler
+
 NAMES8 = [f"T{i}" for i in range(8)]
 
 
@@ -95,17 +97,6 @@ class TestCampaignDeterminism:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         assert out.stdout.strip() == "False"
-
-
-class DuckSampler:
-    """Only the attributes perfbench's timing wrapper has; the batched
-    engine does not recognise it, so campaigns take the scalar fallback."""
-
-    def __init__(self, inner):
-        self.names = inner.names
-        self.backend = inner.backend
-        self.sample = inner.sample
-        self.sample_many = inner.sample_many
 
 
 class TestBlockLayout:
