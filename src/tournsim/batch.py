@@ -107,15 +107,14 @@ def play_block(fmt, sampler, rng: np.random.Generator, size: int) -> np.ndarray:
 
 class _Games:
     """Samples and settles games for every row of a block. `means[i, j]` is
-    the mean goals team i scores against team j, and `seeds[r]` lists the
+    the mean goals team i scores against team j, with a zero diagonal (a
+    model stores it so; round robins draw it), and `seeds[r]` lists the
     teams of row r by seed position."""
 
     def __init__(self, rng, means, seeds, decisive):
         self.rng = rng
-        means = np.array(means)
-        np.fill_diagonal(means, 0.0)  # never played; a model may leave it NaN
         self.n = len(means)
-        self.means = means.ravel()  # means[i, j] at i * n + j
+        self.means = np.ravel(means)  # means[i, j] at i * n + j
         self.seeds = seeds
         self.decisive = decisive
 

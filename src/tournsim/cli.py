@@ -29,7 +29,7 @@ from .montecarlo import (
     run_campaign,  # noqa: F401  (perfbench's traced rounds wrap cli.run_campaign)
     run_campaigns,
 )
-from .scoring import CONTINUOUS, DISCRETE, Ranking, rank, standings_to_csv
+from .scoring import CONTINUOUS, DISCRETE, Ranking, standings_to_csv
 
 DEFAULT_SEED = 20122013
 TRUTH_STREAM_KEY = 0x74727574  # substream tag for the oracle truth run
@@ -110,13 +110,12 @@ def _points_path(model_path: str) -> str:
 def cmd_rank(args) -> int:
     model = _read(args.model, load_model)
     if args.scheme == DISCRETE:
-        table = fixtures.discrete_fixture_standings(model)
+        table, ranking = fixtures.discrete_fixture_standings(model)
     else:
         def standings(text):
             return fixtures.continuous_fixture_standings(model, load_model(text))
 
-        table = _read(args.points or _points_path(args.model), standings)
-    ranking = rank(table, seed_order=list(model.names))
+        table, ranking = _read(args.points or _points_path(args.model), standings)
     _emit(_comments(_header(args)) + standings_to_csv(table, ranking), args.out)
     return 0
 

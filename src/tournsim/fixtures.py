@@ -11,10 +11,12 @@ All three kinds of table are read by `model._read_table`, so they share
 its checks of header, row order, cell count and diagonal and its naming of
 a cell that does not parse; the combined tables' 'a:b' cells are read as
 goal pairs into a `FixedResultTable`, which checks their values.
-`discrete_fixture_standings` and `continuous_fixture_standings` score the
-mean matrices of a goal model (and, under the continuous scheme, of its
-points model), bundled or read by `tournsim rank`, with
-`scoring.round_robin_totals`, the kernel of every complete round robin.
+`discrete_fixture_standings` and `continuous_fixture_standings` return
+the league table of a goal model (and, under the continuous scheme, of its
+points model), bundled or read by `tournsim rank`: the standings and the
+ranking `scoring.league_table` builds for every complete round robin.
+`tournsim rank` prints them and the golden checks check them. A points
+table whose cells no league can have is rejected.
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ import numpy as np
 from .errors import IngestionError
 from .formats import FixedResultTable, rank_from_fixed_results
 from .model import PairwiseGoalModel, _read_table, load_model
-from .scoring import (
-    Ranking,
-    TeamStats,
-    l1_distance,
-    rank,
-    round_half_away,
-    round_robin_totals,
-)
+from .scoring import Ranking, l1_distance, league_table, points_matrix, round_half_away
 
 TEAMS_2012 = ("Helios", "Wright", "Marlik", "Gliders", "GDUT", "AUT", "Yushan", "RobOTTO")
 TEAMS_2013 = ("Wright", "Helios", "Yushan", "Axiom", "Gliders", "Oxsy", "AUT", "Cyrus")
@@ -124,35 +119,39 @@ def _score(cell: str) -> tuple[float, float]:
     return float(a), float(b)
 
 
-def discrete_fixture_standings(model: PairwiseGoalModel) -> dict[str, TeamStats]:
-    """League table of `model` under the discrete scheme: each pair plays
-    its mean scoreline, rounded half away from zero (1.9 : 1.2 becomes
-    2 : 1), once."""
-    goals = np.vectorize(round_half_away, otypes=[np.int64])(_played(model))
-    return _standings(model, round_robin_totals(goals))
+def discrete_fixture_standings(model: PairwiseGoalModel):
+    """League table of `model` under the discrete scheme, as
+    (standings, ranking): each pair plays its mean scoreline, rounded half
+    away from zero (1.9 : 1.2 becomes 2 : 1), once."""
+    goals = np.vectorize(round_half_away, otypes=[np.int64])(model.mean_goals)
+    return league_table(model.names, goals, points_matrix(goals))
 
 
-def continuous_fixture_standings(
-    model: PairwiseGoalModel, points: PairwiseGoalModel
-) -> dict[str, TeamStats]:
-    """League table of `model` under the continuous scheme: summed per-pair
-    mean points and goals. `points` holds the mean points per ordered pair
-    (`load_points_model`), in the goal model's team order."""
-    if points.names != model.names:
+# How far the two printed, rounded mean points of a pair may sum outside 2..3.
+POINTS_SUM_SLACK = 0.01
+
+
+def continuous_fixture_standings(model: PairwiseGoalModel, points: PairwiseGoalModel):
+    """League table of `model` under the continuous scheme, as
+    (standings, ranking): summed per-pair mean points and goals. `points`
+    holds the mean points per ordered pair (`load_points_model`), in the
+    goal model's team order; a cell above 3, or a pair whose two cells sum
+    outside 2..3 by more than POINTS_SUM_SLACK, raises IngestionError
+    naming its row and column."""
+    names = model.names
+    if points.names != names:
         raise IngestionError("points table team order differs from the goal model's")
-    return _standings(model, round_robin_totals(_played(model), _played(points)))
-
-
-def _played(model: PairwiseGoalModel) -> np.ndarray:
-    """The model's matrix with its unused diagonal set to 0."""
-    matrix = np.array(model.mean_goals)
-    np.fill_diagonal(matrix, 0)
-    return matrix
-
-
-def _standings(model: PairwiseGoalModel, totals):
-    totals = (t.tolist() for t in totals)
-    return {name: TeamStats(*stats) for name, *stats in zip(model.names, *totals)}
+    p = points.mean_goals
+    pair = p + p.T  # 2 points in all for a drawn game, 3 for a decided one
+    off_sum = ~np.eye(len(names), dtype=bool) & (
+        (pair < 2 - POINTS_SUM_SLACK) | (pair > 3 + POINTS_SUM_SLACK))
+    for bad, error in ((p > 3, "mean points {} above 3"),
+                       (off_sum, "mean points {} and {} of the pair sum outside 2..3")):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise IngestionError(f"row {names[i]!r}, column {names[j]!r}: "
+                                 + error.format(p[i, j].item(), p[j, i].item()))
+    return league_table(names, model.mean_goals, p)
 
 
 def published_truth(year: int) -> Ranking:
@@ -168,53 +167,23 @@ class GoldenCheck:
 def golden_checks() -> list[GoldenCheck]:
     """Every value reproduced from the published tables, as pass/fail
     checks; the reproduce CLI command runs these."""
-    checks: list[GoldenCheck] = []
 
-    def discrete(year, expected_points, expected_rank):
+    def league(year, discrete, expected_points, expected_rank):
         def run():
             model = load_goal_model(year)
-            table = discrete_fixture_standings(model)
-            pts = tuple(int(table[n].points) for n in model.names)
-            r = rank(table, seed_order=list(model.names))
-            return pts == expected_points and r.places == expected_rank.places
-        return run
-
-    checks.append(GoldenCheck("discrete-points-and-rd-2012",
-                              discrete(2012, DISCRETE_POINTS_2012, R_D_2012)))
-    checks.append(GoldenCheck("discrete-points-and-rd-2013",
-                              discrete(2013, DISCRETE_POINTS_2013, R_D_2013)))
-
-    def tiebreak_2012():
-        table = discrete_fixture_standings(load_goal_model(2012))
-        return (
-            table["Wright"].points == table["Helios"].points
-            and table["Wright"].goal_difference == 39
-            and table["Wright"].goal_difference > table["Helios"].goal_difference
-        )
-
-    checks.append(GoldenCheck("discrete-tiebreak-2012-wright-over-helios", tiebreak_2012))
-
-    def continuous(year, expected_points, expected_rank):
-        def run():
-            model = load_goal_model(year)
-            table = continuous_fixture_standings(model, load_points_model(year))
-            ok = all(
-                abs(table[n].points - e) <= 5e-4
-                for n, e in zip(model.names, expected_points)
-            )
-            r = rank(table, seed_order=list(model.names))
+            table, r = (discrete_fixture_standings(model) if discrete
+                        else continuous_fixture_standings(model, load_points_model(year)))
+            # Discrete points are integers: within 5e-4 they are equal.
+            ok = all(abs(table[n].points - e) <= 5e-4
+                     for n, e in zip(model.names, expected_points))
             return ok and r.places == expected_rank.places
         return run
 
-    checks.append(GoldenCheck("continuous-points-and-rc-2012",
-                              continuous(2012, CONTINUOUS_POINTS_2012, R_C_2012)))
-    checks.append(GoldenCheck("continuous-points-and-rc-2013",
-                              continuous(2013, CONTINUOUS_POINTS_2013, R_C_2013)))
-
-    for name, a, b, expected in GOLDEN_L1:
-        checks.append(
-            GoldenCheck(name, lambda a=a, b=b, e=expected: l1_distance(a, b) == e)
-        )
+    def tiebreak_2012():
+        table, _ = discrete_fixture_standings(load_goal_model(2012))
+        wright, helios = table["Wright"], table["Helios"]
+        return (wright.points == helios.points and wright.goal_difference == 39
+                and wright.goal_difference > helios.goal_difference)
 
     def proposed(year, overrides, expected_rank):
         def run():
@@ -223,8 +192,15 @@ def golden_checks() -> list[GoldenCheck]:
             return r.places == expected_rank.places
         return run
 
-    checks.append(GoldenCheck("proposed-replay-rp-2012",
-                              proposed(2012, PLAYOFF_OVERRIDES_2012, R_P_2012)))
-    checks.append(GoldenCheck("proposed-replay-rp-2013",
-                              proposed(2013, PLAYOFF_OVERRIDES_2013, R_P_2013)))
-    return checks
+    return [GoldenCheck(name, run) for name, run in (
+        ("discrete-points-and-rd-2012", league(2012, True, DISCRETE_POINTS_2012, R_D_2012)),
+        ("discrete-points-and-rd-2013", league(2013, True, DISCRETE_POINTS_2013, R_D_2013)),
+        ("discrete-tiebreak-2012-wright-over-helios", tiebreak_2012),
+        ("continuous-points-and-rc-2012",
+         league(2012, False, CONTINUOUS_POINTS_2012, R_C_2012)),
+        ("continuous-points-and-rc-2013",
+         league(2013, False, CONTINUOUS_POINTS_2013, R_C_2013)),
+        *((name, lambda a=a, b=b, e=e: l1_distance(a, b) == e) for name, a, b, e in GOLDEN_L1),
+        ("proposed-replay-rp-2012", proposed(2012, PLAYOFF_OVERRIDES_2012, R_P_2012)),
+        ("proposed-replay-rp-2013", proposed(2013, PLAYOFF_OVERRIDES_2013, R_P_2013)),
+    )]

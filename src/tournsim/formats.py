@@ -31,8 +31,10 @@ serve three kinds of run:
   away from zero, as the golden checks over the published tables do.
 
 The iterated round-robin (the ground-truth oracle) is not a bracket: it
-samples each pair's games in bulk and ranks them with `league_table`.
-Every round robin is ranked by the tie-break kernel of `tournsim.scoring`.
+samples each pair's games in bulk, turns them into the integer goal and
+points matrices of its scheme (`_scheme_matrices`), and ranks those with
+`scoring.league_table`, as a replay of its ledger does. A bracket round
+robin is ranked from its games by `scoring.rank`.
 """
 
 from __future__ import annotations
@@ -50,13 +52,12 @@ from .scoring import (
     DEFAULT_POLICY,
     DISCRETE,
     Ranking,
-    TeamStats,
     TieBreakPolicy,
+    league_table,
+    points_matrix,
     rank,
     round_half_away,
-    round_robin_totals,
     standings_from_games,
-    tiebreak_order,
 )
 
 UNIFORM_COIN = "uniform_coin"
@@ -417,32 +418,30 @@ def _iterated_round_robin(spec: FormatSpec, sampler, rng, keep_games: bool) -> T
         home, away = np.array(names, dtype=object)[pairs].repeat(k, axis=1).tolist()
         results = map(GameResult, home, away, *goals.reshape(2, -1).tolist())
         entries = list(map(LedgerEntry, labels, results))
-    _, ranking = league_table(names, pairs, goals, spec.scheme, spec.policy)
+    _, ranking = league_table(names, *_scheme_matrices(len(names), goals, spec.scheme),
+                              spec.policy)
     return TournamentOutcome(ranking, entries, goals[0].size)
 
 
-def league_table(names: Sequence[str], pairs, goals, scheme: str, policy=DEFAULT_POLICY):
-    """Integer standings of a complete round robin whose pair p, teams
-    pairs[:, p], played k games with goals goals[:, p], and their Ranking
-    under `policy`, seeded in `names` order: k times the summed per-pair
-    means (3 points a win, 1 a draw) under the continuous scheme; sums over
-    each pair's mean scoreline, rounded half away from zero, under the
-    discrete one. So ties, head-to-head too, are decided exactly."""
-    n, k = len(names), goals.shape[2]
+def _scheme_matrices(n: int, goals, scheme: str):
+    """The integer goal and points matrices of a complete round robin of n
+    teams whose pair p, teams `_pair_index(n)[:, p]`, played k games with
+    goals goals[:, p]: k times the summed per-pair means (3 points a win,
+    1 a draw) under the continuous scheme; each pair's mean scoreline,
+    rounded half away from zero and scored as one game, under the discrete
+    one. So `league_table` decides ties, head-to-head too, exactly."""
+    pairs = _pair_index(n)
     cells = pairs, pairs[::-1]  # (i, j) of each pair, then (j, i)
-    scored = goals.sum(2)
+    k = goals.shape[2]
+    matrix = np.zeros((n, n), dtype=np.int64)
     if scheme == CONTINUOUS:
         wins = np.count_nonzero(goals > goals[::-1], axis=2)
-        pair_points = 3 * wins + (k - wins.sum(0))
-    else:
-        scored = (2 * scored + k) // (2 * k)
-        pair_points = 3 * (scored > scored[::-1]) + (scored == scored[::-1])
-    matrix, points = np.zeros((2, n, n), dtype=np.int64)
-    matrix[cells], points[cells] = scored, pair_points
-    totals = np.array(round_robin_totals(matrix, points))
-    order = tiebreak_order(*totals, policy, points)
-    table = {name: TeamStats(*s) for name, *s in zip(names, *totals.tolist())}
-    return table, Ranking.from_order([names[i] for i in order])
+        points = np.zeros((n, n), dtype=np.int64)
+        points[cells] = 3 * wins + (k - wins.sum(0))
+        matrix[cells] = goals.sum(2)
+        return matrix, points
+    matrix[cells] = (2 * goals.sum(2) + k) // (2 * k)
+    return matrix, points_matrix(matrix)
 
 
 def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> TournamentOutcome:
@@ -479,8 +478,9 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
     if outcome.games is None:
         raise InvalidInputError("outcome carries no game ledger")
     if spec.kind == "iterated_round_robin":
-        pairs, goals = _ledger_pairs(names, outcome.games, spec.games_per_pair)
-        return league_table(names, pairs, goals, spec.scheme, spec.policy)[1]
+        goals = _ledger_goals(names, outcome.games, spec.games_per_pair)
+        return league_table(names, *_scheme_matrices(len(names), goals, spec.scheme),
+                            spec.policy)[1]
     seeding = spec.seeding
     if seeding == RANDOM_SEEDING:
         seeding = outcome.seeding
@@ -495,9 +495,10 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
     return ranking
 
 
-def _ledger_pairs(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
-    """An oracle ledger of k games a pair as league_table's pairs (i < j,
-    row-major) and goals, each game oriented (i, j) whichever way it is named."""
+def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
+    """The goals of an oracle ledger of k games a pair, as the live run
+    holds them: shape (2, pairs, k), pairs as `_pair_index`, each game
+    oriented (i, j) whichever way it is named."""
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
     # One list per column: zip(*results) would allocate one tracked iterator
@@ -518,7 +519,7 @@ def _ledger_pairs(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
         if c != k:
             raise InvalidInputError(f"ledger has {c} games of ({names[i]}, {names[j]}), not {k}")
     goals = np.where(rows[0] > rows[1], rows[[3, 2]], rows[2:])
-    return pairs, goals[:, np.argsort(pair, kind="stable")].reshape(2, -1, k)
+    return goals[:, np.argsort(pair, kind="stable")].reshape(2, -1, k)
 
 
 @dataclass

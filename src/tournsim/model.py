@@ -49,12 +49,13 @@ MAX_MEAN_GOALS = 1e6
 
 class PairwiseGoalModel:
     """n x n matrix of mean goals; entry (i, j) is the expected goals team i
-    scores against team j, from 0 to MAX_MEAN_GOALS. The diagonal is unused.
-    Immutable after construction and safe to share across workers."""
+    scores against team j, from 0 to MAX_MEAN_GOALS. The diagonal is unused
+    and stored as 0. Holds its own read-only copy of the means, so it is
+    immutable after construction and safe to share across workers."""
 
     def __init__(self, names: Sequence[str], mean_goals):
         names = list(names)
-        matrix = np.asarray(mean_goals, dtype=float)
+        matrix = np.array(mean_goals, dtype=float)  # a copy: the caller's array stays theirs
         n = len(names)
         if n < 2:
             raise IngestionError("a model needs at least 2 teams")
@@ -64,7 +65,8 @@ class PairwiseGoalModel:
             raise IngestionError(
                 f"matrix shape {matrix.shape} does not match {n} teams"
             )
-        valid = (matrix >= 0) & (matrix <= MAX_MEAN_GOALS) | np.eye(n, dtype=bool)
+        np.fill_diagonal(matrix, 0.0)
+        valid = (matrix >= 0) & (matrix <= MAX_MEAN_GOALS)
         if not valid.all():
             i, j = np.argwhere(~valid)[0]
             raise IngestionError(
@@ -74,10 +76,6 @@ class PairwiseGoalModel:
         self.names = names
         self.mean_goals = matrix
         self.mean_goals.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
 
 
 def _read_table(

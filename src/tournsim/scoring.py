@@ -2,12 +2,12 @@
 between rankings.
 
 Every complete round robin is scored by one kernel, `round_robin_totals`,
-on n x n matrices: the batched engine's groups, the oracle's integer
-totals (`formats.league_table`) and the league tables of the bundled
-models under both schemes (`fixtures`). Games of a bracket are scored one
-at a time by `standings_from_games`, 3 points a win and 1 a draw. Every
-ranking is ordered by one tie-break kernel, `tiebreak_order`, which `rank`
-wraps."""
+on n x n matrices, and ranked by one tie-break kernel, `tiebreak_order`.
+`league_table` wraps both into standings and a ranking: the oracle's
+(`formats`) and the bundled models' under both schemes (`fixtures`), which
+`tournsim rank` and the golden checks use. The batched engine calls the
+kernels on its stacks of matrices. Games of a bracket round robin are
+scored one at a time by `standings_from_games` and ranked by `rank`."""
 
 from __future__ import annotations
 
@@ -69,21 +69,30 @@ def standings_from_games(
     return table
 
 
+def points_matrix(goals):
+    """The points team i took from team j, `goals[..., i, j]` to
+    `goals[..., j, i]` being one game: 3 a win, 1 a draw, 0 on the
+    diagonal."""
+    against = np.swapaxes(goals, -1, -2)
+    # The diagonal is a 0-0 "draw" worth one point to nobody.
+    return 3 * (goals > against) + (goals == against) - np.eye(goals.shape[-1], dtype=int)
+
+
 def round_robin_totals(goals, points=None):
     """Points, goals for and goals against of every team in complete round
     robins. `goals[..., i, j]` is what team i scored against team j, with a
     zero diagonal; each cell pair is one scoreline, worth 3 points a win
-    and 1 a draw, unless `points[..., i, j]`, the points team i took from
-    team j, is given. Returns three arrays of shape `goals.shape[:-1]`.
+    and 1 a draw (`points_matrix`), unless `points[..., i, j]`, the points
+    team i took from team j, is given. Returns three arrays of shape
+    `goals.shape[:-1]`.
 
     Integer matrices are summed with `np.einsum`, about three times faster
     than `sum` at (250, 1, 8, 8) and exact in any order. Float matrices keep
     `np.sum`: einsum may add in another order and change the last bit, and
     ties must not depend on summation order."""
-    against = np.swapaxes(goals, -1, -2)
     if points is None:
-        # The diagonal is a 0-0 "draw" worth one point to nobody.
-        points = 3 * (goals > against) + (goals == against) - np.eye(goals.shape[-1], dtype=int)
+        points = points_matrix(goals)
+    against = np.swapaxes(goals, -1, -2)
     if goals.dtype.kind in "iu" and points.dtype.kind in "iu":  # signed or unsigned ints
         return (np.einsum("...ij->...i", points), np.einsum("...ij->...i", goals),
                 np.einsum("...ij->...j", goals))
@@ -157,6 +166,18 @@ def tiebreak_order(points, goals_for, goals_against, policy: TieBreakPolicy, pai
     # lexsort sorts by its last key first, and is stable: seed order
     # decides last. Under seed order alone, the one key ties every team.
     return np.lexsort(keys[::-1] or [np.zeros(np.shape(points))], axis=-1)
+
+
+def league_table(names: Sequence[str], goals, points, policy: TieBreakPolicy = DEFAULT_POLICY):
+    """Standings of a complete round robin among `names`, with its Ranking
+    under `policy`, seeded in `names` order. `goals` and `points` are n x n
+    matrices with a zero diagonal, as `round_robin_totals` takes them; the
+    points matrix also decides head-to-head. Integer matrices give integer
+    standings, so ties are decided exactly."""
+    totals = round_robin_totals(goals, points)
+    order = tiebreak_order(*totals, policy, points)
+    table = {name: TeamStats(*s) for name, *s in zip(names, *(t.tolist() for t in totals))}
+    return table, Ranking.from_order([names[i] for i in order])
 
 
 def rank(

@@ -18,7 +18,6 @@ from tournsim import (
     PoissonSampler,
     derive_rng,
     l1_distance,
-    rank,
     run_campaign,
     run_format,
 )
@@ -42,13 +41,12 @@ class TestCriterion1DiscreteReconstruction:
             (2013, (21, 18, 11, 1, 7, 11, 1, 10), fixtures.R_D_2013),
         ):
             model = fixtures.load_goal_model(year)
-            table = fixtures.discrete_fixture_standings(model)
+            table, r = fixtures.discrete_fixture_standings(model)
             got = tuple(int(table[n].points) for n in model.names)
             assert got == points, f"{year} discrete points mismatch: {got}"
-            r = rank(table, seed_order=list(model.names))
             assert r.places == truth.places, f"{year} discrete ranking mismatch"
         # the 2012 co-leaders split on goal difference, not seed order
-        table = fixtures.discrete_fixture_standings(fixtures.load_goal_model(2012))
+        table, _ = fixtures.discrete_fixture_standings(fixtures.load_goal_model(2012))
         assert table["Wright"].points == table["Helios"].points
         assert table["Wright"].goal_difference > table["Helios"].goal_difference
         report("criterion-1 discrete points and rankings exact (tie-break incl.)")
@@ -63,13 +61,12 @@ class TestCriterion2ContinuousReconstruction:
         }
         for year, truth in ((2012, fixtures.R_C_2012), (2013, fixtures.R_C_2013)):
             model = fixtures.load_goal_model(year)
-            table = fixtures.continuous_fixture_standings(
+            table, r = fixtures.continuous_fixture_standings(
                 model, fixtures.load_points_model(year)
             )
             for name, want in zip(model.names, expected[year]):
                 got = table[name].points
                 assert abs(got - want) <= tol, f"{year} {name}: {got} vs {want}"
-            r = rank(table, seed_order=list(model.names))
             assert r.places == truth.places, f"{year} continuous ranking mismatch"
         report(f"criterion-2 continuous totals within {tol} and rankings exact")
 

@@ -131,6 +131,20 @@ class TestRank:
         assert code == 2
         assert f"{points}: " in err and "team order" in err
 
+    @pytest.mark.parametrize(
+        "cells,error",
+        [(("7.0", "5.0"), "mean points 7.0 above 3"),
+         (("1.0", "0.5"), "mean points 1.0 and 0.5 of the pair sum outside 2..3")],
+        ids=["cell-above-3", "pair-sum-below-2"],
+    )
+    def test_impossible_points_table_is_data_error(self, capsys, tmp_path, cells, error):
+        model, points = tmp_path / "m.csv", tmp_path / "m.points.csv"
+        model.write_text(",A,B\nA,,1.2\nB,0.4,\n")
+        points.write_text(f",A,B\nA,,{cells[0]}\nB,{cells[1]},\n")
+        code, out, err = run(capsys, "rank", "--model", str(model), "--scheme", "continuous")
+        assert (code, out) == (2, "")
+        assert err == f"tournsim: error: {points}: row 'A', column 'B': {error}\n"
+
     def test_bad_model_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("")

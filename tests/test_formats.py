@@ -32,7 +32,8 @@ from tournsim import (
     run_format,
 )
 from tournsim import fixtures
-from tournsim.formats import KINDS, league_table
+from tournsim.formats import KINDS, _scheme_matrices
+from tournsim.scoring import league_table
 
 from duck_sampler import DuckSampler
 from reference_ranking import ALL_POLICIES, reference_rank
@@ -579,7 +580,7 @@ class TestLeagueTable:
         names, k, goals = case
         n = len(names)
         table, ranking = league_table(
-            names, np.array(np.triu_indices(n, 1)), np.array(goals), scheme, policy
+            names, *_scheme_matrices(n, np.array(goals), scheme), policy
         )
         exact, played = fraction_standings(names, goals, scheme)
         assert ranking.order() == reference_rank(exact, policy, names, played)

@@ -32,12 +32,12 @@ def model2013():
 
 class TestLoadModel:
     def test_2012_fixture(self, model2012):
-        assert model2012.n == 8
+        assert len(model2012.names) == 8
         names = model2012.names
         assert model2012.mean_goals[names.index("Helios"), names.index("Wright")] == 2.3
 
     def test_2013_fixture(self, model2013):
-        assert model2013.n == 8
+        assert len(model2013.names) == 8
         names = model2013.names
         assert model2013.mean_goals[names.index("Wright"), names.index("Helios")] == 1.9
 
@@ -69,6 +69,17 @@ class TestLoadModel:
         with pytest.raises(IngestionError) as info:
             PairwiseGoalModel(["A", "B", "C"], means)
         assert str(info.value) == "row 'B', column 'C': invalid mean goals -0.25"
+
+    def test_caller_array_stays_writable_and_unchanged(self):
+        # The model keeps a read-only copy with a zero diagonal.
+        means = np.array([[np.nan, 1.5], [0.5, np.nan]])
+        model = PairwiseGoalModel(["A", "B"], means)
+        assert model.mean_goals is not means
+        assert model.mean_goals.tolist() == [[0.0, 1.5], [0.5, 0.0]]
+        assert not model.mean_goals.flags.writeable
+        means[0, 1] = 5
+        assert np.isnan(means[1, 1]) and means[0, 1] == 5
+        assert model.mean_goals[0, 1] == 1.5
 
     def test_non_square_rejected(self):
         with pytest.raises(IngestionError):

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from tournsim import (
     GameResult,
+    IngestionError,
     InvalidComparisonError,
     InvalidInputError,
     PairwiseGoalModel,
@@ -20,7 +21,7 @@ from tournsim import (
     standings_from_games,
 )
 from tournsim import fixtures
-from tournsim.scoring import TeamStats
+from tournsim.scoring import TeamStats, league_table
 
 from reference_ranking import ALL_POLICIES, points_per_game, reference_rank
 
@@ -48,7 +49,7 @@ def test_points_per_game(score, expected):
 )
 def test_discrete_scheme_rounds_each_mean_half_away(means, goals, points):
     model = PairwiseGoalModel(["A", "B"], [[0, means[0]], [means[1], 0]])
-    table = fixtures.discrete_fixture_standings(model)
+    table, _ = fixtures.discrete_fixture_standings(model)
     assert (table["A"].goals_for, table["B"].goals_for) == goals
     assert (table["A"].points, table["B"].points) == points
 
@@ -80,11 +81,11 @@ def test_round_robin_totals_equal_standings_from_games(goals):
 
 class TestContinuousPoints:
     def test_wright_2012_total(self):
-        table = fixtures.continuous_fixture_standings(*models(2012))
+        table, _ = fixtures.continuous_fixture_standings(*models(2012))
         assert table["Wright"].points == pytest.approx(18.899, abs=5e-4)
 
     def test_aut_2012_total(self):
-        table = fixtures.continuous_fixture_standings(*models(2012))
+        table, _ = fixtures.continuous_fixture_standings(*models(2012))
         assert table["AUT"].points == pytest.approx(0.377, abs=5e-4)
 
     def test_equals_per_game_points_mean(self):
@@ -133,23 +134,53 @@ class TestContinuousPoints:
 
     @pytest.mark.parametrize("year", [2012, 2013])
     def test_totals_pinned_to_the_last_bit(self, year):
-        table = fixtures.continuous_fixture_standings(*models(year))
+        table, _ = fixtures.continuous_fixture_standings(*models(year))
         got = {team: (s.points.hex(), s.goals_for.hex(), s.goals_against.hex())
                for team, s in table.items()}
         assert got == self.TOTALS_HEX[year]
 
 
+def two_team_points(a, b):
+    """The continuous league table of a two-team model whose points table
+    gives A a mean of `a` points against B, and B `b` against A."""
+    goals = PairwiseGoalModel(["A", "B"], [[0, 1.2], [0.4, 0]])
+    return fixtures.continuous_fixture_standings(
+        goals, PairwiseGoalModel(["A", "B"], [[0, a], [b, 0]]))
+
+
+class TestPointsTableBounds:
+    @pytest.mark.parametrize("a,b", [(3.0, 0.0), (1.0, 1.0), (1.0, 0.995), (1.5, 1.505)])
+    def test_possible_points_accepted(self, a, b):
+        table, _ = two_team_points(a, b)
+        assert (table["A"].points, table["B"].points) == (a, b)
+
+    @pytest.mark.parametrize("a,b", [(7.0, 5.0), (3.5, 0.0), (0.0, 3.5)])
+    def test_cell_above_three_named(self, a, b):
+        # A cell above 3 is named before the pair sum it breaks too.
+        row, column, cell = ("A", "B", a) if a > 3 else ("B", "A", b)
+        with pytest.raises(IngestionError) as info:
+            two_team_points(a, b)
+        assert str(info.value) == f"row {row!r}, column {column!r}: mean points {cell} above 3"
+
+    @pytest.mark.parametrize("a,b", [(1.0, 0.98), (0.0, 0.0), (1.5, 1.52), (2.0, 1.5)])
+    def test_pair_sum_outside_two_to_three_named(self, a, b):
+        with pytest.raises(IngestionError) as info:
+            two_team_points(a, b)
+        assert str(info.value) == (
+            f"row 'A', column 'B': mean points {a} and {b} of the pair sum outside 2..3")
+
+
 class TestDiscreteStandings:
     def test_2012_points_column(self):
         model = fixtures.load_goal_model(2012)
-        table = fixtures.discrete_fixture_standings(model)
+        table, _ = fixtures.discrete_fixture_standings(model)
         assert tuple(int(table[n].points) for n in model.names) == (
             19, 19, 10, 12, 6, 0, 13, 3,
         )
 
     def test_2013_points_column(self):
         model = fixtures.load_goal_model(2013)
-        table = fixtures.discrete_fixture_standings(model)
+        table, _ = fixtures.discrete_fixture_standings(model)
         assert tuple(int(table[n].points) for n in model.names) == (
             21, 18, 11, 1, 7, 11, 1, 10,
         )
@@ -170,7 +201,8 @@ class TestDiscreteStandings:
 @st.composite
 def ranked_tables(draw):
     """Standings and games of a round robin of 1-3 games a pair, with
-    integer totals or float per-game means, and a seed order."""
+    integer totals or float per-game means, a seed order, and the goal and
+    points matrices the games sum to, of float dtype with the float means."""
     n, k = draw(st.integers(2, 8)), draw(st.integers(1, 3))
     names = [f"T{i}" for i in range(n)]
     games = [
@@ -179,35 +211,50 @@ def ranked_tables(draw):
         for _ in range(k)
     ]
     table = standings_from_games(games, names)
+    goals, points = np.zeros((2, n, n), dtype=np.int64)
+    for g in games:
+        i, j = names.index(g.home), names.index(g.away)
+        goals[i, j] += g.home_goals
+        goals[j, i] += g.away_goals
+        home_points, away_points = points_per_game(g)
+        points[i, j] += home_points
+        points[j, i] += away_points
     if draw(st.booleans()):
         table = {t: TeamStats(s.points / k, s.goals_for / k, s.goals_against / k)
                  for t, s in table.items()}
-    return table, games, draw(st.none() | st.permutations(names))
+        # Sums over games, not per-game means: thirds do not add up
+        # exactly in floats, and a tie could then split on a last bit.
+        goals, points = goals.astype(float), points.astype(float)
+    return table, games, draw(st.none() | st.permutations(names)), (goals, points)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=ranked_tables())
 def test_rank_equals_reference_under_every_policy(case):
-    table, games, seed_order = case
+    table, games, seed_order, matrices = case
+    # league_table seeds in the order of its names: the matrices follow.
+    names = list(seed_order or table)
+    seat = [list(table).index(t) for t in names]
+    goals, points = (m[np.ix_(seat, seat)] for m in matrices)
+    totals = standings_from_games(games, names)
     for policy in ALL_POLICIES:
         want = reference_rank(table, policy, seed_order, games)
         assert rank(table, policy, seed_order, games).order() == want, policy
+        standings, ranking = league_table(names, goals, points, policy)
+        assert standings == totals
+        assert ranking.order() == reference_rank(totals, policy, names, games), policy
 
 
 class TestRank:
     def test_rd_2012_with_goal_diff_tiebreak(self):
-        model = fixtures.load_goal_model(2012)
-        table = fixtures.discrete_fixture_standings(model)
-        r = rank(table, seed_order=list(model.names))
+        table, r = fixtures.discrete_fixture_standings(fixtures.load_goal_model(2012))
         assert r.places == fixtures.R_D_2012.places
         # the tie-break separates Wright (+39) from Helios
         assert table["Wright"].points == table["Helios"].points == 19
         assert table["Wright"].goal_difference == 39
 
     def test_rc_2013_oxsy_third_yushan_fourth(self):
-        model, points = models(2013)
-        table = fixtures.continuous_fixture_standings(model, points)
-        r = rank(table, seed_order=list(model.names))
+        _, r = fixtures.continuous_fixture_standings(*models(2013))
         assert r["Oxsy"] == 3 and r["Yushan"] == 4
         assert r.places == fixtures.R_C_2013.places
 
