@@ -6,8 +6,8 @@ Each table is compiled once, at import, into a list of calls. Consecutive
 stages share a call when they have one kind and one team count and none
 of them reads a result of another stage in the same call; a call samples
 all its games for all rows in one `rng.poisson` call. Round robins are
-scored and ranked by the `scoring` kernels that every league table and
-ranking use, and knockout slots are settled with `np.where`.
+scored by `scoring.game_points` and summed and ranked by the kernels
+every league table uses; knockout slots are settled with `np.where`.
 
 Results live on one (rows, columns) int board of team indices. Columns
 0-7 hold the block's seeds, the team at each seed position (column 0 is
@@ -44,7 +44,7 @@ from .formats import (
     _seed_list,
 )
 from .model import PoissonSampler
-from .scoring import round_robin_totals, tiebreak_order
+from .scoring import game_points, round_robin_totals, tiebreak_order
 
 
 def _compile(stages, places):
@@ -134,9 +134,8 @@ class _Games:
         size). Returns each group's teams in finishing order, of that shape."""
         teams = np.broadcast_to(groups, self.seeds.shape[:1] + groups.shape[-2:])
         g = self.rng.poisson(self.means.take(teams[..., :, None] * self.n + teams[..., None, :]))
-        against = np.swapaxes(g, -1, -2)
         # Each team's 0-0 "draw" with itself adds a point to every total.
-        points = 3 * (g > against) + (g == against)
+        points = game_points(g, np.swapaxes(g, -1, -2))
         local = tiebreak_order(*round_robin_totals(g, points), policy, points)
         return np.take_along_axis(teams, local, -1)
 

@@ -325,6 +325,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "rank" and args.scheme == DISCRETE and args.points:
+            parser.error("argument --points: not allowed with --scheme discrete")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

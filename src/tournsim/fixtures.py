@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import IngestionError
 from .formats import FixedResultTable, rank_from_fixed_results
-from .model import PairwiseGoalModel, _read_table, load_model
+from .model import PairwiseGoalModel, _read_table, _reject_first_cell, load_model
 from .scoring import Ranking, l1_distance, league_table, points_matrix, round_half_away
 
 TEAMS_2012 = ("Helios", "Wright", "Marlik", "Gliders", "GDUT", "AUT", "Yushan", "RobOTTO")
@@ -121,9 +121,9 @@ def _score(cell: str) -> tuple[float, float]:
 
 def discrete_fixture_standings(model: PairwiseGoalModel):
     """League table of `model` under the discrete scheme, as
-    (standings, ranking): each pair plays its mean scoreline, rounded half
-    away from zero (1.9 : 1.2 becomes 2 : 1), once."""
-    goals = np.vectorize(round_half_away, otypes=[np.int64])(model.mean_goals)
+    (standings, ranking): each pair plays its mean scoreline, rounded by
+    `round_half_away` (1.9 : 1.2 becomes 2 : 1), once."""
+    goals = round_half_away(model.mean_goals)
     return league_table(model.names, goals, points_matrix(goals))
 
 
@@ -145,12 +145,11 @@ def continuous_fixture_standings(model: PairwiseGoalModel, points: PairwiseGoalM
     pair = p + p.T  # 2 points in all for a drawn game, 3 for a decided one
     off_sum = ~np.eye(len(names), dtype=bool) & (
         (pair < 2 - POINTS_SUM_SLACK) | (pair > 3 + POINTS_SUM_SLACK))
-    for bad, error in ((p > 3, "mean points {} above 3"),
-                       (off_sum, "mean points {} and {} of the pair sum outside 2..3")):
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise IngestionError(f"row {names[i]!r}, column {names[j]!r}: "
-                                 + error.format(p[i, j].item(), p[j, i].item()))
+    _reject_first_cell(names, p > 3, IngestionError,
+                       lambda i, j: f"mean points {p[i, j].item()} above 3")
+    _reject_first_cell(names, off_sum, IngestionError, lambda i, j:
+                       f"mean points {p[i, j].item()} and {p[j, i].item()} "
+                       "of the pair sum outside 2..3")
     return league_table(names, model.mean_goals, p)
 
 

@@ -27,14 +27,14 @@ serve three kinds of run:
 * replay (`replay_outcome`): games and winners are read back off a
   recorded ledger, which must match the table slot by slot;
 * fixed (`rank_from_fixed_results`): games are read by team index off
-  the goals array of a `FixedResultTable`, each side's goals rounded half
-  away from zero, as the golden checks over the published tables do.
+  the goals array of a `FixedResultTable`, rounded half away from zero
+  once per table, as the golden checks over the published tables do.
 
 The iterated round-robin (the ground-truth oracle) is not a bracket: it
 samples each pair's games in bulk, turns them into the integer goal and
-points matrices of its scheme (`_scheme_matrices`), and ranks those with
-`scoring.league_table`, as a replay of its ledger does. A bracket round
-robin is ranked from its games by `scoring.rank`.
+points matrices of its scheme by the `scoring` rules (`_scheme_matrices`),
+and ranks those with `scoring.league_table`, as a replay of its ledger
+does. A bracket round robin is ranked from its games by `scoring.rank`.
 """
 
 from __future__ import annotations
@@ -46,13 +46,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .model import GameResult
+from .model import GameResult, _reject_first_cell
 from .scoring import (
     CONTINUOUS,
     DEFAULT_POLICY,
     DISCRETE,
     Ranking,
     TieBreakPolicy,
+    game_points,
     league_table,
     points_matrix,
     rank,
@@ -298,19 +299,18 @@ class _ReplayProvider:
 
 class _FixedProvider:
     """Reads each game off a FixedResultTable, each side's goals rounded
-    half away from zero. A playoff goes to its override if there is one,
-    then to the table's result, then, when that is drawn, to the higher
-    preliminary place (the home side)."""
+    half away from zero, the whole table once. A playoff goes to its
+    override if there is one, then to the table's result, then, when that
+    is drawn, to the higher preliminary place (the home side)."""
 
     def __init__(self, table: FixedResultTable, overrides: dict):
-        self.table = table
+        self.goals = round_half_away(table.goals).tolist()
         self.names = table.names
         self.overrides = overrides
 
     def play(self, stage: str, i: int, j: int) -> LedgerEntry:
-        a, b = self.names[i], self.names[j]
-        ga, gb = self.table.goals[i, j].tolist()
-        return LedgerEntry(stage, GameResult(a, b, round_half_away(ga), round_half_away(gb)))
+        ga, gb = self.goals[i][j]
+        return LedgerEntry(stage, GameResult(self.names[i], self.names[j], ga, gb))
 
     def resolve(self, entry: LedgerEntry, i: int, j: int, natural: Optional[int]) -> int:
         pair = (self.names[i], self.names[j])
@@ -432,15 +432,13 @@ def _scheme_matrices(n: int, goals, scheme: str):
     one. So `league_table` decides ties, head-to-head too, exactly."""
     pairs = _pair_index(n)
     cells = pairs, pairs[::-1]  # (i, j) of each pair, then (j, i)
-    k = goals.shape[2]
     matrix = np.zeros((n, n), dtype=np.int64)
     if scheme == CONTINUOUS:
-        wins = np.count_nonzero(goals > goals[::-1], axis=2)
         points = np.zeros((n, n), dtype=np.int64)
-        points[cells] = 3 * wins + (k - wins.sum(0))
+        points[cells] = game_points(goals, goals[::-1]).sum(2)
         matrix[cells] = goals.sum(2)
         return matrix, points
-    matrix[cells] = (2 * goals.sum(2) + k) // (2 * k)
+    matrix[cells] = round_half_away(goals.sum(2), goals.shape[2])
     return matrix, points_matrix(matrix)
 
 
@@ -525,29 +523,26 @@ def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
 @dataclass
 class FixedResultTable:
     """A complete pairwise score table, used to replay the proposed format
-    over fixed, non-sampled results. goals[i, j] holds the goals of
-    names[i] and of names[j] in their game with names[i] at home, each as
-    printed (integer or average-valued), finite and nonnegative; the
-    diagonal is unused. The two cells of a pair need not mirror each
-    other."""
+    over fixed, non-sampled results. goals, a read-only copy, holds at [i, j]
+    the goals of names[i] and of names[j] in their game with names[i] at
+    home, each as printed (integer or average-valued), finite and
+    nonnegative; the unused diagonal is 0. A pair's cells need not mirror."""
 
     names: list[str]
     goals: np.ndarray  # (n, n, 2) floats
 
     def __post_init__(self):
-        self.goals = np.asarray(self.goals, dtype=float)
+        goals = np.array(self.goals, dtype=float)  # a copy: the caller's array stays theirs
         n = len(self.names)
-        if self.goals.shape != (n, n, 2):
-            raise InvalidInputError(
-                f"goals of shape {self.goals.shape} do not fit {n} teams, need {(n, n, 2)}"
-            )
-        valid = (np.isfinite(self.goals) & (self.goals >= 0)).all(-1) | np.eye(n, dtype=bool)
-        if not valid.all():
-            i, j = np.argwhere(~valid)[0]
-            raise InvalidInputError(
-                f"row {self.names[i]!r}, column {self.names[j]!r}: "
-                f"goals {self.goals[i, j].tolist()} are not finite and nonnegative"
-            )
+        if goals.shape != (n, n, 2):
+            raise InvalidInputError(f"goals of shape {goals.shape} do not fit {n} teams, "
+                                    f"need {(n, n, 2)}")
+        goals[range(n), range(n)] = 0
+        bad = ~(np.isfinite(goals) & (goals >= 0)).all(-1)
+        _reject_first_cell(self.names, bad, InvalidInputError, lambda i, j:
+                           f"goals {goals[i, j].tolist()} are not finite and nonnegative")
+        goals.setflags(write=False)
+        self.goals = goals
 
 
 def rank_from_fixed_results(

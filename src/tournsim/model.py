@@ -8,7 +8,7 @@ Every team-by-team table, the goal means and per-pair points that
 `load_model` reads and the combined score tables of `tournsim.fixtures`,
 goes through one reader, `_read_table`, which checks the table's shape
 and parses its cells into one float array. Whether the values are in
-range is checked by the type the array goes into.
+range is checked by the type the array goes into (`_reject_first_cell`).
 """
 
 from __future__ import annotations
@@ -62,20 +62,22 @@ class PairwiseGoalModel:
         if len(set(names)) != n:
             raise IngestionError("duplicate team name in model")
         if matrix.shape != (n, n):
-            raise IngestionError(
-                f"matrix shape {matrix.shape} does not match {n} teams"
-            )
+            raise IngestionError(f"matrix shape {matrix.shape} does not match {n} teams")
         np.fill_diagonal(matrix, 0.0)
-        valid = (matrix >= 0) & (matrix <= MAX_MEAN_GOALS)
-        if not valid.all():
-            i, j = np.argwhere(~valid)[0]
-            raise IngestionError(
-                f"row {names[i]!r}, column {names[j]!r}: "
-                f"invalid mean goals {matrix[i, j].item()}"
-            )
+        bad = ~((matrix >= 0) & (matrix <= MAX_MEAN_GOALS))
+        _reject_first_cell(names, bad, IngestionError,
+                           lambda i, j: f"invalid mean goals {matrix[i, j].item()}")
         self.names = names
         self.mean_goals = matrix
         self.mean_goals.setflags(write=False)
+
+
+def _reject_first_cell(names: Sequence[str], bad, error: type, message: Callable) -> None:
+    """Raise `error` of message(i, j) after "row 'A', column 'B': ", the
+    first cell (i, j) in row order where the boolean matrix `bad` is set."""
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        raise error(f"row {names[i]!r}, column {names[j]!r}: {message(i, j)}")
 
 
 def _read_table(

@@ -28,7 +28,6 @@ import bisect
 import contextlib
 import io
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -99,7 +98,7 @@ class DiscrepancyDistribution:
             # numpy's rule: index h = (n - 1) * p / 100 of the sorted sample,
             # between its neighbours a and b at fraction t.
             h = (n - 1) * (p / 100)
-            i = math.floor(h)
+            i = int(h)  # h >= 0: its floor
             t = h - i
             a = values[bisect.bisect_right(ends, i)]
             b = values[bisect.bisect_right(ends, min(i + 1, n - 1))]

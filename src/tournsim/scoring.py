@@ -1,18 +1,20 @@
 """Standings, tie-breaking and the L1 (Spearman footrule) distance
 between rankings.
 
+How a scoreline scores is written once for arrays: `game_points` (3 a
+win, 1 a draw) and `round_half_away` (a mean scoreline to one game).
 Every complete round robin is scored by one kernel, `round_robin_totals`,
-on n x n matrices, and ranked by one tie-break kernel, `tiebreak_order`.
-`league_table` wraps both into standings and a ranking: the oracle's
-(`formats`) and the bundled models' under both schemes (`fixtures`), which
-`tournsim rank` and the golden checks use. The batched engine calls the
-kernels on its stacks of matrices. Games of a bracket round robin are
-scored one at a time by `standings_from_games` and ranked by `rank`."""
+and ranked by one tie-break kernel, `tiebreak_order`; `league_table` wraps
+both for the oracle (`formats`) and the bundled models (`fixtures`), and
+the batched engine calls them on stacks of matrices. Games of a bracket
+round robin are scored one at a time by `standings_from_games` and ranked
+by `rank`, with 3/1/0 loops of their own: the benchmark's tracer wraps
+both names, and the tests check the kernels against `standings_from_games`,
+which must not share the rule it checks."""
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -27,9 +29,16 @@ DISCRETE = "discrete"
 CRITERIA = ("points", "goal_difference", "goals_for", "head_to_head", "seed_order")
 
 
-def round_half_away(x: float) -> int:
-    """Nearest integer, halves away from zero (0.5 -> 1)."""
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+def game_points(goals_for, goals_against):
+    """Points of one game, elementwise: 3 a win, 1 a draw, 0 a loss."""
+    return 3 * (goals_for > goals_against) + (goals_for == goals_against)
+
+
+def round_half_away(total, k=1):
+    """The int64 integer nearest to total / k >= 0, elementwise, halves
+    rounded up: exact for integer totals, and floor(x + 0.5) bit for bit
+    for a float x, since doubling a float is exact."""
+    return ((2 * np.asarray(total) + k) // (2 * k)).astype(np.int64)
 
 
 @dataclass
@@ -73,30 +82,25 @@ def points_matrix(goals):
     """The points team i took from team j, `goals[..., i, j]` to
     `goals[..., j, i]` being one game: 3 a win, 1 a draw, 0 on the
     diagonal."""
-    against = np.swapaxes(goals, -1, -2)
     # The diagonal is a 0-0 "draw" worth one point to nobody.
-    return 3 * (goals > against) + (goals == against) - np.eye(goals.shape[-1], dtype=int)
+    return game_points(goals, np.swapaxes(goals, -1, -2)) - np.eye(goals.shape[-1], dtype=int)
 
 
-def round_robin_totals(goals, points=None):
+def round_robin_totals(goals, points):
     """Points, goals for and goals against of every team in complete round
     robins. `goals[..., i, j]` is what team i scored against team j, with a
-    zero diagonal; each cell pair is one scoreline, worth 3 points a win
-    and 1 a draw (`points_matrix`), unless `points[..., i, j]`, the points
-    team i took from team j, is given. Returns three arrays of shape
-    `goals.shape[:-1]`.
+    zero diagonal, and `points[..., i, j]` the points team i took from team
+    j (`points_matrix` scores one game a pair). Returns three arrays of
+    shape `goals.shape[:-1]`.
 
     Integer matrices are summed with `np.einsum`, about three times faster
     than `sum` at (250, 1, 8, 8) and exact in any order. Float matrices keep
     `np.sum`: einsum may add in another order and change the last bit, and
     ties must not depend on summation order."""
-    if points is None:
-        points = points_matrix(goals)
-    against = np.swapaxes(goals, -1, -2)
     if goals.dtype.kind in "iu" and points.dtype.kind in "iu":  # signed or unsigned ints
         return (np.einsum("...ij->...i", points), np.einsum("...ij->...i", goals),
                 np.einsum("...ij->...j", goals))
-    return points.sum(-1), goals.sum(-1), against.sum(-1)
+    return points.sum(-1), goals.sum(-1), np.swapaxes(goals, -1, -2).sum(-1)
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,15 @@ class TestRank:
             f"# points={points}", f"# version={__version__}",
         ]
 
+    @pytest.mark.parametrize("scheme", [[], ["--scheme", "discrete"]], ids=["default", "discrete"])
+    def test_points_under_discrete_scheme_is_usage_error(self, capsys, tmp_path, scheme):
+        # The discrete scheme reads no points table: naming one is a usage
+        # error even when the file does not exist, and nothing is written.
+        missing = str(tmp_path / "missing.points.csv")
+        code, out, err = run(capsys, "rank", "--model", MODEL_2012, *scheme, "--points", missing)
+        assert (code, out) == (1, "")
+        assert "--points" in err and "--scheme discrete" in err
+
     def test_seed_flag_rejected(self, capsys):
         # rank draws nothing, so it takes no seed
         code, _, _ = run(capsys, "rank", "--model", MODEL_2012, "--seed", "99")

@@ -458,6 +458,20 @@ class TestFixedResults:
         with pytest.raises(InvalidInputError, match="shape"):
             FixedResultTable(NAMES8, np.zeros(shape))
 
+    def test_caller_array_stays_writable_and_unchanged(self):
+        # The table keeps a read-only copy with a zero diagonal, so a write
+        # to the caller's array cannot slip a negative goal past the check.
+        goals = np.ones((8, 8, 2))
+        goals[0, 0], goals[1, 1] = np.nan, -3
+        table = FixedResultTable(NAMES8, goals)
+        assert table.goals is not goals
+        assert not table.goals.flags.writeable
+        assert table.goals[[0, 1], [0, 1]].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        goals[0, 1] = -5
+        assert goals[0, 1].tolist() == [-5, -5] and np.isnan(goals[0, 0]).all()
+        assert table.goals[0, 1].tolist() == [1.0, 1.0]
+        assert rank_from_fixed_results(table).order() == NAMES8
+
     def test_drawn_playoff_keeps_the_higher_preliminary_place(self):
         goals = np.ones((8, 8, 2))
         # every game drawn: the preliminary order is the seeding, table order

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,13 @@ from tournsim import (
     standings_from_games,
 )
 from tournsim import fixtures
-from tournsim.scoring import TeamStats, league_table
+from tournsim.scoring import (
+    TeamStats,
+    game_points,
+    league_table,
+    points_matrix,
+    round_half_away,
+)
 
 from reference_ranking import ALL_POLICIES, points_per_game, reference_rank
 
@@ -54,6 +62,29 @@ def test_discrete_scheme_rounds_each_mean_half_away(means, goals, points):
     assert (table["A"].points, table["B"].points) == points
 
 
+def test_game_points_by_hand():
+    goals_for = np.array([[0, 1, 2], [3, 0, 1], [2, 2, 5]])
+    goals_against = np.array([[0, 2, 1], [3, 4, 0], [1, 2, 0]])
+    assert game_points(goals_for, goals_against).tolist() == [[1, 0, 3], [1, 0, 3], [3, 1, 3]]
+
+
+def test_round_half_away_is_exact_on_integer_totals():
+    totals = np.arange(201)
+    for k in range(1, 51):
+        # Fraction rounds halves to even; halves up is floor(x + 1/2).
+        want = [math.floor(Fraction(t, k) + Fraction(1, 2)) for t in range(201)]
+        assert round_half_away(totals, k).tolist() == want
+        assert [round_half_away(t, k) for t in range(201)] == want
+    assert round_half_away(totals, 7).dtype == np.int64
+
+
+@pytest.mark.parametrize("x", [0.5, 1.5, 2.5, 0.49999999999999994, 999999.5, 1e6])
+def test_round_half_away_on_floats_is_floor_of_x_plus_half(x):
+    assert round_half_away(x) == math.floor(x + 0.5)
+    rounded = round_half_away(np.array([x]))
+    assert rounded.dtype == np.int64 and rounded.tolist() == [math.floor(x + 0.5)]
+
+
 @st.composite
 def round_robins(draw):
     """Goals of complete round robins, shape (rows, n, n), zero diagonal."""
@@ -68,7 +99,7 @@ def round_robins(draw):
 def test_round_robin_totals_equal_standings_from_games(goals):
     n = goals.shape[-1]
     teams = [f"T{i}" for i in range(n)]
-    totals = np.stack(round_robin_totals(goals), -1)
+    totals = np.stack(round_robin_totals(goals, points_matrix(goals)), -1)
     for r, g in enumerate(goals):
         table = standings_from_games(
             GameResult(teams[i], teams[j], int(g[i, j]), int(g[j, i]))
@@ -186,7 +217,8 @@ class TestDiscreteStandings:
         )
 
     def test_forced_draw(self):
-        points, _, _ = round_robin_totals(np.array([[0, 1], [1, 0]]))
+        goals = np.array([[0, 1], [1, 0]])
+        points, _, _ = round_robin_totals(goals, points_matrix(goals))
         assert points.tolist() == [1, 1]
 
     def test_total_points_identity(self):
@@ -194,7 +226,7 @@ class TestDiscreteStandings:
         goals = np.random.default_rng(11).integers(0, 4, (20, 6, 6))
         goals[:, np.arange(6), np.arange(6)] = 0
         drawn = np.triu(goals == goals.swapaxes(1, 2), 1).sum((1, 2))
-        points, _, _ = round_robin_totals(goals)
+        points, _, _ = round_robin_totals(goals, points_matrix(goals))
         assert points.sum(1).tolist() == (3 * (15 - drawn) + 2 * drawn).tolist()
 
 
