@@ -31,10 +31,10 @@ serve three kinds of run:
   once per table, as the golden checks over the published tables do.
 
 The iterated round-robin (the ground-truth oracle) is not a bracket: it
-samples each pair's games in bulk, turns them into the integer goal and
-points matrices of its scheme by the `scoring` rules (`_scheme_matrices`),
-and ranks those with `scoring.league_table`, as a replay of its ledger
-does. A bracket round robin is ranked from its games by `scoring.rank`.
+samples every pair's games in one `sample_many` call, turns them into the
+integer goal and points matrices of its scheme by the `scoring` rules
+(`_scheme_matrices`), and ranks those with `scoring.league_table`, as a
+replay of its ledger does. A bracket round robin is ranked from its games by `scoring.rank`.
 """
 
 from __future__ import annotations
@@ -260,18 +260,21 @@ class _ReplayProvider:
         self._pos = 0
 
     def play(self, stage: str, i: int, j: int) -> LedgerEntry:
-        if self._pos >= len(self._queue):
+        pos = self._pos
+        if pos >= len(self._queue):
             raise InvalidInputError("ledger exhausted during replay")
-        entry = self._queue[self._pos]
-        self._pos += 1
+        self._pos = pos + 1
+        entry = self._queue[pos]
         if entry.stage != stage:
             raise InvalidInputError(
                 f"ledger stage {entry.stage!r} does not match expected {stage!r}"
             )
-        r = entry.result
-        if (r.home, r.away) != (self.names[i], self.names[j]):
+        # One slice, not two named reads: a named field read of a GameResult
+        # costs about twice a dataclass attribute's.
+        teams = entry.result[:2]
+        if teams != (self.names[i], self.names[j]):
             raise InvalidInputError(
-                f"ledger game {stage!r} is {r.home} v {r.away}, "
+                f"ledger game {stage!r} is {teams[0]} v {teams[1]}, "
                 f"expected {self.names[i]} v {self.names[j]}"
             )
         return entry
@@ -397,6 +400,17 @@ def _pair_index(n: int) -> np.ndarray:
     return pairs
 
 
+@functools.lru_cache(maxsize=8)
+def _ledger_labels(n: int, k: int) -> tuple[str, ...]:
+    """The stage labels of an oracle ledger of n teams and k games a pair,
+    in ledger order (pair by pair as `_pair_index`, game by game), built
+    once per (n, k); a few entries are kept, since one holds k * pairs
+    labels."""
+    prefixes = [f"rr-{i + 1}v{j + 1}-g" for i, j in _pair_index(n).T.tolist()]
+    suffixes = [str(g) for g in range(1, k + 1)]
+    return tuple(p + s for p in prefixes for s in suffixes)
+
+
 def _iterated_round_robin(spec: FormatSpec, sampler, rng, keep_games: bool) -> TournamentOutcome:
     """Ground-truth oracle: every unordered pair plays spec.games_per_pair
     games; teams are ranked under spec.scheme and spec.policy."""
@@ -405,19 +419,14 @@ def _iterated_round_robin(spec: FormatSpec, sampler, rng, keep_games: bool) -> T
         raise UnsupportedSizeError("need at least 2 teams")
     k = spec.games_per_pair
     pairs = _pair_index(len(names))
-    goals = np.empty((2, pairs.shape[1], k), dtype=np.int64)
-    for p, (i, j) in enumerate(pairs.T.tolist()):
-        goals[:, p] = sampler.sample_many(i, j, k, rng)
+    goals = np.asarray(sampler.sample_many(pairs[0], pairs[1], k, rng), dtype=np.int64)
     entries = None
     if keep_games:
-        # Column by column: labels, team names and goals of the games in
-        # ledger order (pair by pair, game by game).
-        prefixes = [f"rr-{i + 1}v{j + 1}-g" for i, j in pairs.T.tolist()]
-        suffixes = [str(g) for g in range(1, k + 1)]
-        labels = [p + s for p in prefixes for s in suffixes]
+        # Column by column: team names and goals of the games in ledger
+        # order (pair by pair, game by game).
         home, away = np.array(names, dtype=object)[pairs].repeat(k, axis=1).tolist()
-        results = map(GameResult, home, away, *goals.reshape(2, -1).tolist())
-        entries = list(map(LedgerEntry, labels, results))
+        results = GameResult._many(home, away, *goals.reshape(2, -1).tolist())
+        entries = list(map(LedgerEntry, _ledger_labels(len(names), k), results))
     _, ranking = league_table(names, *_scheme_matrices(len(names), goals, spec.scheme),
                               spec.policy)
     return TournamentOutcome(ranking, entries, goals[0].size)
@@ -520,10 +529,11 @@ def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
     return goals[:, np.argsort(pair, kind="stable")].reshape(2, -1, k)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedResultTable:
     """A complete pairwise score table, used to replay the proposed format
-    over fixed, non-sampled results. goals, a read-only copy, holds at [i, j]
+    over fixed, non-sampled results. Its fields cannot be reassigned.
+    goals, a read-only copy set once by the constructor, holds at [i, j]
     the goals of names[i] and of names[j] in their game with names[i] at
     home, each as printed (integer or average-valued), finite and
     nonnegative; the unused diagonal is 0. A pair's cells need not mirror."""
@@ -542,7 +552,7 @@ class FixedResultTable:
         _reject_first_cell(self.names, bad, InvalidInputError, lambda i, j:
                            f"goals {goals[i, j].tolist()} are not finite and nonnegative")
         goals.setflags(write=False)
-        self.goals = goals
+        object.__setattr__(self, "goals", goals)
 
 
 def rank_from_fixed_results(

@@ -14,7 +14,9 @@ range is checked by the type the array goes into (`_reject_first_cell`).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,8 +27,8 @@ from .errors import IngestionError, InvalidInputError, InvalidPairingError
 class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
     """One sampled game: the two teams by name, integer goals for each side.
     An immutable tuple that unpacks as (home, away, home_goals, away_goals);
-    every way of building one (the constructor, `_make`, `_replace`, copy
-    and unpickling) runs its checks."""
+    every way of building one (the constructor, `_make`, `_replace`,
+    `_many`, copy and unpickling) runs its checks."""
 
     __slots__ = ()
 
@@ -41,21 +43,39 @@ class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
     def _make(cls, iterable):
         return cls(*iterable)
 
+    @classmethod
+    def _many(cls, home, away, home_goals, away_goals) -> list[GameResult]:
+        """The games of four equal-length column sequences, checked as the
+        constructor checks each one but once for all of them."""
+        games = zip(home, away, home_goals, away_goals, strict=True)
+        # Whenever a column holds a negative goal, its `min` is negative or
+        # NaN and fails `>= 0`. So does a NaN the constructor accepts: what
+        # fails goes game by game through the constructor, which decides.
+        if (any(map(operator.eq, home, away)) or not min(home_goals, default=0) >= 0
+                or not min(away_goals, default=0) >= 0):
+            return list(itertools.starmap(cls, games))
+        return list(map(tuple.__new__, itertools.repeat(cls), games))
+
 
 # The largest mean a model accepts: a team's goal total in any oracle run
 # that fits in memory, about (n - 1) * games_per_pair * mean, stays in int64.
 MAX_MEAN_GOALS = 1e6
 
 
+@dataclass(frozen=True, eq=False)
 class PairwiseGoalModel:
     """n x n matrix of mean goals; entry (i, j) is the expected goals team i
     scores against team j, from 0 to MAX_MEAN_GOALS. The diagonal is unused
-    and stored as 0. Holds its own read-only copy of the means, so it is
-    immutable after construction and safe to share across workers."""
+    and stored as 0. Holds its own list of the names and read-only copy of
+    the means, set once by the constructor, so it is immutable after
+    construction and safe to share across workers."""
 
-    def __init__(self, names: Sequence[str], mean_goals):
-        names = list(names)
-        matrix = np.array(mean_goals, dtype=float)  # a copy: the caller's array stays theirs
+    names: list[str]
+    mean_goals: np.ndarray  # (n, n) floats
+
+    def __post_init__(self):
+        names = list(self.names)
+        matrix = np.array(self.mean_goals, dtype=float)  # a copy: the caller's array stays theirs
         n = len(names)
         if n < 2:
             raise IngestionError("a model needs at least 2 teams")
@@ -67,9 +87,9 @@ class PairwiseGoalModel:
         bad = ~((matrix >= 0) & (matrix <= MAX_MEAN_GOALS))
         _reject_first_cell(names, bad, IngestionError,
                            lambda i, j: f"invalid mean goals {matrix[i, j].item()}")
-        self.names = names
-        self.mean_goals = matrix
-        self.mean_goals.setflags(write=False)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "mean_goals", matrix)
 
 
 def _reject_first_cell(names: Sequence[str], bad, error: type, message: Callable) -> None:
@@ -156,12 +176,23 @@ class PoissonSampler:
         m = self._m
         return int(rng.poisson(m[i, j])), int(rng.poisson(m[j, i]))
 
-    def sample_many(self, i: int, j: int, count: int, rng: np.random.Generator):
-        """Vectorized draw of `count` games for one pairing."""
-        if i == j:
+    def sample_many(self, i, j, count: int, rng: np.random.Generator) -> np.ndarray:
+        """`count` games of each pairing (i, j), elementwise over two
+        equal-shaped arrays of team indices (or two ints): an array of shape
+        (2, *i.shape, count), home goals then away goals. One `rng.poisson`
+        call draws them all, pairing by pairing, its home games then its
+        away games; element by element, in that order, as one call per
+        pairing and side would draw them (a zero mean draws nothing), so the
+        variates and the generator state are those of the per-side calls."""
+        i, j = np.asarray(i), np.asarray(j)
+        if (i == j).any():
             raise InvalidPairingError("a team cannot play itself")
-        m = self._m
-        return rng.poisson(m[i, j], count), rng.poisson(m[j, i], count)
+        nd = i.ndim
+        # (*i.shape, 2, 1), then each mean repeated count times without a
+        # copy; `transpose` costs less than `np.moveaxis` at this size.
+        means = self._m[[i, j], [j, i]].transpose(*range(1, nd + 1), 0)[..., None]
+        draws = rng.poisson(np.broadcast_to(means, (*means.shape[:-1], count)))
+        return draws.transpose(nd, *range(nd), nd + 1)
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:

@@ -472,6 +472,16 @@ class TestFixedResults:
         assert table.goals[0, 1].tolist() == [1.0, 1.0]
         assert rank_from_fixed_results(table).order() == NAMES8
 
+    @pytest.mark.parametrize("field", ["names", "goals"])
+    def test_fields_cannot_be_reassigned(self, field):
+        table = fixtures.load_combined_table(2013)
+        names, goals = list(table.names), table.goals.tolist()
+        with pytest.raises(AttributeError):
+            setattr(table, field, np.full((8, 8, 2), -1.0))
+        assert (table.names, table.goals.tolist()) == (names, goals)
+        r = rank_from_fixed_results(table, playoff_overrides=fixtures.PLAYOFF_OVERRIDES_2013)
+        assert r.places == fixtures.R_P_2013.places
+
     def test_drawn_playoff_keeps_the_higher_preliminary_place(self):
         goals = np.ones((8, 8, 2))
         # every game drawn: the preliminary order is the seeding, table order
@@ -521,7 +531,8 @@ class TestSamplerInterchangeability:
 
 class FixedGoalsSampler:
     """Hands out preset games: goals[:, p] for the p-th pair (i < j, in
-    row-major order), whatever the generator."""
+    row-major order), whatever the generator, to a `sample_many` over index
+    arrays, as the oracle calls it."""
 
     backend = "fixed"
 
@@ -532,9 +543,10 @@ class FixedGoalsSampler:
         self._games = {pair: (goals[0][p], goals[1][p]) for p, pair in enumerate(pairs)}
 
     def sample_many(self, i, j, count, rng):
-        home, away = self._games[(i, j)]
-        assert len(home) == count
-        return np.array(home), np.array(away)
+        games = [self._games[pair] for pair in zip(i.tolist(), j.tolist())]
+        for home, _ in games:
+            assert len(home) == count
+        return np.array(games).transpose(1, 0, 2)  # (2, pairs, count)
 
 
 def fraction_standings(names, goals, scheme):

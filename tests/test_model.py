@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tournsim import (
     GameResult,
@@ -17,6 +19,7 @@ from tournsim import (
 )
 from tournsim import fixtures
 from tournsim.fixtures import fixture_text
+from tournsim.formats import _pair_index
 from tournsim.model import MAX_MEAN_GOALS
 
 
@@ -80,6 +83,16 @@ class TestLoadModel:
         means[0, 1] = 5
         assert np.isnan(means[1, 1]) and means[0, 1] == 5
         assert model.mean_goals[0, 1] == 1.5
+
+    @pytest.mark.parametrize("field", ["names", "mean_goals"])
+    def test_fields_cannot_be_reassigned(self, field):
+        model = load_model(fixture_text("robocup2012.csv"))
+        names, means = list(model.names), model.mean_goals.tolist()
+        before = fixtures.discrete_fixture_standings(model)[1]
+        with pytest.raises(AttributeError):
+            setattr(model, field, getattr(model, field)[::-1])
+        assert (model.names, model.mean_goals.tolist()) == (names, means)
+        assert fixtures.discrete_fixture_standings(model)[1].places == before.places
 
     def test_non_square_rejected(self):
         with pytest.raises(IngestionError):
@@ -174,8 +187,66 @@ class TestPoissonSampler:
         assert abs(draws.mean() - lam) < 4 * se_mean
         assert abs(draws.var() - lam) < 4 * se_var
 
+    @pytest.mark.parametrize("year", [2012, 2013])
+    @pytest.mark.parametrize("k", [1, 3, 10, 1000])
+    def test_index_arrays_draw_as_one_call_per_pairing_and_side(self, year, k):
+        # The 2012 model has a zero mean (no draw) and a mean of 12.1 (numpy's
+        # rejection sampler for means of 10 and more).
+        model = fixtures.load_goal_model(year)
+        m, (i, j) = model.mean_goals, _pair_index(8)
+        sampler = PoissonSampler(model)
+        for seed in range(3 if k == 1000 else 20):
+            got_rng, want_rng, scalar_rng = (derive_rng(seed, k) for _ in range(3))
+            got = sampler.sample_many(i, j, k, got_rng)
+            want = [[want_rng.poisson(m[a, b], k), want_rng.poisson(m[b, a], k)]
+                    for a, b in zip(i, j)]
+            scalar = [sampler.sample_many(a, b, k, scalar_rng) for a, b in zip(i, j)]
+            assert got.shape == (2, 28, k)
+            assert np.array_equal(got, np.transpose(want, (1, 0, 2)))
+            assert np.array_equal(got, np.transpose(scalar, (1, 0, 2)))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert scalar_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("position", [0, 13, 27, None])
+    def test_self_pairing_in_index_arrays_rejected(self, model2012, position):
+        i, j = _pair_index(8).copy()
+        if position is None:  # two ints
+            i, j = 4, 4
+        else:
+            j[position] = i[position]
+        with pytest.raises(InvalidPairingError, match="cannot play itself"):
+            PoissonSampler(model2012).sample_many(i, j, 3, derive_rng(0))
+
+
+def built(build):
+    """build()'s value, or the type and message of what it raised."""
+    try:
+        return build()
+    except (InvalidPairingError, InvalidInputError) as e:
+        return type(e), str(e)
+
+
+# Columns of games on three teams, with negative and NaN goals among them.
+GAME_COLUMNS = st.integers(0, 12).flatmap(lambda n: st.tuples(*(
+    st.lists(values, min_size=n, max_size=n) for values in (
+        st.sampled_from("ABC"), st.sampled_from("ABC"),
+        st.sampled_from([0, 1, 5, -1, math.nan]), st.sampled_from([0, 2, -3, math.nan, 0.5]),
+    ))))
+
 
 class TestGameResult:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(columns=GAME_COLUMNS)
+    def test_many_builds_and_rejects_as_the_constructor(self, columns):
+        many = built(lambda: GameResult._many(*columns))
+        one_by_one = built(lambda: [GameResult(*game) for game in zip(*columns)])
+        if isinstance(one_by_one, list):
+            assert [type(g) for g in many] == [GameResult] * len(one_by_one)
+            # NaN goals never compare equal, so compare their reprs.
+            assert repr(many) == repr(one_by_one)
+        else:
+            assert many == one_by_one
+
     def test_self_play_rejected(self):
         with pytest.raises(InvalidPairingError, match="cannot play itself"):
             GameResult("A", "A", 1, 0)
@@ -220,6 +291,7 @@ class TestGameResult:
         for rebuild in (lambda: pickle.loads(pickle.dumps(forged)),
                         lambda: copy.copy(forged), lambda: copy.deepcopy(forged),
                         lambda: GameResult._make(fields),
+                        lambda: GameResult._many(*([f] for f in fields)),
                         lambda: GameResult("A", "B", 0, 0)._replace(
                             **dict(zip(GameResult._fields, fields)))):
             with pytest.raises(error):
