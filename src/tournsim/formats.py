@@ -40,6 +40,7 @@ replay of its ledger does. A bracket round robin is ranked from its games by `sc
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -213,6 +214,36 @@ BRACKETS = {
 
 KINDS = ("iterated_round_robin", *BRACKETS)
 
+# The scalar interpreter's own stage kind: a playoff under best of three.
+_BEST_OF_THREE = "best_of_three"
+
+
+def _labelled(stages, best_of_three: bool):
+    """A bracket's stages as `_play` reads them, (label, kind, refs, games):
+    a playoff is a KO, or a _BEST_OF_THREE under `best_of_three`, and
+    `games` holds the ledger labels of the stage's games in playing order,
+    as (label, a, b) for a round robin's game of its a-th and b-th team."""
+    table = []
+    for label, kind, refs in stages:
+        if kind == RR:
+            m = len(refs)
+            games = tuple((f"{label}{a + 1}v{b + 1}", a, b)
+                          for a in range(m) for b in range(a + 1, m))
+        elif kind == LEGS:
+            games = (f"{label}-leg1", f"{label}-leg2")
+        elif kind == PLAYOFF and best_of_three:
+            kind, games = _BEST_OF_THREE, tuple(f"{label}-g{g}" for g in (1, 2, 3))
+        else:
+            kind, games = KO, (label,)
+        table.append((label, kind, refs, games))
+    return table
+
+
+# Each bracket with its ledger labels for both best-of-three settings,
+# built at import so that no run builds a label.
+_TABLES = {(kind, best_of_three): (_labelled(stages, best_of_three), places)
+           for kind, (stages, places) in BRACKETS.items() for best_of_three in (False, True)}
+
 
 class _LiveProvider:
     """Samples fresh games and resolves draws via the decisive policy."""
@@ -325,53 +356,51 @@ class _FixedProvider:
         return i if w == pair[0] else j
 
 
-def _round_robin(provider, prefix, members, policy) -> list[int]:
-    """Single round-robin among `members`, in seed order; their finishing order."""
-    games = [
-        provider.play(f"{prefix}{a + 1}v{b + 1}", members[a], members[b]).result
-        for a in range(len(members))
-        for b in range(a + 1, len(members))
-    ]
+def _round_robin(provider, games, members, policy) -> list[int]:
+    """Single round robin among `members`, in seed order, of the games
+    (label, a, b) of `_labelled`; their finishing order."""
+    results = [provider.play(label, members[a], members[b]).result for label, a, b in games]
     group = [provider.names[m] for m in members]
-    table = standings_from_games(games, group)
-    return [members[group.index(n)] for n in rank(table, policy, group, games).order()]
+    table = standings_from_games(results, group)
+    return [members[group.index(n)] for n in rank(table, policy, group, results).order()]
 
 
 def _play(provider, kind: str, seeds: Sequence[int], policy: TieBreakPolicy,
           best_of_three: bool) -> list[int]:
     """Play bracket `kind` on `seeds` (team indices, seed 1 first) with the
     games `provider` gives; returns the final order, best first."""
-    stages, places = BRACKETS[kind]
+    stages, places = _TABLES[kind, best_of_three]
     if len(seeds) != len(places):
         raise UnsupportedSizeError(f"{kind} requires exactly {len(places)} teams")
     yielded = {"seeds": seeds}
-    for label, stage_kind, refs in stages:
-        teams = [yielded[stage][p] for stage, p in refs]
+    for label, stage_kind, refs, games in stages:
         if stage_kind == RR:
-            yielded[label] = _round_robin(provider, label, teams, policy)
+            yielded[label] = _round_robin(
+                provider, games, [yielded[stage][p] for stage, p in refs], policy)
             continue
-        i, j = teams
+        (home, p), (away, q) = refs
+        i, j = yielded[home][p], yielded[away][q]
         if stage_kind == LEGS:
             # Home leg, then away leg; aggregate goals, no away-goals rule.
-            leg1 = provider.play(f"{label}-leg1", i, j).result
-            last = provider.play(f"{label}-leg2", j, i)
-            si = leg1.home_goals + last.result.away_goals
-            sj = leg1.away_goals + last.result.home_goals
-        elif stage_kind == PLAYOFF and best_of_three:
+            _, _, hi, hj = provider.play(games[0], i, j).result
+            last = provider.play(games[1], j, i)
+            _, _, aj, ai = last.result
+            si, sj = hi + ai, hj + aj
+        elif stage_kind == _BEST_OF_THREE:
             # Wins, drawn games counting for neither side; the series stops
             # once a side leads by two. Series points (3/1/0) cannot decide
             # it: equal wins after three games mean equal draws.
             si = sj = 0
-            for g in range(1, 4):
-                last = provider.play(f"{label}-g{g}", i, j)
-                r = last.result
-                si += r.home_goals > r.away_goals
-                sj += r.away_goals > r.home_goals
+            for game in games:
+                last = provider.play(game, i, j)
+                _, _, gi, gj = last.result
+                si += gi > gj
+                sj += gj > gi
                 if abs(si - sj) == 2:
                     break
         else:
-            last = provider.play(label, i, j)
-            si, sj = last.result.home_goals, last.result.away_goals
+            last = provider.play(games[0], i, j)
+            _, _, si, sj = last.result
         w = provider.resolve(last, i, j, i if si > sj else j if sj > si else None)
         yielded[label] = (w, j if w == i else i)
     return [yielded[stage][p] for stage, p in places]
@@ -507,25 +536,30 @@ def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
     holds them: shape (2, pairs, k), pairs as `_pair_index`, each game
     oriented (i, j) whichever way it is named."""
     n = len(names)
-    index = {name: i for i, name in enumerate(names)}
-    # One list per column: zip(*results) would allocate one tracked iterator
-    # a game, which, with the live run's ledger still alive, starts a
-    # garbage collection in nearly every replay.
+    index = {name: i for i, name in enumerate(names)}.__getitem__
     results = [g.result for g in games]
+
+    # Column by column, each field read by `itemgetter` straight into an
+    # array: zip(*results) would allocate one tracked iterator a game, which,
+    # with the live run's ledger still alive, starts a garbage collection in
+    # nearly every replay.
+    def column(field, convert=None):
+        values = map(operator.itemgetter(field), results)
+        return np.fromiter(map(convert, values) if convert else values, np.int64, len(results))
+
     try:
-        rows = np.array([[index[r.home] for r in results], [index[r.away] for r in results],
-                         [r.home_goals for r in results], [r.away_goals for r in results]],
-                        dtype=np.int64)
+        home, away = column(0, index), column(1, index)
     except KeyError as e:
         raise InvalidInputError(f"ledger game of {e.args[0]!r}, a team not in names") from None
-    lo, hi = np.minimum(rows[0], rows[1]), np.maximum(rows[0], rows[1])
+    home_goals, away_goals = column(2), column(3)
+    lo, hi = np.minimum(home, away), np.maximum(home, away)
     pair = lo * n + hi
     pairs = _pair_index(n)
     counts = np.bincount(pair, minlength=n * n)[pairs[0] * n + pairs[1]]
     for (i, j), c in zip(pairs.T.tolist(), counts.tolist()):
         if c != k:
             raise InvalidInputError(f"ledger has {c} games of ({names[i]}, {names[j]}), not {k}")
-    goals = np.where(rows[0] > rows[1], rows[[3, 2]], rows[2:])
+    goals = np.where(home > away, [away_goals, home_goals], [home_goals, away_goals])
     return goals[:, np.argsort(pair, kind="stable")].reshape(2, -1, k)
 
 
@@ -533,25 +567,31 @@ def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
 class FixedResultTable:
     """A complete pairwise score table, used to replay the proposed format
     over fixed, non-sampled results. Its fields cannot be reassigned.
-    goals, a read-only copy set once by the constructor, holds at [i, j]
-    the goals of names[i] and of names[j] in their game with names[i] at
-    home, each as printed (integer or average-valued), finite and
-    nonnegative; the unused diagonal is 0. A pair's cells need not mirror."""
+    names, a tuple of distinct team names, and goals, a read-only copy, are
+    set once by the constructor: the caller's list and array stay theirs.
+    goals holds at [i, j] the goals of names[i] and of names[j] in their
+    game with names[i] at home, each as printed (integer or
+    average-valued), finite and nonnegative; the unused diagonal is 0. A
+    pair's cells need not mirror."""
 
-    names: list[str]
+    names: tuple[str, ...]
     goals: np.ndarray  # (n, n, 2) floats
 
     def __post_init__(self):
-        goals = np.array(self.goals, dtype=float)  # a copy: the caller's array stays theirs
-        n = len(self.names)
+        names = tuple(self.names)
+        goals = np.array(self.goals, dtype=float)
+        n = len(names)
+        if len(set(names)) != n:
+            raise InvalidInputError("duplicate team name in table")
         if goals.shape != (n, n, 2):
             raise InvalidInputError(f"goals of shape {goals.shape} do not fit {n} teams, "
                                     f"need {(n, n, 2)}")
         goals[range(n), range(n)] = 0
         bad = ~(np.isfinite(goals) & (goals >= 0)).all(-1)
-        _reject_first_cell(self.names, bad, InvalidInputError, lambda i, j:
+        _reject_first_cell(names, bad, InvalidInputError, lambda i, j:
                            f"goals {goals[i, j].tolist()} are not finite and nonnegative")
         goals.setflags(write=False)
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "goals", goals)
 
 

@@ -66,15 +66,15 @@ MAX_MEAN_GOALS = 1e6
 class PairwiseGoalModel:
     """n x n matrix of mean goals; entry (i, j) is the expected goals team i
     scores against team j, from 0 to MAX_MEAN_GOALS. The diagonal is unused
-    and stored as 0. Holds its own list of the names and read-only copy of
+    and stored as 0. Holds its own tuple of the names and read-only copy of
     the means, set once by the constructor, so it is immutable after
     construction and safe to share across workers."""
 
-    names: list[str]
+    names: tuple[str, ...]
     mean_goals: np.ndarray  # (n, n) floats
 
     def __post_init__(self):
-        names = list(self.names)
+        names = tuple(self.names)
         matrix = np.array(self.mean_goals, dtype=float)  # a copy: the caller's array stays theirs
         n = len(names)
         if n < 2:
@@ -169,12 +169,16 @@ class PoissonSampler:
         self.model = model
         self.names = model.names
         self._m = model.mean_goals
+        # The means as Python floats for `sample`: indexing a list of lists
+        # costs less than reading a numpy scalar, and `rng.poisson` draws
+        # the same variate from either.
+        self._means = self._m.tolist()
 
     def sample(self, i: int, j: int, rng: np.random.Generator) -> tuple[int, int]:
         if i == j:
             raise InvalidPairingError("a team cannot play itself")
-        m = self._m
-        return int(rng.poisson(m[i, j])), int(rng.poisson(m[j, i]))
+        m = self._means
+        return int(rng.poisson(m[i][j])), int(rng.poisson(m[j][i]))
 
     def sample_many(self, i, j, count: int, rng: np.random.Generator) -> np.ndarray:
         """`count` games of each pairing (i, j), elementwise over two
@@ -197,7 +201,9 @@ class PoissonSampler:
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Independent substream for (master_seed, key...); the backbone of the
-    one-master-seed reproducibility discipline."""
+    one-master-seed reproducibility discipline. The generator is the one
+    `np.random.default_rng` makes of the same SeedSequence, built directly,
+    which skips its argument dispatch."""
     if master_seed < 0:
         raise InvalidInputError(f"seed must be >= 0, not {master_seed}")
-    return np.random.default_rng(np.random.SeedSequence([master_seed, *key]))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, *key])))

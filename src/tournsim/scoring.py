@@ -137,11 +137,15 @@ class Ranking:
 
     @classmethod
     def from_order(cls, names: Sequence[str]) -> "Ranking":
-        places = {name: i + 1 for i, name in enumerate(names)}
+        places = {name: i for i, name in enumerate(names, 1)}
         if len(places) < len(names):
             twice = next(name for name in names if names.count(name) > 1)
             raise InvalidInputError(f"team {twice!r} is listed more than once")
-        return cls(places)
+        # Distinct names in places 1..n are the permutation `__post_init__`
+        # would sort to check, so the check is skipped.
+        ranking = object.__new__(cls)
+        object.__setattr__(ranking, "places", places)
+        return ranking
 
     def order(self) -> list[str]:
         return sorted(self.places, key=self.places.get)
@@ -182,7 +186,7 @@ def league_table(names: Sequence[str], goals, points, policy: TieBreakPolicy = D
     totals = round_robin_totals(goals, points)
     order = tiebreak_order(*totals, policy, points)
     table = {name: TeamStats(*s) for name, *s in zip(names, *(t.tolist() for t in totals))}
-    return table, Ranking.from_order([names[i] for i in order])
+    return table, Ranking.from_order([names[i] for i in order.tolist()])
 
 
 def rank(
@@ -215,7 +219,7 @@ def rank(
                     pair_points[j][i] += 1
         pair_points = np.array(pair_points)
     order = tiebreak_order(*stats, policy, pair_points)
-    return Ranking.from_order([names[i] for i in order])
+    return Ranking.from_order([names[i] for i in order.tolist()])
 
 
 def l1_distance(a: Ranking, b: Ranking) -> int:

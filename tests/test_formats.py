@@ -32,7 +32,7 @@ from tournsim import (
     run_format,
 )
 from tournsim import fixtures
-from tournsim.formats import KINDS, _scheme_matrices
+from tournsim.formats import BRACKETS, KINDS, LEGS, PLAYOFF, RR, _TABLES, _scheme_matrices
 from tournsim.scoring import league_table
 
 from duck_sampler import DuckSampler
@@ -335,6 +335,29 @@ def test_keep_games_false_drops_only_the_ledger(spec):
         assert dropped.games_total == kept.games_total == len(kept.games)
 
 
+@pytest.mark.parametrize("best_of_three", [False, True])
+@pytest.mark.parametrize("kind", list(BRACKETS))
+def test_precomputed_labels_are_those_of_the_stage_table(kind, best_of_three):
+    # The interpreter reads each stage's ledger labels off a table built
+    # once; they must be the labels the stage table names, in playing order.
+    stages, places = BRACKETS[kind]
+    want = []
+    for label, stage_kind, refs in stages:
+        if stage_kind == RR:
+            want.append([(f"{label}{a + 1}v{b + 1}", a, b)
+                         for a in range(len(refs)) for b in range(a + 1, len(refs))])
+        elif stage_kind == LEGS:
+            want.append([f"{label}-leg1", f"{label}-leg2"])
+        elif stage_kind == PLAYOFF and best_of_three:
+            want.append([f"{label}-g1", f"{label}-g2", f"{label}-g3"])
+        else:
+            want.append([label])
+    table, table_places = _TABLES[kind, best_of_three]
+    assert table_places == places
+    assert [(label, refs) for label, _, refs, _ in table] == [(s[0], s[2]) for s in stages]
+    assert [list(games) for *_, games in table] == want
+
+
 class TestBracketProperties:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -478,9 +501,24 @@ class TestFixedResults:
         names, goals = list(table.names), table.goals.tolist()
         with pytest.raises(AttributeError):
             setattr(table, field, np.full((8, 8, 2), -1.0))
-        assert (table.names, table.goals.tolist()) == (names, goals)
+        assert (list(table.names), table.goals.tolist()) == (names, goals)
         r = rank_from_fixed_results(table, playoff_overrides=fixtures.PLAYOFF_OVERRIDES_2013)
         assert r.places == fixtures.R_P_2013.places
+
+    def test_names_are_a_tuple_of_their_own(self):
+        # A write into the caller's list after construction, or into the
+        # table's names, cannot put a team in the table twice.
+        names = list(NAMES8)
+        table = FixedResultTable(names, np.ones((8, 8, 2)))
+        names[1] = "T0"
+        assert table.names == tuple(NAMES8)
+        with pytest.raises(TypeError):
+            table.names[1] = "T0"
+        assert rank_from_fixed_results(table).order() == NAMES8
+
+    def test_duplicate_name_rejected(self):
+        with pytest.raises(InvalidInputError, match="duplicate team name"):
+            FixedResultTable(["T0", *NAMES8[:7]], np.ones((8, 8, 2)))
 
     def test_drawn_playoff_keeps_the_higher_preliminary_place(self):
         goals = np.ones((8, 8, 2))

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 
@@ -18,6 +19,7 @@ from tournsim import (
     load_model,
 )
 from tournsim import fixtures
+from tournsim.cli import TRUTH_STREAM_KEY
 from tournsim.fixtures import fixture_text
 from tournsim.formats import _pair_index
 from tournsim.model import MAX_MEAN_GOALS
@@ -91,8 +93,19 @@ class TestLoadModel:
         before = fixtures.discrete_fixture_standings(model)[1]
         with pytest.raises(AttributeError):
             setattr(model, field, getattr(model, field)[::-1])
-        assert (model.names, model.mean_goals.tolist()) == (names, means)
+        assert (list(model.names), model.mean_goals.tolist()) == (names, means)
         assert fixtures.discrete_fixture_standings(model)[1].places == before.places
+
+    def test_names_are_a_tuple_of_their_own(self):
+        # A write into the caller's list after construction, or into the
+        # model's names, cannot skip the duplicate-name check.
+        names = ["A", "B", "C"]
+        model = PairwiseGoalModel(names, np.ones((3, 3)))
+        names[1] = "A"
+        assert model.names == ("A", "B", "C")
+        with pytest.raises(TypeError):
+            model.names[0] = "B"
+        assert model.names == ("A", "B", "C")
 
     def test_non_square_rejected(self):
         with pytest.raises(IngestionError):
@@ -207,6 +220,25 @@ class TestPoissonSampler:
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
             assert scalar_rng.bit_generator.state == want_rng.bit_generator.state
 
+    @pytest.mark.parametrize("year", [2012, 2013])
+    def test_sample_draws_as_poisson_of_the_model_means(self, year):
+        # `sample` reads a Python-float copy of the means; each call must draw
+        # what rng.poisson draws from the model's own numpy scalars. The 2012
+        # model holds a zero mean and a mean of 12.1 (numpy's rejection
+        # sampler for means of 10 and more).
+        model = fixtures.load_goal_model(year)
+        m = model.mean_goals
+        off = m[~np.eye(8, dtype=bool)]
+        assert year != 2012 or (off.min(), off.max()) == (0.0, 12.1)
+        sampler = PoissonSampler(model)
+        got_rng, want_rng = derive_rng(year, 5), derive_rng(year, 5)
+        for _ in range(20):
+            for i, j in itertools.permutations(range(8), 2):
+                got = sampler.sample(i, j, got_rng)
+                assert got == (int(want_rng.poisson(m[i, j])), int(want_rng.poisson(m[j, i])))
+                assert list(map(type, got)) == [int, int]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     @pytest.mark.parametrize("position", [0, 13, 27, None])
     def test_self_pairing_in_index_arrays_rejected(self, model2012, position):
         i, j = _pair_index(8).copy()
@@ -309,3 +341,16 @@ def test_derive_rng_independent_streams():
     a2 = derive_rng(10, 0).integers(0, 2**32, 8)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("key", [(), (0,), (2**32 - 1,), (2**32,), (2**64 + 3,),
+                                 (TRUTH_STREAM_KEY,), (3, 0, 49, 2)])
+@pytest.mark.parametrize("seed", [0, 20122013])
+def test_derive_rng_is_default_rng_of_the_seed_sequence(seed, key):
+    # derive_rng builds the generator directly; the stream must be the one
+    # np.random.default_rng gives the same SeedSequence.
+    want = np.random.default_rng(np.random.SeedSequence([seed, *key]))
+    got = derive_rng(seed, *key)
+    assert type(got) is np.random.Generator
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.integers(2**62, size=4).tolist() == want.integers(2**62, size=4).tolist()

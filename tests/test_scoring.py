@@ -342,6 +342,21 @@ class TestRank:
         with pytest.raises(InvalidInputError, match="team 'B' is listed more than once"):
             Ranking.from_order(["A", "B", "C", "B"])
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from("ABCDEFGHIJ"), max_size=10))
+    def test_from_order_builds_a_checked_ranking(self, names):
+        # from_order skips the constructor's check; every Ranking it returns
+        # must pass it, and a repeated name is named as before.
+        repeated = [name for name in names if names.count(name) > 1]
+        if repeated:
+            with pytest.raises(InvalidInputError,
+                               match=f"^team {repeated[0]!r} is listed more than once$"):
+                Ranking.from_order(names)
+            return
+        ranking = Ranking.from_order(names)
+        assert Ranking(dict(ranking.places)) == ranking
+        assert ranking.order() == names
+
 
 class TestL1Distance:
     def test_golden_2012(self):
