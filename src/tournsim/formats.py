@@ -33,16 +33,22 @@ serve three kinds of run:
 The iterated round-robin (the ground-truth oracle) is not a bracket: it
 samples every pair's games in one `sample_many` call, turns them into the
 integer goal and points matrices of its scheme by the `scoring` rules
-(`_scheme_matrices`), and ranks those with `scoring.league_table`, as a
-replay of its ledger does. A bracket round robin is ranked from its games by `scoring.rank`.
+(`_scheme_matrices`), and ranks those with `scoring.league_table`. Its
+ledger is its columns: a `Ledger` keeps the drawn goals array beside the
+teams' indices and builds a `LedgerEntry` only when one is read. A replay
+checks those columns by arrays and ranks them as the live run does. A
+bracket's ledger is a list of entries, and a bracket round robin is ranked
+from its games by `scoring.rank`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -122,14 +128,74 @@ class LedgerEntry:
     winner: Optional[str] = None
 
 
+class Ledger(Sequence):
+    """A read-only ledger held as columns, the oracle's: the team `names`
+    (a tuple), each game's stage label in `labels`, and two (2, games)
+    arrays, `teams` of home and away indices into names and `goals` of
+    home and away goals. The constructor checks every game at once and
+    raises what `GameResult` raises for the first game it rejects.
+    Indexing and iteration build `LedgerEntry` views on demand, a slice is
+    a list of them, and a ledger equals another or a list of the same
+    entries."""
+
+    __slots__ = ("names", "labels", "teams", "goals")
+    __hash__ = None
+
+    def __init__(self, names: Sequence[str], labels: Sequence[str], teams, goals):
+        names, teams, goals = tuple(names), np.asarray(teams, np.int64), np.asarray(goals)
+        if len(set(names)) != len(names):
+            raise InvalidInputError("duplicate team name in ledger")
+        if not teams.shape == goals.shape == (2, len(labels)):
+            raise InvalidInputError(f"teams of shape {teams.shape} and goals of shape "
+                                    f"{goals.shape} do not fit {len(labels)} labels")
+        if teams.size and not 0 <= teams.min() <= teams.max() < len(names):
+            raise InvalidInputError(f"team indices must lie in 0..{len(names) - 1}")
+        self_play = teams[0] == teams[1]
+        if self_play.any() or (goals < 0).any():
+            # The first game the constructor rejects, rebuilt to raise its error.
+            g = int((self_play | (goals < 0).any(0)).argmax())
+            GameResult(names[teams[0, g]], names[teams[1, g]], *goals[:, g].tolist())
+        # Read-only views: writes through the ledger fail.
+        teams, goals = teams.view(), goals.view()
+        teams.setflags(write=False)
+        goals.setflags(write=False)
+        self.names, self.labels, self.teams, self.goals = names, tuple(labels), teams, goals
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[g] for g in range(*index.indices(len(self)))]
+        label = self.labels[index]
+        home, away = self.teams[:, index].tolist()
+        return LedgerEntry(label, GameResult(self.names[home], self.names[away],
+                                             *self.goals[:, index].tolist()))
+
+    def __iter__(self):
+        team = self.names.__getitem__
+        home, away = self.teams.tolist()
+        return map(LedgerEntry, self.labels,
+                   map(GameResult, map(team, home), map(team, away), *self.goals.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Ledger, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"Ledger({list(self)!r})"
+
+
 @dataclass
 class TournamentOutcome:
-    """A run's ranking, its ledger (None when not kept), its game count and,
-    for a bracket, the seeding it was played with (team indices, seed 1
-    first), which replays a random seeding."""
+    """A run's ranking, its ledger (None when not kept; a `Ledger` for the
+    oracle, a list of entries for a bracket), its game count and, for a
+    bracket, the seeding it was played with (team indices, seed 1 first),
+    which replays a random seeding."""
 
     ranking: Ranking
-    games: Optional[list[LedgerEntry]]
+    games: Optional[Sequence[LedgerEntry]]
     games_total: int
     seeding: Optional[tuple[int, ...]] = None
 
@@ -451,11 +517,10 @@ def _iterated_round_robin(spec: FormatSpec, sampler, rng, keep_games: bool) -> T
     goals = np.asarray(sampler.sample_many(pairs[0], pairs[1], k, rng), dtype=np.int64)
     entries = None
     if keep_games:
-        # Column by column: team names and goals of the games in ledger
-        # order (pair by pair, game by game).
-        home, away = np.array(names, dtype=object)[pairs].repeat(k, axis=1).tolist()
-        results = GameResult._many(home, away, *goals.reshape(2, -1).tolist())
-        entries = list(map(LedgerEntry, _ledger_labels(len(names), k), results))
+        # The drawn goals are the ledger, in ledger order (pair by pair,
+        # game by game).
+        entries = Ledger(names, _ledger_labels(len(names), k), pairs.repeat(k, axis=1),
+                         goals.reshape(2, -1))
     _, ranking = league_table(names, *_scheme_matrices(len(names), goals, spec.scheme),
                               spec.policy)
     return TournamentOutcome(ranking, entries, goals[0].size)
@@ -534,36 +599,55 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
 def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
     """The goals of an oracle ledger of k games a pair, as the live run
     holds them: shape (2, pairs, k), pairs as `_pair_index`, each game
-    oriented (i, j) whichever way it is named."""
+    oriented (i, j) whichever way it is named. A `Ledger` is read by its
+    columns, a list of entries is turned into the same columns first."""
     n = len(names)
-    index = {name: i for i, name in enumerate(names)}.__getitem__
-    results = [g.result for g in games]
+    index = {name: i for i, name in enumerate(names)}
+    if isinstance(games, Ledger):
+        # Each of the ledger's teams is looked up once.
+        mapped = np.array([index.get(name, -1) for name in games.names], np.int64)
+        teams, goals = mapped[games.teams], games.goals
 
-    # Column by column, each field read by `itemgetter` straight into an
-    # array: zip(*results) would allocate one tracked iterator a game, which,
-    # with the live run's ledger still alive, starts a garbage collection in
-    # nearly every replay.
-    def column(field, convert=None):
-        values = map(operator.itemgetter(field), results)
-        return np.fromiter(map(convert, values) if convert else values, np.int64, len(results))
+        def team_name(side, g):
+            return games.names[games.teams[side, g]]
+    else:
+        results = [g.result for g in games]
 
-    try:
-        home, away = column(0, index), column(1, index)
-    except KeyError as e:
-        raise InvalidInputError(f"ledger game of {e.args[0]!r}, a team not in names") from None
-    home_goals, away_goals = column(2), column(3)
-    lo, hi = np.minimum(home, away), np.maximum(home, away)
-    pair = lo * n + hi
+        # Column by column, each field read by `itemgetter` straight into an
+        # array: zip(*results) would allocate one tracked iterator a game,
+        # which, with the live run's ledger still alive, starts a garbage
+        # collection in nearly every replay.
+        def column(field, convert=None):
+            values = map(operator.itemgetter(field), results)
+            if convert:
+                values = map(convert, values, itertools.repeat(-1))
+            return np.fromiter(values, np.int64, len(results))
+
+        teams = np.array([column(0, index.get), column(1, index.get)])
+        goals = np.array([column(2), column(3)])
+
+        def team_name(side, g):
+            return results[g][side]
+    outside = teams < 0
+    if outside.any():
+        # The first in the home column, else the first in the away column.
+        name = team_name(*np.argwhere(outside)[0].tolist())
+        raise InvalidInputError(f"ledger game of {name!r}, a team not in names")
+    home, away = teams
+    pair = np.minimum(home, away) * n + np.maximum(home, away)
     pairs = _pair_index(n)
     counts = np.bincount(pair, minlength=n * n)[pairs[0] * n + pairs[1]]
-    for (i, j), c in zip(pairs.T.tolist(), counts.tolist()):
-        if c != k:
-            raise InvalidInputError(f"ledger has {c} games of ({names[i]}, {names[j]}), not {k}")
-    goals = np.where(home > away, [away_goals, home_goals], [home_goals, away_goals])
+    wrong = counts != k
+    if wrong.any():
+        p = int(wrong.argmax())
+        i, j = pairs[:, p].tolist()
+        raise InvalidInputError(
+            f"ledger has {counts[p]} games of ({names[i]}, {names[j]}), not {k}")
+    goals = np.where(home > away, goals[::-1], goals)
     return goals[:, np.argsort(pair, kind="stable")].reshape(2, -1, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedResultTable:
     """A complete pairwise score table, used to replay the proposed format
     over fixed, non-sampled results. Its fields cannot be reassigned.

@@ -14,7 +14,6 @@ range is checked by the type the array goes into (`_reject_first_cell`).
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,8 +26,8 @@ from .errors import IngestionError, InvalidInputError, InvalidPairingError
 class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
     """One sampled game: the two teams by name, integer goals for each side.
     An immutable tuple that unpacks as (home, away, home_goals, away_goals);
-    every way of building one (the constructor, `_make`, `_replace`,
-    `_many`, copy and unpickling) runs its checks."""
+    every way of building one (the constructor, `_make`, `_replace`, copy
+    and unpickling) runs its checks."""
 
     __slots__ = ()
 
@@ -42,19 +41,6 @@ class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    @classmethod
-    def _many(cls, home, away, home_goals, away_goals) -> list[GameResult]:
-        """The games of four equal-length column sequences, checked as the
-        constructor checks each one but once for all of them."""
-        games = zip(home, away, home_goals, away_goals, strict=True)
-        # Whenever a column holds a negative goal, its `min` is negative or
-        # NaN and fails `>= 0`. So does a NaN the constructor accepts: what
-        # fails goes game by game through the constructor, which decides.
-        if (any(map(operator.eq, home, away)) or not min(home_goals, default=0) >= 0
-                or not min(away_goals, default=0) >= 0):
-            return list(itertools.starmap(cls, games))
-        return list(map(tuple.__new__, itertools.repeat(cls), games))
 
 
 # The largest mean a model accepts: a team's goal total in any oracle run

@@ -32,7 +32,18 @@ from tournsim import (
     run_format,
 )
 from tournsim import fixtures
-from tournsim.formats import BRACKETS, KINDS, LEGS, PLAYOFF, RR, _TABLES, _scheme_matrices
+from tournsim.formats import (
+    BRACKETS,
+    KINDS,
+    LEGS,
+    PLAYOFF,
+    RR,
+    _TABLES,
+    Ledger,
+    _ledger_labels,
+    _pair_index,
+    _scheme_matrices,
+)
 from tournsim.scoring import league_table
 
 from duck_sampler import DuckSampler
@@ -520,6 +531,14 @@ class TestFixedResults:
         with pytest.raises(InvalidInputError, match="duplicate team name"):
             FixedResultTable(["T0", *NAMES8[:7]], np.ones((8, 8, 2)))
 
+    def test_tables_compare_without_reading_their_goals(self):
+        # A comparison of the goals arrays would have no single truth value,
+        # so tables compare as PairwiseGoalModel does: by identity.
+        table, same = fixtures.load_combined_table(2013), fixtures.load_combined_table(2013)
+        assert (table == same) is False and (table != same) is True
+        assert table == table and not table != table
+        assert len({table, same}) == 2
+
     def test_drawn_playoff_keeps_the_higher_preliminary_place(self):
         goals = np.ones((8, 8, 2))
         # every game drawn: the preliminary order is the seeding, table order
@@ -769,3 +788,144 @@ class TestOracleLedger:
         pairs[(2, 3)] = [(count, 0, 0)]
         with pytest.raises(InvalidInputError, match=rf"{count} games of \(C, D\)"):
             replay_outcome(self.SPEC, self.NAMES, self.ledger(pairs))
+
+
+    def test_empty_column_ledger_rejected_as_the_empty_list(self):
+        empty = Ledger(self.NAMES, (), np.zeros((2, 0)), np.zeros((2, 0)))
+        outcome = TournamentOutcome(Ranking.from_order(self.NAMES), empty, 0)
+        with pytest.raises(InvalidInputError, match=r"^ledger has 0 games of \(A, B\), not 10$"):
+            replay_outcome(self.SPEC, self.NAMES, outcome)
+
+
+def built(build):
+    """build()'s value, or the type and message of what it raised."""
+    try:
+        return build()
+    except InvalidInputError as e:
+        return type(e), str(e)
+
+
+def oracle_entries(names, goals):
+    """The entries of an oracle ledger, built one by one from its
+    (2, pairs, k) goals array: pair by pair as `_pair_index`, game by
+    game, labelled by `_ledger_labels`."""
+    k = goals.shape[2]
+    labels = iter(_ledger_labels(len(names), k))
+    return [LedgerEntry(next(labels), GameResult(names[i], names[j], *goals[:, p, g].tolist()))
+            for p, (i, j) in enumerate(_pair_index(len(names)).T.tolist()) for g in range(k)]
+
+
+class TestLedger:
+    """The oracle's ledger is its columns, read as a sequence of entries."""
+
+    def live(self):
+        sampler = PoissonSampler(fixtures.load_goal_model(2012))
+        out = run_format(oracle(3), sampler, derive_rng(21, 0))
+        goals = sampler.sample_many(*_pair_index(8), 3, derive_rng(21, 0))
+        return out.games, oracle_entries(sampler.names, goals)
+
+    def test_reads_as_the_entries_built_by_hand(self):
+        ledger, want = self.live()
+        assert isinstance(ledger, Ledger)
+        assert len(ledger) == len(want) == 84
+        for g in (0, 1, 41, 83, -1, -84):
+            assert ledger[g] == want[g]
+        for part in (slice(5, 10), slice(None, None, -7), slice(80, 100), slice(-3, None),
+                     slice(10, 5)):
+            assert ledger[part] == want[part]
+        assert list(ledger) == want
+        assert [e.stage for e in ledger[:4]] == ["rr-1v2-g1", "rr-1v2-g2", "rr-1v2-g3",
+                                                 "rr-1v3-g1"]
+        assert ledger[-1].stage == "rr-7v8-g3"
+
+    @pytest.mark.parametrize("g", [84, -85, 1000])
+    def test_index_past_the_end_rejected(self, g):
+        ledger, _ = self.live()
+        with pytest.raises(IndexError):
+            ledger[g]
+
+    def test_read_only(self):
+        ledger, want = self.live()
+        with pytest.raises(TypeError):
+            ledger[0] = want[1]
+        for column in (ledger.teams, ledger.goals):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = 7
+        assert list(ledger) == want
+
+    def test_equals_the_same_entries_only(self):
+        ledger, want = self.live()
+        assert ledger == want and want == ledger and not ledger != want
+        assert ledger == Ledger(ledger.names, ledger.labels, ledger.teams, ledger.goals)
+        r = want[40].result
+        changed = list(want)
+        changed[40] = LedgerEntry(want[40].stage, r._replace(away_goals=r.away_goals + 1))
+        assert ledger != changed and changed != ledger
+        goals = ledger.goals.copy()
+        goals[1, 40] += 1
+        other = Ledger(ledger.names, ledger.labels, ledger.teams, goals)
+        assert other == changed and ledger != other
+        assert ledger != want[:-1]
+        # As a list never equals a tuple.
+        assert ledger != tuple(want)
+        with pytest.raises(TypeError):
+            hash(ledger)
+
+    @pytest.mark.parametrize("renamed, reported", [((5, 2), 2), ((7, 3), 3), ((7,), 7)])
+    def test_first_team_outside_names_reported(self, renamed, reported):
+        # The first outside team in the home column, in ledger order, else
+        # the first in the away column; through either path.
+        ledger, _ = self.live()
+        names = list(ledger.names)
+        for t in renamed:
+            names[t] = f"X{t}"
+        tampered = Ledger(names, ledger.labels, ledger.teams, ledger.goals)
+        for games in (tampered, list(tampered)):
+            outcome = TournamentOutcome(Ranking.from_order(ledger.names), games, len(games))
+            with pytest.raises(InvalidInputError,
+                               match=f"^ledger game of 'X{reported}', a team not in names$"):
+                replay_outcome(oracle(3), ledger.names, outcome)
+
+    @pytest.mark.parametrize("names, teams, goals, match", [
+        (("A", "B"), [[0], [1]], [[1, 2], [0, 0]], "shape"),
+        (("A", "B"), [[0, 1]], [[1, 2]], "shape"),
+        (("A", "B"), [[0], [2]], [[1], [0]], r"0\.\.1"),
+        (("A", "B"), [[-1], [1]], [[1], [0]], r"0\.\.1"),
+        (("A", "A"), [[0], [1]], [[1], [0]], "duplicate team name"),
+    ])
+    def test_columns_that_do_not_fit_rejected(self, names, teams, goals, match):
+        with pytest.raises(InvalidInputError, match=match):
+            Ledger(names, ("g1",), teams, goals)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 5), scheme=st.sampled_from(["continuous", "discrete"]),
+           names=st.permutations(NAMES8), mean=st.sampled_from([0.2, 1.3, 4.0]),
+           seed=st.integers(0, 2**32), g=st.integers(0, 10**6),
+           other=st.integers(0, 5), renamed=st.integers(0, 7))
+    def test_replays_as_its_entry_list(self, k, scheme, names, mean, seed, g, other, renamed):
+        spec = FormatSpec("iterated_round_robin", games_per_pair=k, scheme=scheme)
+        live = run_format(spec, flat_sampler(mean=mean), derive_rng(seed))
+        ledger = live.games
+
+        def replayed(games):
+            outcome = TournamentOutcome(live.ranking, games, len(games))
+            return built(lambda: replay_outcome(spec, names, outcome).places)
+
+        assert replayed(ledger) == replayed(list(ledger))
+        assert replay_outcome(spec, NAMES8, live).places == live.ranking.places
+        # One game moved to another pair, one game dropped, one team renamed
+        # to a team outside names.
+        g %= len(ledger)
+        moved = ledger.teams.copy()
+        moved[1, g] = [t for t in range(8) if t not in moved[:, g]][other]
+        outside = list(ledger.names)
+        outside[renamed] = "T9"
+        for tampered in (
+            Ledger(ledger.names, ledger.labels, moved, ledger.goals),
+            Ledger(ledger.names, ledger.labels[:g] + ledger.labels[g + 1:],
+                   np.delete(ledger.teams, g, 1), np.delete(ledger.goals, g, 1)),
+            Ledger(outside, ledger.labels, ledger.teams, ledger.goals),
+        ):
+            rejected = replayed(tampered)
+            assert rejected[0] is InvalidInputError
+            assert rejected == replayed(list(tampered))

@@ -21,7 +21,7 @@ from tournsim import (
 from tournsim import fixtures
 from tournsim.cli import TRUTH_STREAM_KEY
 from tournsim.fixtures import fixture_text
-from tournsim.formats import _pair_index
+from tournsim.formats import Ledger, _pair_index
 from tournsim.model import MAX_MEAN_GOALS
 
 
@@ -266,18 +266,31 @@ GAME_COLUMNS = st.integers(0, 12).flatmap(lambda n: st.tuples(*(
     ))))
 
 
+def column_ledger(home, away, home_goals, away_goals):
+    """A `Ledger` of the games of four columns, teams by name among A, B, C."""
+    names = ("A", "B", "C")
+    teams = [[names.index(t) for t in home], [names.index(t) for t in away]]
+    labels = [f"g{g}" for g in range(len(home))]
+    return Ledger(names, labels, teams, [home_goals, away_goals])
+
+
 class TestGameResult:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(columns=GAME_COLUMNS)
-    def test_many_builds_and_rejects_as_the_constructor(self, columns):
-        many = built(lambda: GameResult._many(*columns))
+    def test_ledger_builds_and_rejects_as_the_constructor(self, columns):
+        ledger = built(lambda: column_ledger(*columns))
         one_by_one = built(lambda: [GameResult(*game) for game in zip(*columns)])
         if isinstance(one_by_one, list):
-            assert [type(g) for g in many] == [GameResult] * len(one_by_one)
-            # NaN goals never compare equal, so compare their reprs.
-            assert repr(many) == repr(one_by_one)
+            games = [e.result for e in ledger]
+            assert [type(g) for g in games] == [GameResult] * len(one_by_one)
+            assert [g[:2] for g in games] == [g[:2] for g in one_by_one]
+            # A goals array holds a column's ints as floats beside a NaN,
+            # and NaN never compares equal.
+            got = np.array([g[2:] for g in games], float).reshape(-1, 2)
+            want = np.array([g[2:] for g in one_by_one], float).reshape(-1, 2)
+            assert np.array_equal(got, want, equal_nan=True)
         else:
-            assert many == one_by_one
+            assert ledger == one_by_one
 
     def test_self_play_rejected(self):
         with pytest.raises(InvalidPairingError, match="cannot play itself"):
@@ -318,12 +331,13 @@ class TestGameResult:
     ])
     def test_every_constructor_path_checks(self, fields, error):
         # A record forged past the constructor is rebuilt through it by
-        # unpickling and copying, and `_make`/`_replace` build through it.
+        # unpickling and copying, `_make`/`_replace` build through it, and
+        # a one-game `Ledger` of its fields rejects it as it does.
         forged = tuple.__new__(GameResult, fields)
         for rebuild in (lambda: pickle.loads(pickle.dumps(forged)),
                         lambda: copy.copy(forged), lambda: copy.deepcopy(forged),
                         lambda: GameResult._make(fields),
-                        lambda: GameResult._many(*([f] for f in fields)),
+                        lambda: column_ledger(*([f] for f in fields)),
                         lambda: GameResult("A", "B", 0, 0)._replace(
                             **dict(zip(GameResult._fields, fields)))):
             with pytest.raises(error):
