@@ -15,17 +15,20 @@ lists the stages in playing order and the stages that give places 1-8:
 A knockout slot is one pairing. The interpreter plays a slot's games and
 reduces them to one score per side: goals for a single game, aggregate
 goals for two legs, wins for a best of three (which stops once one side
-leads by two). The higher score wins. A provider hands the interpreter
-every game and, once per slot, is told the slot's natural winner (None
-when the scores are level) and names the winner. So the same tables
-serve three kinds of run:
+leads by two). The higher score wins. Every run calls `_play` with its
+seed list and a provider. The provider's `play` returns each game's
+result, and its `resolve`, called once per slot after the slot's last
+game, is told the slot's natural winner (None when the scores are level)
+and names the winner. So the same tables serve three kinds of run:
 
 * live (`run_format`): games are sampled; a level slot is resolved by a
   DecisivePolicy (resampled "replays" followed by a coin flip or
   higher-seed rule), and the winner is recorded on the slot's last
   ledger entry so replays never need the random stream;
 * replay (`replay_outcome`): games and winners are read back off a
-  recorded ledger, which must match the table slot by slot;
+  recorded ledger, which must match the table game by game; a winner
+  recorded on a game that settles no slot (a round robin game, a first
+  leg, a best-of-three game that does not end its series) is rejected;
 * fixed (`rank_from_fixed_results`): games are read by team index off
   the goals array of a `FixedResultTable`, rounded half away from zero
   once per table, as the golden checks over the published tables do.
@@ -36,15 +39,16 @@ integer goal and points matrices of its scheme by the `scoring` rules
 (`_scheme_matrices`), and ranks those with `scoring.league_table`. Its
 ledger is its columns: a `Ledger` keeps the drawn goals array beside the
 teams' indices and builds a `LedgerEntry` only when one is read. A replay
-checks those columns by arrays and ranks them as the live run does. A
-bracket's ledger is a list of entries, and a bracket round robin is ranked
-from its games by `scoring.rank`.
+checks those columns by arrays and ranks them as the live run does; a list
+of entries is read as the `Ledger` of its games (`Ledger.of`), and one
+that records a winner is rejected. A bracket's ledger is a list of
+entries, and a bracket round robin is ranked from its games by
+`scoring.rank`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -161,6 +165,20 @@ class Ledger(Sequence):
         goals.setflags(write=False)
         self.names, self.labels, self.teams, self.goals = names, tuple(labels), teams, goals
 
+    @classmethod
+    def of(cls, entries: Sequence[LedgerEntry]) -> Ledger:
+        """The ledger of the games of `entries`, its names in the order they
+        first appear. No round robin game settles a slot, so an entry that
+        records a winner is rejected."""
+        for e in entries:
+            if e.winner is not None:
+                raise _stray_winner(e)
+        results = [e.result for e in entries]
+        index = {}  # name -> its index, in the order the names first appear
+        teams = [[index.setdefault(r[side], len(index)) for r in results] for side in (0, 1)]
+        return cls(tuple(index), [e.stage for e in entries], teams,
+                   [[r[side] for r in results] for side in (2, 3)])
+
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -185,6 +203,11 @@ class Ledger(Sequence):
 
     def __repr__(self) -> str:
         return f"Ledger({list(self)!r})"
+
+
+def _stray_winner(entry: LedgerEntry) -> InvalidInputError:
+    return InvalidInputError(f"ledger game {entry.stage!r} records winner {entry.winner!r} "
+                             "but settles no knockout slot")
 
 
 @dataclass
@@ -322,15 +345,15 @@ class _LiveProvider:
         self.entries: list[LedgerEntry] = []
         self.names = sampler.names
 
-    def play(self, stage: str, i: int, j: int) -> LedgerEntry:
+    def play(self, stage: str, i: int, j: int) -> GameResult:
         gi, gj = self.sampler.sample(i, j, self.rng)
-        entry = LedgerEntry(stage, GameResult(self.names[i], self.names[j], gi, gj))
-        self.entries.append(entry)
-        return entry
+        result = GameResult(self.names[i], self.names[j], gi, gj)
+        self.entries.append(LedgerEntry(stage, result))
+        return result
 
-    def resolve(self, entry: LedgerEntry, i: int, j: int, natural: Optional[int]) -> int:
-        """Attach a winner to a knockout slot's last entry. `natural` is the
-        winner the slot's score implies, or None when it is level."""
+    def resolve(self, i: int, j: int, natural: Optional[int]) -> int:
+        """Record the winner of a knockout slot on its last entry. `natural`
+        is the winner the slot's score implies, or None when it is level."""
         w = natural
         if w is None:
             for _ in range(self.decisive.max_replays):
@@ -343,21 +366,25 @@ class _LiveProvider:
                 w = i if int(self.rng.integers(2)) == 0 else j
             else:
                 w = i if self.seeds.index(i) < self.seeds.index(j) else j
-        entry.winner = self.names[w]
+        self.entries[-1].winner = self.names[w]
         return w
 
 
 class _ReplayProvider:
     """Feeds a recorded ledger back through a stage table; every entry
-    must be the game the table asks for next."""
+    must be the game the table asks for next, and only a knockout slot's
+    last game may record a winner."""
 
     def __init__(self, names: Sequence[str], entries: Sequence[LedgerEntry]):
         self.names = list(names)
         self._queue = list(entries)
         self._pos = 0
+        self._winner = None  # the last game's recorded winner, until its slot settles
 
-    def play(self, stage: str, i: int, j: int) -> LedgerEntry:
+    def play(self, stage: str, i: int, j: int) -> GameResult:
         pos = self._pos
+        if self._winner is not None:
+            raise _stray_winner(self._queue[pos - 1])
         if pos >= len(self._queue):
             raise InvalidInputError("ledger exhausted during replay")
         self._pos = pos + 1
@@ -368,15 +395,19 @@ class _ReplayProvider:
             )
         # One slice, not two named reads: a named field read of a GameResult
         # costs about twice a dataclass attribute's.
-        teams = entry.result[:2]
+        result = entry.result
+        teams = result[:2]
         if teams != (self.names[i], self.names[j]):
             raise InvalidInputError(
                 f"ledger game {stage!r} is {teams[0]} v {teams[1]}, "
                 f"expected {self.names[i]} v {self.names[j]}"
             )
-        return entry
+        self._winner = entry.winner
+        return result
 
-    def resolve(self, entry: LedgerEntry, i: int, j: int, natural: Optional[int]) -> int:
+    def resolve(self, i: int, j: int, natural: Optional[int]) -> int:
+        entry = self._queue[self._pos - 1]
+        self._winner = None
         if entry.winner is None:
             if natural is None:
                 raise InvalidInputError("drawn knockout game without recorded winner")
@@ -408,11 +439,11 @@ class _FixedProvider:
         self.names = table.names
         self.overrides = overrides
 
-    def play(self, stage: str, i: int, j: int) -> LedgerEntry:
+    def play(self, stage: str, i: int, j: int) -> GameResult:
         ga, gb = self.goals[i][j]
-        return LedgerEntry(stage, GameResult(self.names[i], self.names[j], ga, gb))
+        return GameResult(self.names[i], self.names[j], ga, gb)
 
-    def resolve(self, entry: LedgerEntry, i: int, j: int, natural: Optional[int]) -> int:
+    def resolve(self, i: int, j: int, natural: Optional[int]) -> int:
         pair = (self.names[i], self.names[j])
         w = self.overrides.get(frozenset(pair))
         if w is None:
@@ -425,32 +456,30 @@ class _FixedProvider:
 def _round_robin(provider, games, members, policy) -> list[int]:
     """Single round robin among `members`, in seed order, of the games
     (label, a, b) of `_labelled`; their finishing order."""
-    results = [provider.play(label, members[a], members[b]).result for label, a, b in games]
+    results = [provider.play(label, members[a], members[b]) for label, a, b in games]
     group = [provider.names[m] for m in members]
     table = standings_from_games(results, group)
     return [members[group.index(n)] for n in rank(table, policy, group, results).order()]
 
 
-def _play(provider, kind: str, seeds: Sequence[int], policy: TieBreakPolicy,
-          best_of_three: bool) -> list[int]:
-    """Play bracket `kind` on `seeds` (team indices, seed 1 first) with the
-    games `provider` gives; returns the final order, best first."""
-    stages, places = _TABLES[kind, best_of_three]
+def _play(provider, spec: FormatSpec, seeds: list[int]) -> Ranking:
+    """Play bracket spec.kind on `seeds` (indices into provider.names, seed
+    1 first) with the games `provider` gives; returns the final Ranking."""
+    stages, places = _TABLES[spec.kind, spec.best_of_three]
     if len(seeds) != len(places):
-        raise UnsupportedSizeError(f"{kind} requires exactly {len(places)} teams")
+        raise UnsupportedSizeError(f"{spec.kind} requires exactly {len(places)} teams")
     yielded = {"seeds": seeds}
     for label, stage_kind, refs, games in stages:
         if stage_kind == RR:
             yielded[label] = _round_robin(
-                provider, games, [yielded[stage][p] for stage, p in refs], policy)
+                provider, games, [yielded[stage][p] for stage, p in refs], spec.policy)
             continue
         (home, p), (away, q) = refs
         i, j = yielded[home][p], yielded[away][q]
         if stage_kind == LEGS:
             # Home leg, then away leg; aggregate goals, no away-goals rule.
-            _, _, hi, hj = provider.play(games[0], i, j).result
-            last = provider.play(games[1], j, i)
-            _, _, aj, ai = last.result
+            _, _, hi, hj = provider.play(games[0], i, j)
+            _, _, aj, ai = provider.play(games[1], j, i)
             si, sj = hi + ai, hj + aj
         elif stage_kind == _BEST_OF_THREE:
             # Wins, drawn games counting for neither side; the series stops
@@ -458,18 +487,17 @@ def _play(provider, kind: str, seeds: Sequence[int], policy: TieBreakPolicy,
             # it: equal wins after three games mean equal draws.
             si = sj = 0
             for game in games:
-                last = provider.play(game, i, j)
-                _, _, gi, gj = last.result
+                _, _, gi, gj = provider.play(game, i, j)
                 si += gi > gj
                 sj += gj > gi
                 if abs(si - sj) == 2:
                     break
         else:
-            last = provider.play(games[0], i, j)
-            _, _, si, sj = last.result
-        w = provider.resolve(last, i, j, i if si > sj else j if sj > si else None)
+            _, _, si, sj = provider.play(games[0], i, j)
+        w = provider.resolve(i, j, i if si > sj else j if sj > si else None)
         yielded[label] = (w, j if w == i else i)
-    return [yielded[stage][p] for stage, p in places]
+    names = provider.names
+    return Ranking.from_order([names[yielded[stage][p]] for stage, p in places])
 
 
 def _seed_list(names: Sequence[str], seeding) -> list[int]:
@@ -554,22 +582,12 @@ def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> Tourn
     seeding = spec.seeding
     if seeding == RANDOM_SEEDING:
         seeding = rng.permutation(len(sampler.names)).tolist()
-    provider, ranking = _run_bracket(
-        spec, sampler.names, seeding,
-        lambda seeds: _LiveProvider(sampler, rng, spec.decisive, seeds),
-    )
+    seeds = _seed_list(sampler.names, seeding)
+    provider = _LiveProvider(sampler, rng, spec.decisive, seeds)
+    ranking = _play(provider, spec, seeds)
     entries = provider.entries
     return TournamentOutcome(ranking, entries if keep_games else None, len(entries),
-                             tuple(provider.seeds))
-
-
-def _run_bracket(spec: FormatSpec, names: Sequence[str], seeding, provider_for):
-    """Play bracket spec.kind on `seeding` (see `_seed_list`) with the games
-    of provider_for(seed list); returns the provider and the final Ranking."""
-    seeds = _seed_list(names, seeding)
-    provider = provider_for(seeds)
-    order = _play(provider, spec.kind, seeds, spec.policy, spec.best_of_three)
-    return provider, Ranking.from_order([names[i] for i in order])
+                             tuple(seeds))
 
 
 def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOutcome) -> Ranking:
@@ -589,9 +607,9 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
             raise InvalidInputError(
                 "replay of a 'random' seeding needs the seeding the outcome recorded"
             )
-    provider, ranking = _run_bracket(
-        spec, names, seeding, lambda seeds: _ReplayProvider(names, outcome.games)
-    )
+    seeds = _seed_list(names, seeding)
+    provider = _ReplayProvider(names, outcome.games)
+    ranking = _play(provider, spec, seeds)
     provider.finish()
     return ranking
 
@@ -599,40 +617,21 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
 def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
     """The goals of an oracle ledger of k games a pair, as the live run
     holds them: shape (2, pairs, k), pairs as `_pair_index`, each game
-    oriented (i, j) whichever way it is named. A `Ledger` is read by its
-    columns, a list of entries is turned into the same columns first."""
+    oriented (i, j) whichever way it is named. A list of entries is read
+    as the `Ledger` of its games."""
+    if not isinstance(games, Ledger):
+        games = Ledger.of(games)
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
-    if isinstance(games, Ledger):
-        # Each of the ledger's teams is looked up once.
-        mapped = np.array([index.get(name, -1) for name in games.names], np.int64)
-        teams, goals = mapped[games.teams], games.goals
-
-        def team_name(side, g):
-            return games.names[games.teams[side, g]]
-    else:
-        results = [g.result for g in games]
-
-        # Column by column, each field read by `itemgetter` straight into an
-        # array: zip(*results) would allocate one tracked iterator a game,
-        # which, with the live run's ledger still alive, starts a garbage
-        # collection in nearly every replay.
-        def column(field, convert=None):
-            values = map(operator.itemgetter(field), results)
-            if convert:
-                values = map(convert, values, itertools.repeat(-1))
-            return np.fromiter(values, np.int64, len(results))
-
-        teams = np.array([column(0, index.get), column(1, index.get)])
-        goals = np.array([column(2), column(3)])
-
-        def team_name(side, g):
-            return results[g][side]
+    # Each of the ledger's teams is looked up once.
+    mapped = np.array([index.get(name, -1) for name in games.names], np.int64)
+    teams = mapped[games.teams]
     outside = teams < 0
     if outside.any():
         # The first in the home column, else the first in the away column.
-        name = team_name(*np.argwhere(outside)[0].tolist())
-        raise InvalidInputError(f"ledger game of {name!r}, a team not in names")
+        side, g = np.argwhere(outside)[0].tolist()
+        raise InvalidInputError(
+            f"ledger game of {games.names[games.teams[side, g]]!r}, a team not in names")
     home, away = teams
     pair = np.minimum(home, away) * n + np.maximum(home, away)
     pairs = _pair_index(n)
@@ -643,7 +642,7 @@ def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
         i, j = pairs[:, p].tolist()
         raise InvalidInputError(
             f"ledger has {counts[p]} games of ({names[i]}, {names[j]}), not {k}")
-    goals = np.where(home > away, goals[::-1], goals)
+    goals = np.where(home > away, games.goals[::-1], games.goals)
     return goals[:, np.argsort(pair, kind="stable")].reshape(2, -1, k)
 
 
@@ -693,7 +692,5 @@ def rank_from_fixed_results(
     override always takes precedence. A drawn head-to-head without an
     override leaves the higher preliminary rank in place.
     """
-    return _run_bracket(
-        FormatSpec("proposed", policy=policy), table.names, None,
-        lambda seeds: _FixedProvider(table, playoff_overrides or {}),
-    )[1]
+    return _play(_FixedProvider(table, playoff_overrides or {}),
+                 FormatSpec("proposed", policy=policy), _seed_list(table.names, None))

@@ -23,11 +23,9 @@ from tournsim import (
 )
 from tournsim import fixtures
 
+from samplers import oracle
+
 SEED = 20122013
-
-
-def oracle(games_per_pair):
-    return FormatSpec("iterated_round_robin", games_per_pair=games_per_pair)
 
 
 def report(label):

@@ -30,8 +30,7 @@ from tournsim.formats import BRACKETS, RR
 
 from duck_sampler import DuckSampler
 from reference_ranking import ALL_POLICIES, reference_rank
-
-NAMES8 = [f"T{i}" for i in range(8)]
+from samplers import NAMES8, chain_sampler
 
 # (kind, best of three) of every format the batched engine plays.
 VARIANTS = [
@@ -60,12 +59,6 @@ def sampler_of(matrix):
 def zero_sampler():
     """Every game ends 0-0."""
     return sampler_of(np.zeros((8, 8)))
-
-
-def chain_sampler():
-    """The lower index scores 40 a game against a higher one and concedes
-    none, so every game has the same winner."""
-    return sampler_of(np.triu(np.full((8, 8), 40.0), 1))
 
 
 def scalar_order(spec, sampler, seed):

@@ -235,6 +235,16 @@ class TestSimulate:
         assert out == ""
         assert "seed must be >= 0, not -5" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["f2012", "--max-replays", "-1"], "max_replays must be nonnegative"),
+        (["oracle", "--games-per-pair", "0"], "games_per_pair must be >= 1"),
+    ])
+    def test_invalid_spec_is_data_error(self, capsys, flags, message):
+        code, out, err = run(capsys, "simulate", "--model", MODEL_2012, "--format", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"tournsim: error: {message}\n"
+
     def test_truth_seeding_not_offered(self, capsys):
         # simulate computes no truth ranking to seed by
         code, out, err = run(

@@ -48,19 +48,7 @@ from tournsim.scoring import league_table
 
 from duck_sampler import DuckSampler
 from reference_ranking import ALL_POLICIES, reference_rank
-
-NAMES8 = [f"T{i}" for i in range(8)]
-
-
-def oracle(games_per_pair):
-    return FormatSpec("iterated_round_robin", games_per_pair=games_per_pair)
-
-
-def flat_sampler(n=8, mean=1.3):
-    """All pairs share the same symmetric goal mean."""
-    m = np.full((n, n), mean)
-    np.fill_diagonal(m, np.nan)
-    return PoissonSampler(PairwiseGoalModel(NAMES8[:n], m))
+from samplers import NAMES8, chain_sampler, flat_sampler, oracle
 
 
 def dominant_sampler():
@@ -70,17 +58,6 @@ def dominant_sampler():
     m[:, 0] = 0.0
     np.fill_diagonal(m, np.nan)
     return PoissonSampler(PairwiseGoalModel(NAMES8, m))
-
-
-def chain_sampler(n=8):
-    """Strict dominance chain: lower index always wins by a wide margin."""
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                m[i, j] = 40.0
-    np.fill_diagonal(m, np.nan)
-    return PoissonSampler(PairwiseGoalModel(NAMES8[:n], m))
 
 
 class TestGameCounts:
@@ -258,6 +235,13 @@ class TestReplay:
                 assert sorted(out.seeding) == list(range(8))
                 assert replay_outcome(spec, NAMES8, out).places == out.ranking.places
 
+    @pytest.mark.parametrize("spec", [oracle(3), FormatSpec("format_2012")],
+                             ids=lambda s: s.kind)
+    def test_outcome_without_a_ledger_rejected(self, spec):
+        out = run_format(spec, flat_sampler(), derive_rng(13, 0), keep_games=False)
+        with pytest.raises(InvalidInputError, match="^outcome carries no game ledger$"):
+            replay_outcome(spec, NAMES8, out)
+
     def test_replay_rejects_random_seeding(self):
         # without the seeding the run recorded, a random seeding is unknown
         spec = FormatSpec("proposed", seeding="random")
@@ -322,6 +306,72 @@ class TestReplayChecksLedger:
         spec, out = self.live(kind)
         out.games.append(out.games[-1])
         with pytest.raises(InvalidInputError, match="1 ledger entries left"):
+            replay_outcome(spec, NAMES8, out)
+
+    @pytest.mark.parametrize("kind", ["format_2012", "format_2013_double_elim", "proposed"])
+    def test_ledger_that_ends_early_rejected(self, kind):
+        spec, out = self.live(kind)
+        del out.games[-1]
+        with pytest.raises(InvalidInputError, match="^ledger exhausted during replay$"):
+            replay_outcome(spec, NAMES8, out)
+
+    def test_entry_of_another_stage_rejected(self):
+        spec, out = self.live("format_2012")
+        entry = out.games[12]
+        assert entry.stage == "semi1-leg1"
+        out.games[12] = LedgerEntry("semi2-leg1", entry.result, entry.winner)
+        with pytest.raises(InvalidInputError, match="^ledger stage 'semi2-leg1' does not "
+                                                    "match expected 'semi1-leg1'$"):
+            replay_outcome(spec, NAMES8, out)
+
+    def test_drawn_slot_without_winner_rejected(self):
+        spec, out = next(
+            (spec, out) for spec, out in (self.live("format_2013_double_elim", k)
+                                          for k in range(100))
+            if out.games[-1].result.home_goals == out.games[-1].result.away_goals
+        )
+        out.games[-1].winner = None
+        with pytest.raises(InvalidInputError,
+                           match="^drawn knockout game without recorded winner$"):
+            replay_outcome(spec, NAMES8, out)
+
+    def test_decided_slot_without_winner_takes_its_natural_winner(self):
+        spec, out = self.live("format_2013_double_elim")
+        decided = [e for e in out.games
+                   if e.winner is not None and e.result.home_goals != e.result.away_goals]
+        assert decided
+        for entry in decided:
+            entry.winner = None
+        assert replay_outcome(spec, NAMES8, out).places == out.ranking.places
+
+    @pytest.mark.parametrize(
+        "kind, best_of_three, stage",
+        [("format_2012", False, "groupA-1v2"), ("format_2012", False, "groupB-3v4"),
+         ("format_2012", False, "semi1-leg1"), ("proposed", False, "rr-7v8"),
+         ("proposed", True, "po-5-6-g1")],
+    )
+    def test_winner_on_a_game_that_settles_no_slot_rejected(self, kind, best_of_three, stage):
+        # A round robin game, a first leg and the first game of a best of
+        # three (a series lasts two games at least) settle no slot.
+        spec = FormatSpec(kind, best_of_three=best_of_three)
+        out = run_format(spec, flat_sampler(), derive_rng(18, 0))
+        entry = next(e for e in out.games if e.stage == stage)
+        assert entry.winner is None
+        for winner in ("NotATeam", entry.result.home):
+            entry.winner = winner
+            with pytest.raises(InvalidInputError, match=f"^ledger game '{stage}' records winner "
+                                                        f"'{winner}' but settles no knockout slot$"):
+                replay_outcome(spec, NAMES8, out)
+
+    def test_winner_on_a_series_game_that_does_not_end_it_rejected(self):
+        # A three-game series: its second game settles no slot either.
+        spec = FormatSpec("proposed", best_of_three=True)
+        runs = (run_format(spec, flat_sampler(), derive_rng(18, k)) for k in range(100))
+        out, entry = next((out, out.games[p - 1]) for out in runs
+                          for p, e in enumerate(out.games) if e.stage.endswith("-g3"))
+        assert entry.stage.endswith("-g2") and entry.winner is None
+        entry.winner = entry.result.away
+        with pytest.raises(InvalidInputError, match=f"^ledger game '{entry.stage}' records"):
             replay_outcome(spec, NAMES8, out)
 
 
@@ -789,6 +839,17 @@ class TestOracleLedger:
         with pytest.raises(InvalidInputError, match=rf"{count} games of \(C, D\)"):
             replay_outcome(self.SPEC, self.NAMES, self.ledger(pairs))
 
+    @pytest.mark.parametrize("position", [0, 25, -1])
+    def test_entry_that_records_a_winner_rejected(self, position):
+        # No round robin game settles a slot.
+        outcome = self.ledger()
+        entry = outcome.games[position]
+        entry.winner = entry.result.away
+        with pytest.raises(InvalidInputError, match=f"^ledger game '{entry.stage}' records "
+                                                    f"winner '{entry.result.away}' but settles "
+                                                    "no knockout slot$"):
+            replay_outcome(self.SPEC, self.NAMES, outcome)
+
 
     def test_empty_column_ledger_rejected_as_the_empty_list(self):
         empty = Ledger(self.NAMES, (), np.zeros((2, 0)), np.zeros((2, 0)))
@@ -837,6 +898,13 @@ class TestLedger:
         assert [e.stage for e in ledger[:4]] == ["rr-1v2-g1", "rr-1v2-g2", "rr-1v2-g3",
                                                  "rr-1v3-g1"]
         assert ledger[-1].stage == "rr-7v8-g3"
+
+    def test_of_its_entries_is_the_same_ledger(self):
+        ledger, want = self.live()
+        of = Ledger.of(want)
+        assert of == ledger and list(of) == want
+        assert set(of.names) == set(ledger.names)
+        assert len(Ledger.of([])) == 0
 
     @pytest.mark.parametrize("g", [84, -85, 1000])
     def test_index_past_the_end_rejected(self, g):
@@ -929,3 +997,22 @@ class TestLedger:
             rejected = replayed(tampered)
             assert rejected[0] is InvalidInputError
             assert rejected == replayed(list(tampered))
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"max_replays": -1}, "^max_replays must be nonnegative$"),
+        ({"final_resolution": "toss"}, "^unknown final_resolution 'toss'$"),
+    ])
+    def test_decisive_policy_rejected(self, kwargs, match):
+        with pytest.raises(InvalidInputError, match=match):
+            DecisivePolicy(**kwargs)
+
+    @pytest.mark.parametrize("kind, kwargs, match", [
+        ("swiss", {}, "^unknown format kind 'swiss'$"),
+        ("iterated_round_robin", {"games_per_pair": 0}, "^games_per_pair must be >= 1$"),
+        ("proposed", {"scheme": "elo"}, "^unknown scheme 'elo'$"),
+    ])
+    def test_format_spec_rejected(self, kind, kwargs, match):
+        with pytest.raises(InvalidInputError, match=match):
+            FormatSpec(kind, **kwargs)

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,25 @@ class TestLoadModel:
     def test_empty_file_rejected(self):
         with pytest.raises(IngestionError, match="empty"):
             load_model("\n")
+
+    @pytest.mark.parametrize("text", [",A\nA,\n", "A\nA,\n"])
+    def test_header_of_one_team_rejected(self, text):
+        with pytest.raises(IngestionError, match="^header must list at least 2 teams$"):
+            load_model(text)
+
+    def test_duplicate_row_name_rejected(self):
+        with pytest.raises(IngestionError, match="^duplicate team name 'A'$"):
+            load_model(",A,A\nA,,1.0\nA,0.5,\n")
+
+    def test_model_of_one_team_rejected(self):
+        with pytest.raises(IngestionError, match="^a model needs at least 2 teams$"):
+            PairwiseGoalModel(["A"], [[0.0]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2,), (2, 2, 1)])
+    def test_matrix_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(IngestionError,
+                           match=f"^{re.escape(f'matrix shape {shape} does not match 2 teams')}$"):
+            PairwiseGoalModel(["A", "B"], np.ones(shape))
 
 
 # Edits of the Oxsy row of the 2013 combined table, each breaking it in one

@@ -13,8 +13,6 @@ from tournsim import (
     FormatSpec,
     InvalidComparisonError,
     InvalidInputError,
-    PairwiseGoalModel,
-    PoissonSampler,
     Ranking,
     TournsimError,
     compare_campaigns,
@@ -26,23 +24,7 @@ from tournsim import (
 from tournsim.montecarlo import BLOCK_SIZE
 
 from duck_sampler import DuckSampler
-
-NAMES8 = [f"T{i}" for i in range(8)]
-
-
-def flat_sampler(n=8, mean=1.3):
-    m = np.full((n, n), mean)
-    np.fill_diagonal(m, np.nan)
-    return PoissonSampler(PairwiseGoalModel(NAMES8[:n], m))
-
-
-def chain_sampler():
-    m = np.zeros((8, 8))
-    for i in range(8):
-        for j in range(i + 1, 8):
-            m[i, j] = 40.0
-    np.fill_diagonal(m, np.nan)
-    return PoissonSampler(PairwiseGoalModel(NAMES8, m))
+from samplers import NAMES8, chain_sampler, flat_sampler
 
 
 def spec(n=200, seed=77, start=0, kind="format_2013_double_elim", sampler=None):
@@ -252,6 +234,10 @@ class TestDistribution:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             DiscrepancyDistribution.from_counts({}, 8)
+
+    def test_merge_of_nothing_rejected(self):
+        with pytest.raises(InvalidInputError, match="^nothing to merge$"):
+            merge_distributions()
 
     def test_negative_count_rejected(self):
         with pytest.raises(InvalidInputError, match="negative count -1 for L1 value 2"):

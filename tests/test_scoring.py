@@ -338,6 +338,10 @@ class TestRank:
         with pytest.raises(InvalidInputError):
             TieBreakPolicy(("points", "goal_difference"))
 
+    def test_unknown_criterion_rejected(self):
+        with pytest.raises(InvalidInputError, match="^unknown criterion 'wins'$"):
+            TieBreakPolicy(("points", "wins", "seed_order"))
+
     def test_order_naming_a_team_twice_rejected(self):
         with pytest.raises(InvalidInputError, match="team 'B' is listed more than once"):
             Ranking.from_order(["A", "B", "C", "B"])
