@@ -11,7 +11,6 @@ from .errors import (
 )
 from .formats import (
     DecisivePolicy,
-    FixedResultTable,
     FormatSpec,
     HIGHER_SEED,
     LedgerEntry,
@@ -23,6 +22,7 @@ from .formats import (
     run_format,
 )
 from .model import (
+    FixedResultTable,
     GameResult,
     PairwiseGoalModel,
     PoissonSampler,

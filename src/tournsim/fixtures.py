@@ -10,7 +10,9 @@ are recorded here as constants.
 All three kinds of table are read by `model._read_table`, so they share
 its checks of header, row order, cell count and diagonal and its naming of
 a cell that does not parse; the combined tables' 'a:b' cells are read as
-goal pairs into a `FixedResultTable`, which checks their values.
+goal pairs into a `model.FixedResultTable`, which checks their values.
+Only 2012 and 2013 are bundled: the loaders and `published_truth` reject
+any other year with an InvalidInputError.
 `discrete_fixture_standings` and `continuous_fixture_standings` return
 the league table of a goal model (and, under the continuous scheme, of its
 points model), bundled or read by `tournsim rank`: the standings and the
@@ -21,15 +23,16 @@ table whose cells no league can have is rejected.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
 import numpy as np
 
-from .errors import IngestionError
-from .formats import FixedResultTable, rank_from_fixed_results
-from .model import PairwiseGoalModel, _read_table, _reject_first_cell, load_model
+from .errors import IngestionError, InvalidInputError
+from .formats import rank_from_fixed_results
+from .model import FixedResultTable, PairwiseGoalModel, _read_table, _reject_first_cell, load_model
 from .scoring import Ranking, l1_distance, league_table, points_matrix, round_half_away
 
 TEAMS_2012 = ("Helios", "Wright", "Marlik", "Gliders", "GDUT", "AUT", "Yushan", "RobOTTO")
@@ -89,6 +92,18 @@ GOLDEN_L1 = (
 )
 
 
+# The years whose tables are bundled, each with its published truth.
+_TRUTHS = {2012: R_C_2012, 2013: R_C_2013}
+
+
+def _bundled(year: int) -> int:
+    # 2012.0 equals 2012 but names no data file.
+    if not (isinstance(year, numbers.Integral) and year in _TRUTHS):
+        raise InvalidInputError(f"no bundled data for {year!r}: the bundled years are "
+                                + ", ".join(map(str, _TRUTHS)))
+    return year
+
+
 def fixture_path(name: str):
     """Filesystem path of a bundled data file."""
     return resources.files("tournsim").joinpath("data", name)
@@ -99,19 +114,20 @@ def fixture_text(name: str) -> str:
 
 
 def load_goal_model(year: int) -> PairwiseGoalModel:
-    return load_model(fixture_text(f"robocup{year}.csv"))
+    return load_model(fixture_text(f"robocup{_bundled(year)}.csv"))
 
 
 def load_points_model(year: int) -> PairwiseGoalModel:
     """Per-pair mean points reuse the matrix loader; entry (i, j) is the
     mean per-game points team i earned against team j."""
-    return load_model(fixture_text(f"robocup{year}.points.csv"))
+    return load_model(fixture_text(f"robocup{_bundled(year)}.points.csv"))
 
 
 def load_combined_table(year: int) -> FixedResultTable:
     """Combined actual/average score table: cell (i, j) reads 'a:b', the
     goals of the row team and of the column team, diagonal blank."""
-    return FixedResultTable(*_read_table(fixture_text(f"combined{year}.csv"), _score, (2,)))
+    text = fixture_text(f"combined{_bundled(year)}.csv")
+    return FixedResultTable(*_read_table(text, _score, (2,)))
 
 
 def _score(cell: str) -> tuple[float, float]:
@@ -154,7 +170,7 @@ def continuous_fixture_standings(model: PairwiseGoalModel, points: PairwiseGoalM
 
 
 def published_truth(year: int) -> Ranking:
-    return R_C_2012 if year == 2012 else R_C_2013
+    return _TRUTHS[_bundled(year)]
 
 
 @dataclass(frozen=True)

@@ -30,15 +30,17 @@ and names the winner. So the same tables serve three kinds of run:
   recorded on a game that settles no slot (a round robin game, a first
   leg, a best-of-three game that does not end its series) is rejected;
 * fixed (`rank_from_fixed_results`): games are read by team index off
-  the goals array of a `FixedResultTable`, rounded half away from zero
-  once per table, as the golden checks over the published tables do.
+  the goals array of a `model.FixedResultTable`, rounded half away from
+  zero once per table, as the golden checks over the published tables do.
 
 The iterated round-robin (the ground-truth oracle) is not a bracket: it
 samples every pair's games in one `sample_many` call, turns them into the
 integer goal and points matrices of its scheme by the `scoring` rules
 (`_scheme_matrices`), and ranks those with `scoring.league_table`. Its
 ledger is its columns: a `Ledger` keeps the drawn goals array beside the
-teams' indices and builds a `LedgerEntry` only when one is read. A replay
+teams' indices and builds a `LedgerEntry` only when one is read. Draws
+are checked, not cast: a goal `GameResult` would reject (0.4, NaN, a
+negative) fails the run, ledger kept or not. A replay
 checks those columns by arrays and ranks them as the live run does; a list
 of entries is read as the `Ledger` of its games (`Ledger.of`), and one
 that records a winner is rejected. A bracket's ledger is a list of
@@ -57,7 +59,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .model import GameResult, _reject_first_cell
+from .model import FixedResultTable, GameResult
 from .scoring import (
     CONTINUOUS,
     DEFAULT_POLICY,
@@ -136,8 +138,8 @@ class Ledger(Sequence):
     """A read-only ledger held as columns, the oracle's: the team `names`
     (a tuple), each game's stage label in `labels`, and two (2, games)
     arrays, `teams` of home and away indices into names and `goals` of
-    home and away goals. The constructor checks every game at once and
-    raises what `GameResult` raises for the first game it rejects.
+    home and away goals, held as int64. The constructor checks every game
+    and raises what `GameResult` raises for the first game it rejects.
     Indexing and iteration build `LedgerEntry` views on demand, a slice is
     a list of them, and a ledger equals another or a list of the same
     entries."""
@@ -146,7 +148,10 @@ class Ledger(Sequence):
     __hash__ = None
 
     def __init__(self, names: Sequence[str], labels: Sequence[str], teams, goals):
-        names, teams, goals = tuple(names), np.asarray(teams, np.int64), np.asarray(goals)
+        names, teams = tuple(names), np.asarray(teams, np.int64)
+        # Goals not in an array are read as the values they are: numpy
+        # would turn a bool among ints into an int.
+        goals = goals if isinstance(goals, np.ndarray) else np.array(goals, dtype=object)
         if len(set(names)) != len(names):
             raise InvalidInputError("duplicate team name in ledger")
         if not teams.shape == goals.shape == (2, len(labels)):
@@ -154,11 +159,18 @@ class Ledger(Sequence):
                                     f"{goals.shape} do not fit {len(labels)} labels")
         if teams.size and not 0 <= teams.min() <= teams.max() < len(names):
             raise InvalidInputError(f"team indices must lie in 0..{len(names) - 1}")
-        self_play = teams[0] == teams[1]
-        if self_play.any() or (goals < 0).any():
-            # The first game the constructor rejects, rebuilt to raise its error.
-            g = int((self_play | (goals < 0).any(0)).argmax())
-            GameResult(names[teams[0, g]], names[teams[1, g]], *goals[:, g].tolist())
+        if goals.dtype.kind in "iu":
+            goals = goals.astype(np.int64, copy=False)
+            self_play = teams[0] == teams[1]
+            if self_play.any() or (goals < 0).any():
+                # The first game the constructor rejects, rebuilt to raise its error.
+                g = int((self_play | (goals < 0).any(0)).argmax())
+                GameResult(names[teams[0, g]], names[teams[1, g]], *goals[:, g].tolist())
+        else:
+            # Any other goals: each game is built, so the first that
+            # `GameResult` rejects raises, and the goals it keeps are ints.
+            goals = np.array([GameResult(names[h], names[a], *g)[2:] for h, a, g in
+                              zip(*teams.tolist(), goals.T.tolist())], np.int64).reshape(-1, 2).T
         # Read-only views: writes through the ledger fail.
         teams, goals = teams.view(), goals.view()
         teams.setflags(write=False)
@@ -542,16 +554,17 @@ def _iterated_round_robin(spec: FormatSpec, sampler, rng, keep_games: bool) -> T
         raise UnsupportedSizeError("need at least 2 teams")
     k = spec.games_per_pair
     pairs = _pair_index(len(names))
-    goals = np.asarray(sampler.sample_many(pairs[0], pairs[1], k, rng), dtype=np.int64)
+    goals = np.asarray(sampler.sample_many(pairs[0], pairs[1], k, rng))
     entries = None
-    if keep_games:
+    if keep_games or goals.dtype.kind not in "iu" or (goals < 0).any():
         # The drawn goals are the ledger, in ledger order (pair by pair,
-        # game by game).
+        # game by game), which checks them as `GameResult` does.
         entries = Ledger(names, _ledger_labels(len(names), k), pairs.repeat(k, axis=1),
                          goals.reshape(2, -1))
+        goals = entries.goals.reshape(2, -1, k)
     _, ranking = league_table(names, *_scheme_matrices(len(names), goals, spec.scheme),
                               spec.policy)
-    return TournamentOutcome(ranking, entries, goals[0].size)
+    return TournamentOutcome(ranking, entries if keep_games else None, goals[0].size)
 
 
 def _scheme_matrices(n: int, goals, scheme: str):
@@ -644,38 +657,6 @@ def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
             f"ledger has {counts[p]} games of ({names[i]}, {names[j]}), not {k}")
     goals = np.where(home > away, games.goals[::-1], games.goals)
     return goals[:, np.argsort(pair, kind="stable")].reshape(2, -1, k)
-
-
-@dataclass(frozen=True, eq=False)
-class FixedResultTable:
-    """A complete pairwise score table, used to replay the proposed format
-    over fixed, non-sampled results. Its fields cannot be reassigned.
-    names, a tuple of distinct team names, and goals, a read-only copy, are
-    set once by the constructor: the caller's list and array stay theirs.
-    goals holds at [i, j] the goals of names[i] and of names[j] in their
-    game with names[i] at home, each as printed (integer or
-    average-valued), finite and nonnegative; the unused diagonal is 0. A
-    pair's cells need not mirror."""
-
-    names: tuple[str, ...]
-    goals: np.ndarray  # (n, n, 2) floats
-
-    def __post_init__(self):
-        names = tuple(self.names)
-        goals = np.array(self.goals, dtype=float)
-        n = len(names)
-        if len(set(names)) != n:
-            raise InvalidInputError("duplicate team name in table")
-        if goals.shape != (n, n, 2):
-            raise InvalidInputError(f"goals of shape {goals.shape} do not fit {n} teams, "
-                                    f"need {(n, n, 2)}")
-        goals[range(n), range(n)] = 0
-        bad = ~(np.isfinite(goals) & (goals >= 0)).all(-1)
-        _reject_first_cell(names, bad, InvalidInputError, lambda i, j:
-                           f"goals {goals[i, j].tolist()} are not finite and nonnegative")
-        goals.setflags(write=False)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "goals", goals)
 
 
 def rank_from_fixed_results(

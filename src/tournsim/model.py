@@ -4,11 +4,15 @@ The generative ground truth is an n x n matrix of mean goals per ordered
 team pair. Game results are drawn as two independent Poisson variates, one
 per side.
 
-Every team-by-team table, the goal means and per-pair points that
-`load_model` reads and the combined score tables of `tournsim.fixtures`,
-goes through one reader, `_read_table`, which checks the table's shape
-and parses its cells into one float array. Whether the values are in
-range is checked by the type the array goes into (`_reject_first_cell`).
+Both kinds of team-by-team table are defined here: `PairwiseGoalModel`,
+the goal means and per-pair points that `load_model` reads, and
+`FixedResultTable`, the combined score tables of `tournsim.fixtures`.
+Read from text, each goes through one reader, `_read_table`, which checks
+the table's layout and parses its cells into one float array. Both types
+freeze their names and array and check their shape through one
+constructor step, `_freeze`; each then checks its own value rule, naming
+the first bad cell (`_reject_first_cell`). A game's goals are
+nonnegative integers (`GameResult`).
 """
 
 from __future__ import annotations
@@ -27,13 +31,17 @@ class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
     """One sampled game: the two teams by name, integer goals for each side.
     An immutable tuple that unpacks as (home, away, home_goals, away_goals);
     every way of building one (the constructor, `_make`, `_replace`, copy
-    and unpickling) runs its checks."""
+    and unpickling) runs its checks. A goal that is not an int, such as a
+    numpy integer or 2.0, is kept as the int it equals; a bool, a
+    non-integral number, NaN or inf is rejected."""
 
     __slots__ = ()
 
     def __new__(cls, home: str, away: str, home_goals: int, away_goals: int):
         if home == away:
             raise InvalidPairingError("a team cannot play itself")
+        if type(home_goals) is not int or type(away_goals) is not int:
+            home_goals, away_goals = _integer(home_goals), _integer(away_goals)
         if home_goals < 0 or away_goals < 0:
             raise InvalidInputError("goals must be nonnegative")
         return tuple.__new__(cls, (home, away, home_goals, away_goals))
@@ -41,6 +49,16 @@ class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+def _integer(goals) -> int:
+    """`goals` as an int, if it is an integral number and not a bool."""
+    try:
+        if not isinstance(goals, (bool, np.bool_)) and int(goals) == goals:
+            return int(goals)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInputError(f"goals must be integers, not {goals!r}")
 
 
 # The largest mean a model accepts: a team's goal total in any oracle run
@@ -60,22 +78,53 @@ class PairwiseGoalModel:
     mean_goals: np.ndarray  # (n, n) floats
 
     def __post_init__(self):
-        names = tuple(self.names)
-        matrix = np.array(self.mean_goals, dtype=float)  # a copy: the caller's array stays theirs
-        n = len(names)
-        if n < 2:
+        names, matrix = _freeze(self, "mean_goals", (), IngestionError, "model",
+                                "matrix shape {shape} does not match {n} teams")
+        if len(names) < 2:
             raise IngestionError("a model needs at least 2 teams")
-        if len(set(names)) != n:
-            raise IngestionError("duplicate team name in model")
-        if matrix.shape != (n, n):
-            raise IngestionError(f"matrix shape {matrix.shape} does not match {n} teams")
-        np.fill_diagonal(matrix, 0.0)
         bad = ~((matrix >= 0) & (matrix <= MAX_MEAN_GOALS))
         _reject_first_cell(names, bad, IngestionError,
                            lambda i, j: f"invalid mean goals {matrix[i, j].item()}")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "mean_goals", matrix)
+
+
+@dataclass(frozen=True, eq=False)
+class FixedResultTable:
+    """A complete pairwise score table, used to replay the proposed format
+    over fixed, non-sampled results. Its fields cannot be reassigned.
+    names, a tuple of distinct team names, and goals, a read-only copy, are
+    set once by the constructor: the caller's list and array stay theirs.
+    goals holds at [i, j] the goals of names[i] and of names[j] in their
+    game with names[i] at home, each as printed (integer or
+    average-valued), finite and nonnegative; the unused diagonal is 0. A
+    pair's cells need not mirror."""
+
+    names: tuple[str, ...]
+    goals: np.ndarray  # (n, n, 2) floats
+
+    def __post_init__(self):
+        names, goals = _freeze(self, "goals", (2,), InvalidInputError, "table",
+                               "goals of shape {shape} do not fit {n} teams, need {need}")
+        bad = ~(np.isfinite(goals) & (goals >= 0)).all(-1)
+        _reject_first_cell(names, bad, InvalidInputError, lambda i, j:
+                           f"goals {goals[i, j].tolist()} are not finite and nonnegative")
+
+
+def _freeze(table, field: str, cell: tuple[int, ...], error: type, kind: str, bad_shape: str):
+    """Freeze both team tables' fields: `table.names` as a tuple, `field`
+    as a read-only float copy with a zero diagonal. Returns the two."""
+    names = tuple(table.names)
+    values = np.array(getattr(table, field), dtype=float)  # a copy: the caller's stays theirs
+    n = len(names)
+    if len(set(names)) != n:
+        raise error(f"duplicate team name in {kind}")
+    need = (n, n, *cell)
+    if values.shape != need:
+        raise error(bad_shape.format(shape=values.shape, n=n, need=need))
+    values[range(n), range(n)] = 0
+    values.setflags(write=False)
+    object.__setattr__(table, "names", names)
+    object.__setattr__(table, field, values)
+    return names, values
 
 
 def _reject_first_cell(names: Sequence[str], bad, error: type, message: Callable) -> None:

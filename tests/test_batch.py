@@ -460,3 +460,17 @@ class TestSupports:
         six = PoissonSampler(PairwiseGoalModel(NAMES8[:6], np.ones((6, 6))))
         assert not batch.supports(FormatSpec("proposed"), six)
         assert not batch.supports(FormatSpec("proposed"), DuckSampler(sampler))
+
+
+@pytest.mark.parametrize("kind, stage, refs", [
+    ("proposed", 0, [("seeds", 1), ("seeds", 0), *(("seeds", p) for p in range(2, 8))]),
+    ("format_2012", 1, [("groupA-", p) for p in range(4)]),
+])
+def test_round_robin_not_of_seeds_in_order_rejected(kind, stage, refs):
+    # The engine reads a round robin's teams off the seeding in seed order.
+    stages, places = BRACKETS[kind]
+    label, _, _ = stages[stage]
+    changed = [*stages[:stage], (label, RR, refs), *stages[stage + 1:]]
+    with pytest.raises(ValueError, match=f"^round robin '{label}' must be played by seeds "
+                                         "in seed order$"):
+        batch._compile(changed, places)

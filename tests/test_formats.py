@@ -196,6 +196,10 @@ class TestSeeding:
         with pytest.raises(UnsupportedSizeError):
             run_format(FormatSpec("proposed"), small, derive_rng(10, 2))
 
+    def test_oracle_of_one_team_rejected(self):
+        with pytest.raises(UnsupportedSizeError, match="^need at least 2 teams$"):
+            run_format(oracle(1), FixedGoalsSampler(["A"], [[], []]), derive_rng(11, 0))
+
     def test_oracle_works_for_two_teams(self):
         m = np.array([[np.nan, 3.0], [0.5, np.nan]])
         sampler = PoissonSampler(PairwiseGoalModel(["A", "B"], m))
@@ -794,15 +798,49 @@ class TestOracleLedger:
         ]
         return TournamentOutcome(Ranking.from_order(self.NAMES), games, len(games))
 
-    def test_equal_points_from_different_splits_go_to_goal_difference(self):
-        replayed = replay_outcome(self.SPEC, self.NAMES, self.ledger())
-        assert replayed.order() == ["D", "C", "B", "A"]
+    def draws(self):
+        """The goals of TIED_ON_POINTS as lists, (2, pairs, games)."""
         goals = [[], []]
         for runs in TIED_ON_POINTS.values():
             goals[0].append([a for count, a, _ in runs for _ in range(count)])
             goals[1].append([b for count, _, b in runs for _ in range(count)])
-        live = run_format(self.SPEC, FixedGoalsSampler(self.NAMES, goals), derive_rng(16, 0))
+        return goals
+
+    def test_equal_points_from_different_splits_go_to_goal_difference(self):
+        replayed = replay_outcome(self.SPEC, self.NAMES, self.ledger())
+        assert replayed.order() == ["D", "C", "B", "A"]
+        live = run_format(self.SPEC, FixedGoalsSampler(self.NAMES, self.draws()),
+                          derive_rng(16, 0))
         assert live.ranking.places == replayed.places
+
+    @pytest.mark.parametrize("keep_games", [True, False])
+    @pytest.mark.parametrize("goal, match", [(0.4, "integers, not 0.4"),
+                                             (math.nan, "integers, not nan"),
+                                             (-1, "nonnegative")])
+    def test_draw_that_no_game_has_rejected(self, keep_games, goal, match):
+        # Checked, not cast: int64 would read 0.4 as 0.
+        goals = self.draws()
+        goals[1][2][5] = goal
+        with pytest.raises(InvalidInputError, match=f"^goals must be {match}$"):
+            run_format(self.SPEC, FixedGoalsSampler(self.NAMES, goals), derive_rng(16, 0),
+                       keep_games)
+
+    def test_integral_float_draws_are_ints(self):
+        goals = self.draws()
+        floats = [[[float(g) for g in pair] for pair in side] for side in goals]
+        want = run_format(self.SPEC, FixedGoalsSampler(self.NAMES, goals), derive_rng(16, 0))
+        got = run_format(self.SPEC, FixedGoalsSampler(self.NAMES, floats), derive_rng(16, 0))
+        assert got.games.goals.dtype == np.int64
+        assert got.games == want.games and got.ranking.places == want.ranking.places
+
+    def test_entry_with_a_fractional_goal_rejected(self):
+        # A result forged past the constructor is rebuilt by the replay.
+        outcome = self.ledger()
+        stage, (home, away, _, away_goals) = outcome.games[3].stage, outcome.games[3].result
+        outcome.games[3] = LedgerEntry(stage, tuple.__new__(GameResult,
+                                                            (home, away, 0.4, away_goals)))
+        with pytest.raises(InvalidInputError, match="^goals must be integers, not 0.4$"):
+            replay_outcome(self.SPEC, self.NAMES, outcome)
 
     @pytest.mark.parametrize("away", ["E", "Z", "A2"])
     def test_team_outside_names_rejected(self, away):

@@ -22,7 +22,7 @@ from tournsim import (
 from tournsim import fixtures
 from tournsim.cli import TRUTH_STREAM_KEY
 from tournsim.fixtures import fixture_text
-from tournsim.formats import Ledger, _pair_index
+from tournsim.formats import Ledger, LedgerEntry, _pair_index
 from tournsim.model import MAX_MEAN_GOALS
 
 
@@ -187,6 +187,15 @@ class TestCombinedTable:
             fixtures.load_combined_table(2013)
 
 
+@pytest.mark.parametrize("load", [fixtures.published_truth, fixtures.load_goal_model,
+                                  fixtures.load_points_model, fixtures.load_combined_table])
+@pytest.mark.parametrize("year", [2011, 2014, 2012.0])
+def test_year_without_bundled_data_rejected(load, year):
+    with pytest.raises(InvalidInputError,
+                       match=f"^no bundled data for {year}: the bundled years are 2012, 2013$"):
+        load(year)
+
+
 class TestPoissonSampler:
     def test_zero_rate_is_goalless(self):
         s = PoissonSampler(PairwiseGoalModel(["A", "B"], [[0, 0], [0, 0]]))
@@ -304,8 +313,7 @@ class TestGameResult:
             games = [e.result for e in ledger]
             assert [type(g) for g in games] == [GameResult] * len(one_by_one)
             assert [g[:2] for g in games] == [g[:2] for g in one_by_one]
-            # A goals array holds a column's ints as floats beside a NaN,
-            # and NaN never compares equal.
+            # Accepted goals are ints, read back from an int64 array.
             got = np.array([g[2:] for g in games], float).reshape(-1, 2)
             want = np.array([g[2:] for g in one_by_one], float).reshape(-1, 2)
             assert np.array_equal(got, want, equal_nan=True)
@@ -320,6 +328,30 @@ class TestGameResult:
     def test_negative_goals_rejected(self, goals):
         with pytest.raises(InvalidInputError, match="nonnegative"):
             GameResult("A", "B", *goals)
+
+    @pytest.mark.parametrize("goal, shown", [
+        (0.4, "0.4"), (math.nan, "nan"), (math.inf, "inf"), (True, "True"), ("1", "'1'"),
+    ])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_goal_that_is_not_an_integer_rejected(self, goal, shown, side):
+        goals = [1, 1]
+        goals[side] = goal
+        match = f"^goals must be integers, not {re.escape(shown)}$"
+        with pytest.raises(InvalidInputError, match=match):
+            GameResult("A", "B", *goals)
+        with pytest.raises(InvalidInputError, match=match):
+            column_ledger(["A"], ["B"], *([g] for g in goals))
+
+    def test_bool_goals_array_rejected(self):
+        with pytest.raises(InvalidInputError, match="^goals must be integers, not True$"):
+            Ledger(("A", "B"), ["g0"], [[0], [1]], np.array([[True], [False]]))
+
+    def test_integral_goals_kept_as_ints(self):
+        g = GameResult("A", "B", np.int64(2), 1.0)
+        assert g == ("A", "B", 2, 1) and [type(x) for x in g[2:]] == [int, int]
+        for goals in ([[2.0], [1]], np.array([[2.0], [1.0]]), np.array([[2], [1]], np.int32)):
+            ledger = Ledger(("A", "B"), ["g0"], [[0], [1]], goals)
+            assert ledger.goals.dtype == np.int64 and list(ledger) == [LedgerEntry("g0", g)]
 
     def test_fields_unpack_and_repr(self):
         g = GameResult("A", "B", 2, 1)
@@ -348,6 +380,9 @@ class TestGameResult:
     @pytest.mark.parametrize("fields, error", [
         (("A", "A", 1, 0), InvalidPairingError),
         (("A", "B", -1, 0), InvalidInputError),
+        (("A", "B", 0.4, 0), InvalidInputError),
+        (("A", "B", 0, math.nan), InvalidInputError),
+        (("A", "B", True, 0), InvalidInputError),
     ])
     def test_every_constructor_path_checks(self, fields, error):
         # A record forged past the constructor is rebuilt through it by
