@@ -59,7 +59,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .model import FixedResultTable, GameResult
+from .model import FixedResultTable, GameResult, _integer
 from .scoring import (
     CONTINUOUS,
     DEFAULT_POLICY,
@@ -138,8 +138,10 @@ class Ledger(Sequence):
     """A read-only ledger held as columns, the oracle's: the team `names`
     (a tuple), each game's stage label in `labels`, and two (2, games)
     arrays, `teams` of home and away indices into names and `goals` of
-    home and away goals, held as int64. The constructor checks every game
-    and raises what `GameResult` raises for the first game it rejects.
+    home and away goals, held as int64. The constructor rejects a team
+    index that is not an integer (a bool, a fraction, NaN or inf) or lies
+    outside names, checks every game and raises what `GameResult` raises
+    for the first game it rejects.
     Indexing and iteration build `LedgerEntry` views on demand, a slice is
     a list of them, and a ledger equals another or a list of the same
     entries."""
@@ -148,17 +150,23 @@ class Ledger(Sequence):
     __hash__ = None
 
     def __init__(self, names: Sequence[str], labels: Sequence[str], teams, goals):
-        names, teams = tuple(names), np.asarray(teams, np.int64)
-        # Goals not in an array are read as the values they are: numpy
+        names = tuple(names)
+        # Columns not in an array are read as the values they are: numpy
         # would turn a bool among ints into an int.
-        goals = goals if isinstance(goals, np.ndarray) else np.array(goals, dtype=object)
+        teams, goals = (c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
+                        for c in (teams, goals))
         if len(set(names)) != len(names):
             raise InvalidInputError("duplicate team name in ledger")
         if not teams.shape == goals.shape == (2, len(labels)):
             raise InvalidInputError(f"teams of shape {teams.shape} and goals of shape "
                                     f"{goals.shape} do not fit {len(labels)} labels")
+        if teams.dtype.kind not in "iu":
+            # Read one by one, so that a fraction is rejected, not truncated.
+            teams = np.array([_integer(t, "team indices") for t in teams.ravel().tolist()],
+                             dtype=object).reshape(teams.shape)
         if teams.size and not 0 <= teams.min() <= teams.max() < len(names):
             raise InvalidInputError(f"team indices must lie in 0..{len(names) - 1}")
+        teams = teams.astype(np.int64, copy=False)
         if goals.dtype.kind in "iu":
             goals = goals.astype(np.int64, copy=False)
             self_play = teams[0] == teams[1]

@@ -51,14 +51,14 @@ class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
         return cls(*iterable)
 
 
-def _integer(goals) -> int:
-    """`goals` as an int, if it is an integral number and not a bool."""
+def _integer(value, what: str = "goals") -> int:
+    """`value` as an int, if it is an integral number and not a bool."""
     try:
-        if not isinstance(goals, (bool, np.bool_)) and int(goals) == goals:
-            return int(goals)
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
+            return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise InvalidInputError(f"goals must be integers, not {goals!r}")
+    raise InvalidInputError(f"{what} must be integers, not {value!r}")
 
 
 # The largest mean a model accepts: a team's goal total in any oracle run

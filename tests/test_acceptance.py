@@ -21,8 +21,9 @@ from tournsim import (
     run_campaign,
     run_format,
 )
-from tournsim import fixtures
+from tournsim import fixtures, montecarlo
 
+from pools import pool_sizes
 from samplers import oracle
 
 SEED = 20122013
@@ -254,7 +255,10 @@ class TestCriterion7OracleStability:
 
 
 class TestCriterion8ParallelReproducibility:
-    def test_histograms_byte_identical_across_worker_counts(self):
+    def test_histograms_byte_identical_across_worker_counts(self, monkeypatch):
+        # Every batched block pays for a process, so the 2 blocks start a pool.
+        monkeypatch.setattr(montecarlo, "_BATCHED_BLOCKS_PER_PROCESS", 1)
+        pools = pool_sizes(monkeypatch)
         spec = CampaignSpec(
             format=FormatSpec(
                 "format_2013_double_elim",
@@ -270,4 +274,5 @@ class TestCriterion8ParallelReproducibility:
         two = run_campaign(spec, workers=2).to_text()
         assert one == two
         assert one.encode() == two.encode()
+        assert pools == [2]
         report("criterion-8 campaign output byte-identical for 1 and 2 workers")

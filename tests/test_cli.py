@@ -3,8 +3,10 @@ import os
 
 import pytest
 
-from tournsim import InvalidInputError, PoissonSampler, __version__, cli, fixtures
+from tournsim import InvalidInputError, PoissonSampler, __version__, cli, fixtures, montecarlo
 from tournsim.cli import main
+
+from pools import pool_sizes
 
 MODEL_2012 = str(fixtures.fixture_path("robocup2012.csv"))
 MODEL_2013 = str(fixtures.fixture_path("robocup2013.csv"))
@@ -547,7 +549,9 @@ class TestCampaign:
         ]
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_multi_format_bytes_do_not_depend_on_workers(self, capsys, tmp_path):
+    def test_multi_format_bytes_do_not_depend_on_workers(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BATCHED_BLOCKS_PER_PROCESS", 1)
+        pools = pool_sizes(monkeypatch)
         files = {}
         for workers in ("1", "2"):
             dest = tmp_path / f"w{workers}.csv"
@@ -563,6 +567,7 @@ class TestCampaign:
                 for fmt in ("proposed", "f2012", "f2013", "oracle")
             ]
         assert files["1"] == files["2"]
+        assert pools == [2]
 
     def test_compare_on_written_histograms(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

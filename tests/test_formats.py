@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -1002,6 +1003,34 @@ class TestLedger:
     def test_columns_that_do_not_fit_rejected(self, names, teams, goals, match):
         with pytest.raises(InvalidInputError, match=match):
             Ledger(names, ("g1",), teams, goals)
+
+    @pytest.mark.parametrize("teams, shown", [
+        ([[0.7], [1.2]], "0.7"),
+        ([[0], [1.5]], "1.5"),
+        ([[True], [1]], "True"),
+        ([[math.nan], [1]], "nan"),
+        ([[0], [math.inf]], "inf"),
+        ([["1"], [0]], "'1'"),
+    ])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_index_that_is_not_an_integer_rejected(self, teams, shown, as_array):
+        # Casting would truncate 0.7 and 1.2 to a game of A v B.
+        if as_array:
+            if shown == "True":
+                teams = [[True], [False]]  # numpy reads a bool among ints as an int
+            teams = np.array(teams)
+        with pytest.raises(InvalidInputError,
+                           match=f"^team indices must be integers, not {re.escape(shown)}$"):
+            Ledger(("A", "B"), ("g1",), teams, [[1], [0]])
+
+    def test_integral_indices_of_any_type_kept(self):
+        want = Ledger(("A", "B"), ("g1",), np.array([[1], [0]]), [[1], [0]])
+        for teams in ([[1.0], [0]], np.array([[1.0], [0.0]]), np.array([[1], [0]], np.uint8),
+                      [[np.int32(1)], [np.float64(0.0)]]):
+            ledger = Ledger(("A", "B"), ("g1",), teams, [[1], [0]])
+            assert ledger.teams.dtype == np.int64 and ledger == want
+        for empty in (Ledger.of([]), Ledger(("A",), (), np.zeros((2, 0)), np.zeros((2, 0)))):
+            assert empty.teams.dtype == np.int64 and empty.teams.shape == (2, 0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.integers(1, 5), scheme=st.sampled_from(["continuous", "discrete"]),

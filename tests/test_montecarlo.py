@@ -16,6 +16,7 @@ from tournsim import (
     Ranking,
     TournsimError,
     compare_campaigns,
+    fixtures,
     merge_distributions,
     montecarlo,
     run_campaign,
@@ -24,7 +25,8 @@ from tournsim import (
 from tournsim.montecarlo import BLOCK_SIZE
 
 from duck_sampler import DuckSampler
-from samplers import NAMES8, chain_sampler, flat_sampler
+from pools import pool_sizes
+from samplers import NAMES8, chain_sampler, flat_sampler, oracle
 
 
 def spec(n=200, seed=77, start=0, kind="format_2013_double_elim", sampler=None):
@@ -51,18 +53,31 @@ class TestCampaignDeterminism:
         second = run_campaign(spec(n=180, start=120))
         assert merge_distributions(first, second).counts == whole.counts
 
-    def test_one_pool_for_many_specs_equals_one_campaign_each(self):
+    def test_one_pool_for_many_specs_equals_one_campaign_each(self, monkeypatch):
+        # Every batched block pays for a process, so the 6 blocks start a pool.
+        monkeypatch.setattr(montecarlo, "_BATCHED_BLOCKS_PER_PROCESS", 1)
+        pools = pool_sizes(monkeypatch)
         specs = [spec(n=300), spec(n=120, start=200, kind="proposed"), spec(n=300)]
         alone = [run_campaign(s, workers=1).to_text() for s in specs]
         for workers in (1, 2, 3):
             shared = run_campaigns(specs, workers=workers)
             assert [d.to_text() for d in shared] == alone
+        assert pools == [2, 3]
 
-    def test_worker_count_does_not_change_result(self):
+    def test_worker_count_does_not_change_result(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BATCHED_BLOCKS_PER_PROCESS", 1)
+        pools = pool_sizes(monkeypatch)
         one = run_campaign(spec(n=80), workers=1)
         two = run_campaign(spec(n=80), workers=2)
         assert one.counts == two.counts
         assert one.to_text() == two.to_text()
+        # 80 tournaments in one block make one run, which no pool plays;
+        # across a block boundary they make two.
+        assert pools == []
+        one = run_campaign(spec(n=80, start=200), workers=1)
+        two = run_campaign(spec(n=80, start=200), workers=2)
+        assert one.to_text() == two.to_text()
+        assert pools == [2]
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
@@ -79,6 +94,76 @@ class TestCampaignDeterminism:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         assert out.stdout.strip() == "False"
+
+    def test_paper_campaign_at_n_2000_plays_in_process(self):
+        # 3 formats of 8 batched blocks pay for no second process, even at
+        # --workers 2, so the command never loads the pool machinery.
+        root = str(Path(montecarlo.__file__).parents[1])
+        argv = ["campaign", "--model", str(fixtures.fixture_path("robocup2012.csv")),
+                "--format", "proposed", "f2012", "f2013", "--n", "2000", "--workers", "2"]
+        code = (f"import sys; sys.path.insert(0, {root!r}); from tournsim.cli import main; "
+                f"code = main({argv!r}); print(code, 'concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        lines = out.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == ["proposed", "f2012", "f2013"]
+        assert lines[-1] == "0 False"
+
+    def test_two_scalar_blocks_start_a_pool(self, monkeypatch):
+        pools = pool_sizes(monkeypatch)
+        s = spec(n=300, kind="proposed", sampler=DuckSampler(flat_sampler()))
+        two = run_campaign(s, workers=2)
+        assert pools == [2]
+        assert two.to_text() == run_campaign(s, workers=1).to_text()
+        assert pools == [2]
+
+
+class TestProcessCount:
+    """`_process_count` only counts blocks: these tests start no process."""
+
+    @staticmethod
+    def paper_specs(n):
+        kinds = ("proposed", "format_2012", "format_2013_double_elim")
+        return [spec(n=n, kind=kind) for kind in kinds]
+
+    @pytest.mark.parametrize("blocks, processes", [(95, 1), (96, 2), (143, 2), (144, 3)])
+    def test_batched_blocks_pay_for_a_process_by_48(self, blocks, processes):
+        whole = spec(n=blocks * BLOCK_SIZE)
+        partial_last = spec(n=(blocks - 1) * BLOCK_SIZE + 1)
+        partial_first = spec(n=(blocks - 1) * BLOCK_SIZE, start=1)
+        for s in (whole, partial_last, partial_first):
+            assert montecarlo._process_count([s], 8) == processes
+
+    def test_three_formats_at_and_below_96_blocks(self):
+        assert montecarlo._process_count(self.paper_specs(8000), 2) == 2  # 3 x 32 blocks
+        assert montecarlo._process_count(self.paper_specs(7751), 2) == 2  # 3 x 32
+        assert montecarlo._process_count(self.paper_specs(7750), 2) == 1  # 3 x 31
+
+    def test_paper_default_campaign(self):
+        # 3 formats x --n 10000: 120 batched blocks.
+        specs = self.paper_specs(10000)
+        assert [montecarlo._process_count(specs, w) for w in (1, 2, 3)] == [1, 2, 2]
+        # The paper's benchmark campaign, --n 2000: 24 blocks, one process.
+        assert montecarlo._process_count(self.paper_specs(2000), 2) == 1
+
+    def test_scalar_blocks_pay_for_a_process_each(self):
+        duck = spec(n=630, start=100, sampler=DuckSampler(flat_sampler()))  # 3 blocks
+        assert [montecarlo._process_count([duck], w) for w in (1, 2, 3, 4)] == [1, 2, 3, 3]
+        # The oracle takes the scalar path on the batched engine's sampler.
+        one_block = CampaignSpec(oracle(3), flat_sampler(), Ranking.from_order(NAMES8), 250, 1)
+        assert montecarlo._process_count([one_block], 2) == 1
+        assert montecarlo._process_count([one_block, one_block], 2) == 2
+        # Scalar blocks and whole shares of batched ones add up.
+        assert montecarlo._process_count([duck, spec(n=48 * BLOCK_SIZE)], 8) == 4
+        assert montecarlo._process_count([duck, spec(n=47 * BLOCK_SIZE)], 8) == 3
+
+    def test_large_worker_count_is_bounded_by_the_work(self):
+        workers = 10**6
+        assert montecarlo._process_count(self.paper_specs(10000), workers) == 2
+        assert montecarlo._process_count(self.paper_specs(2000), workers) == 1
+        assert montecarlo._process_count([spec(n=5)], workers) == 1
+        duck = spec(n=630, start=100, sampler=DuckSampler(flat_sampler()))
+        assert montecarlo._process_count([duck], workers) == 3
 
 
 class TestBlockLayout:
@@ -118,13 +203,16 @@ class TestBlockLayout:
         assert across.n_samples == 10
 
     @pytest.mark.parametrize("duck", [False, True])
-    def test_worker_count_with_partial_blocks(self, duck):
+    def test_worker_count_with_partial_blocks(self, duck, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BATCHED_BLOCKS_PER_PROCESS", 1)
+        pools = pool_sizes(monkeypatch)
         sampler = DuckSampler(flat_sampler()) if duck else flat_sampler()
         s = spec(n=630, start=100, kind="proposed", sampler=sampler)
         one = run_campaign(s, workers=1)
         two = run_campaign(s, workers=2)
         assert one.n_samples == 630
         assert one.to_text() == two.to_text()
+        assert pools == [2]
 
     def test_duck_typed_sampler_takes_the_scalar_fallback(self, monkeypatch):
         calls = {"run_format": 0, "derive_rng": 0}
