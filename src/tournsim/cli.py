@@ -305,9 +305,8 @@ def build_parser() -> _Parser:
         "--workers",
         type=int,
         default=1,
-        help="at most this many worker processes (default 1): one per scalar-path "
-        "block, or per 48 batched blocks of 250 tournaments, so a small "
-        "campaign runs in one process",
+        help="at most this many worker processes (default 1); a small campaign "
+        "runs in one process",
     )
     sp.set_defaults(func=cmd_campaign)
 

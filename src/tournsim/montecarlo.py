@@ -12,12 +12,12 @@ keeps the rows inside it, and workers receive runs of whole blocks, so the
 result is bit-identical for a given spec regardless of worker count, and a
 campaign may be split into sub-campaigns and merged.
 
-A worker process costs more than a batched block: importing the pool
+A process pool costs more than a batched block: importing the pool
 machinery, starting the pool and each worker's first, cold run add up to
 ~60-75 ms on a 2-core machine, against ~2 ms a block. So `run_campaigns`
-takes its `workers` as an upper bound and starts only the processes the
-work pays for (`_process_count`); a campaign that needs only one plays in
-the calling process.
+takes its `workers` as an upper bound: a campaign whose blocks are all
+batched, and too few to pay for a pool, plays in the calling process
+(`_process_count`).
 
 Both engines play the stage tables `formats.BRACKETS` and the tie-break
 kernel `scoring.tiebreak_order`. Specs the batched engine supports
@@ -48,11 +48,12 @@ from .model import derive_rng
 from .scoring import Ranking, l1_distance
 
 BLOCK_SIZE = 250  # tournaments per block of the stream layout
-# Batched blocks that pay for one worker process. On a 2-core machine the
-# three paper formats took as long at 96 blocks on a 2-process pool as in
-# one process (medians 204 and 193 ms), 256 against 371 ms at 192 blocks,
-# and 134 against 61 ms at 24. A scalar-path block (40 ms to 1 s) pays for
-# a process alone.
+# A pool pays for itself from 2 * _BATCHED_BLOCKS_PER_PROCESS batched
+# blocks. On a 2-core machine the three paper formats took as long at 96
+# blocks on a 2-process pool as in one process (medians 204 and 193 ms),
+# 256 against 371 ms at 192 blocks, and 134 against 61 ms at 24. Only this
+# crossover to a second process was measured, so past it a campaign starts
+# up to one process a block, as many as `workers`.
 _BATCHED_BLOCKS_PER_PROCESS = 48
 STREAM_LAYOUT = "v2"  # written as `stream=` in campaign histogram headers
 HISTOGRAM_MAGIC = "# tournsim-histogram v1"
@@ -263,34 +264,35 @@ def run_campaign(spec: CampaignSpec, workers: int = 1) -> DiscrepancyDistributio
     return run_campaigns([spec], workers)[0]
 
 
-def _process_count(specs: Sequence[CampaignSpec], workers: int) -> int:
-    """The processes the campaigns' blocks pay for, at most `workers`: one
-    per scalar-path block and one per _BATCHED_BLOCKS_PER_PROCESS batched
-    blocks, and at least one."""
-    scalar = batched = 0
-    for spec in specs:
-        first, last = _block_range(spec)
-        if batch.supports(spec.format, spec.sampler):
-            batched += last - first
-        else:
-            scalar += last - first
-    return min(workers, max(1, scalar + batched // _BATCHED_BLOCKS_PER_PROCESS))
+def _process_count(
+    specs: Sequence[CampaignSpec], ranges: Sequence[tuple[int, int]], workers: int
+) -> int:
+    """The processes that play the campaigns' blocks, given each spec's
+    (first, last) block range: one a block, at most `workers`. But when
+    every block is batched (~2 ms each, against 40 ms to 1 s on the scalar
+    path) and there are fewer than 2 * _BATCHED_BLOCKS_PER_PROCESS of them,
+    one: the calling process."""
+    blocks = sum(last - first for first, last in ranges)
+    if blocks < 2 * _BATCHED_BLOCKS_PER_PROCESS and all(
+        batch.supports(spec.format, spec.sampler) for spec in specs
+    ):
+        return 1
+    return min(workers, blocks)
 
 
 def run_campaigns(
     specs: Sequence[CampaignSpec], workers: int = 1
 ) -> list[DiscrepancyDistribution]:
-    """run_campaign of every spec. `workers` bounds the processes: the
-    campaigns start as many as their blocks pay for (`_process_count`),
-    each spec's blocks are split into up to that many runs, and the runs of
-    all specs share one pool. At one process they play in the calling process,
-    and the pool machinery is not imported."""
+    """run_campaign of every spec. `workers` bounds the processes: each
+    spec's blocks are split into up to `_process_count` runs, and the runs
+    of all specs share one pool. A campaign that pays for no pool plays in
+    the calling process, and the pool machinery is not imported."""
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, not {workers}")
-    processes = _process_count(specs, workers)
+    ranges = [_block_range(spec) for spec in specs]
+    processes = _process_count(specs, ranges, workers)
     runs = []  # (spec number, first block, last block)
-    for s, spec in enumerate(specs):
-        first, last = _block_range(spec)
+    for s, (first, last) in enumerate(ranges):
         bounds = np.linspace(first, last, min(processes, last - first) + 1, dtype=int)
         runs += [(s, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
     counts = [Counter() for _ in specs]

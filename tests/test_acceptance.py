@@ -256,7 +256,7 @@ class TestCriterion7OracleStability:
 
 class TestCriterion8ParallelReproducibility:
     def test_histograms_byte_identical_across_worker_counts(self, monkeypatch):
-        # Every batched block pays for a process, so the 2 blocks start a pool.
+        # Two batched blocks pay for a pool, so the 2 blocks start one.
         monkeypatch.setattr(montecarlo, "_BATCHED_BLOCKS_PER_PROCESS", 1)
         pools = pool_sizes(monkeypatch)
         spec = CampaignSpec(

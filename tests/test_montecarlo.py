@@ -54,7 +54,7 @@ class TestCampaignDeterminism:
         assert merge_distributions(first, second).counts == whole.counts
 
     def test_one_pool_for_many_specs_equals_one_campaign_each(self, monkeypatch):
-        # Every batched block pays for a process, so the 6 blocks start a pool.
+        # Two batched blocks pay for a pool, so the 6 blocks start one.
         monkeypatch.setattr(montecarlo, "_BATCHED_BLOCKS_PER_PROCESS", 1)
         pools = pool_sizes(monkeypatch)
         specs = [spec(n=300), spec(n=120, start=200, kind="proposed"), spec(n=300)]
@@ -71,8 +71,8 @@ class TestCampaignDeterminism:
         two = run_campaign(spec(n=80), workers=2)
         assert one.counts == two.counts
         assert one.to_text() == two.to_text()
-        # 80 tournaments in one block make one run, which no pool plays;
-        # across a block boundary they make two.
+        # 80 tournaments in one block play in-process; across a block
+        # boundary they make two blocks, which start a pool.
         assert pools == []
         one = run_campaign(spec(n=80, start=200), workers=1)
         two = run_campaign(spec(n=80, start=200), workers=2)
@@ -122,48 +122,53 @@ class TestProcessCount:
     """`_process_count` only counts blocks: these tests start no process."""
 
     @staticmethod
+    def count(specs, workers):
+        ranges = [montecarlo._block_range(s) for s in specs]
+        return montecarlo._process_count(specs, ranges, workers)
+
+    @staticmethod
     def paper_specs(n):
         kinds = ("proposed", "format_2012", "format_2013_double_elim")
         return [spec(n=n, kind=kind) for kind in kinds]
 
-    @pytest.mark.parametrize("blocks, processes", [(95, 1), (96, 2), (143, 2), (144, 3)])
-    def test_batched_blocks_pay_for_a_process_by_48(self, blocks, processes):
+    @pytest.mark.parametrize("blocks, processes", [(95, 1), (96, 8), (144, 8)])
+    def test_a_pool_from_96_batched_blocks(self, blocks, processes):
         whole = spec(n=blocks * BLOCK_SIZE)
         partial_last = spec(n=(blocks - 1) * BLOCK_SIZE + 1)
         partial_first = spec(n=(blocks - 1) * BLOCK_SIZE, start=1)
         for s in (whole, partial_last, partial_first):
-            assert montecarlo._process_count([s], 8) == processes
+            assert self.count([s], 8) == processes
 
     def test_three_formats_at_and_below_96_blocks(self):
-        assert montecarlo._process_count(self.paper_specs(8000), 2) == 2  # 3 x 32 blocks
-        assert montecarlo._process_count(self.paper_specs(7751), 2) == 2  # 3 x 32
-        assert montecarlo._process_count(self.paper_specs(7750), 2) == 1  # 3 x 31
+        assert self.count(self.paper_specs(8000), 2) == 2  # 3 x 32 blocks
+        assert self.count(self.paper_specs(7751), 2) == 2  # 3 x 32
+        assert self.count(self.paper_specs(7750), 2) == 1  # 3 x 31
 
     def test_paper_default_campaign(self):
-        # 3 formats x --n 10000: 120 batched blocks.
+        # 3 formats x --n 10000: 120 batched blocks start `workers` processes.
         specs = self.paper_specs(10000)
-        assert [montecarlo._process_count(specs, w) for w in (1, 2, 3)] == [1, 2, 2]
+        assert [self.count(specs, w) for w in (1, 2, 3, 8)] == [1, 2, 3, 8]
         # The paper's benchmark campaign, --n 2000: 24 blocks, one process.
-        assert montecarlo._process_count(self.paper_specs(2000), 2) == 1
+        assert self.count(self.paper_specs(2000), 2) == 1
 
-    def test_scalar_blocks_pay_for_a_process_each(self):
+    def test_scalar_blocks_start_a_process_each(self):
         duck = spec(n=630, start=100, sampler=DuckSampler(flat_sampler()))  # 3 blocks
-        assert [montecarlo._process_count([duck], w) for w in (1, 2, 3, 4)] == [1, 2, 3, 3]
+        assert [self.count([duck], w) for w in (1, 2, 3, 4)] == [1, 2, 3, 3]
         # The oracle takes the scalar path on the batched engine's sampler.
         one_block = CampaignSpec(oracle(3), flat_sampler(), Ranking.from_order(NAMES8), 250, 1)
-        assert montecarlo._process_count([one_block], 2) == 1
-        assert montecarlo._process_count([one_block, one_block], 2) == 2
-        # Scalar blocks and whole shares of batched ones add up.
-        assert montecarlo._process_count([duck, spec(n=48 * BLOCK_SIZE)], 8) == 4
-        assert montecarlo._process_count([duck, spec(n=47 * BLOCK_SIZE)], 8) == 3
+        assert self.count([one_block], 2) == 1
+        assert self.count([one_block, one_block], 2) == 2
+        # One scalar spec lets the batched blocks beside it start processes too.
+        assert self.count([one_block, spec(n=5 * BLOCK_SIZE)], 8) == 6
+        assert self.count([spec(n=5 * BLOCK_SIZE)], 8) == 1
 
-    def test_large_worker_count_is_bounded_by_the_work(self):
+    def test_large_worker_count_is_bounded_by_the_blocks(self):
         workers = 10**6
-        assert montecarlo._process_count(self.paper_specs(10000), workers) == 2
-        assert montecarlo._process_count(self.paper_specs(2000), workers) == 1
-        assert montecarlo._process_count([spec(n=5)], workers) == 1
+        assert self.count(self.paper_specs(10000), workers) == 120
+        assert self.count(self.paper_specs(2000), workers) == 1
+        assert self.count([spec(n=5)], workers) == 1
         duck = spec(n=630, start=100, sampler=DuckSampler(flat_sampler()))
-        assert montecarlo._process_count([duck], workers) == 3
+        assert self.count([duck], workers) == 3
 
 
 class TestBlockLayout:
