@@ -10,9 +10,11 @@ scored by `scoring.game_points` and summed and ranked by the kernels
 every league table uses; knockout slots are settled with `np.where`.
 
 Results live on one (rows, columns) int board of team indices. Columns
-0-7 hold the block's seeds, the team at each seed position (column 0 is
-the top seed), and each stage writes what it yields, its finishing order
-or its winner then its loser, to columns of its own. The final order is
+0-7 hold the seeds `play_block` is given, the team at each seed position
+(column 0 is the top seed); it knows no seeding rule, and its caller
+draws them by `formats._seed_rows`, as `run_format` does. Each stage
+writes what it yields, its finishing order or its winner then its
+loser, to columns of its own. The final order is
 read off the board as it stands. Only the higher-seed rule needs seed
 positions: it reads them from the inverse permutation of the seeds, in
 the rows with a drawn slot.
@@ -33,16 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .formats import (
-    BRACKETS,
-    HIGHER_SEED,
-    KO,
-    LEGS,
-    PLAYOFF,
-    RANDOM_SEEDING,
-    RR,
-    _seed_list,
-)
+from .formats import BRACKETS, HIGHER_SEED, KO, LEGS, PLAYOFF, RR
 from .model import PoissonSampler
 from .scoring import game_points, round_robin_totals, tiebreak_order
 
@@ -80,16 +73,14 @@ def supports(fmt, sampler) -> bool:
             and len(sampler.names) == len(BRACKETS[fmt.kind][1]))
 
 
-def play_block(fmt, sampler, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Final orders of `size` tournaments of `fmt`, as an int array of team
-    indices of shape (size, teams), best first."""
+def play_block(fmt, sampler, rng: np.random.Generator, seeds) -> np.ndarray:
+    """Final orders of tournaments of `fmt`, one a row of `seeds`, an int
+    array (rows, teams) of team indices by seed position: an int array of
+    team indices of that shape, best first. `fmt.seeding` is not read."""
     calls, places, width = _PLANS[fmt.kind]
     teams = len(places)
-    board = np.empty((size, width), dtype=np.intp)
-    if fmt.seeding == RANDOM_SEEDING:
-        board[:, :teams] = rng.permuted(np.tile(np.arange(teams), (size, 1)), axis=1)
-    else:
-        board[:, :teams] = _seed_list(sampler.names, fmt.seeding)
+    board = np.empty((len(seeds), width), dtype=np.intp)
+    board[:, :teams] = seeds
     games = _Games(rng, sampler.model.mean_goals, board[:, :teams], fmt.decisive)
     play = {
         KO: games.knockout,

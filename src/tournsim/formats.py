@@ -103,9 +103,10 @@ RANDOM_SEEDING = "random"
 
 @dataclass(frozen=True)
 class FormatSpec:
-    """Declarative description of one tournament format run. `seeding` is a
-    tuple of team names/indices (seed 1 first), None for model order, or
-    "random" for a fresh permutation drawn per run from the run's stream."""
+    """Declarative description of one tournament format run. `seeding` is
+    None for model order, "random" for a permutation drawn per run from the
+    run's stream, or a sequence of team names or integer indices, seed 1
+    first, kept as a tuple."""
 
     kind: str
     games_per_pair: int = 1
@@ -122,6 +123,14 @@ class FormatSpec:
             raise InvalidInputError("games_per_pair must be >= 1")
         if self.scheme not in (CONTINUOUS, DISCRETE):
             raise InvalidInputError(f"unknown scheme {self.scheme!r}")
+        if isinstance(self.seeding, str):
+            if self.seeding != RANDOM_SEEDING:
+                raise InvalidInputError(f"unknown seeding {self.seeding!r}")
+        elif self.seeding is not None:
+            # A set has no order to seed by: its order would vary between runs.
+            if not isinstance(self.seeding, (Sequence, np.ndarray)):
+                raise InvalidInputError(f"seeding is not a sequence: {self.seeding!r}")
+            object.__setattr__(self, "seeding", tuple(self.seeding))
 
 
 @dataclass(slots=True)
@@ -522,16 +531,26 @@ def _play(provider, spec: FormatSpec, seeds: list[int]) -> Ranking:
 
 def _seed_list(names: Sequence[str], seeding) -> list[int]:
     """Team indices into `names` by seed position, seed 1 first, of a
-    seeding of names or indices; None seeds `names` in order."""
+    seeding of names or integer indices; None seeds `names` in order."""
     if seeding is None:
         return list(range(len(names)))
     for s in seeding:
         if isinstance(s, str) and s not in names:
             raise InvalidInputError(f"seeding names {s!r}, not a team of the model")
-    idx = [names.index(s) if isinstance(s, str) else int(s) for s in seeding]
+    idx = [names.index(s) if isinstance(s, str) else _integer(s, "seeding indices")
+           for s in seeding]
     if sorted(idx) != list(range(len(names))):
         raise InvalidInputError("seeding must be a permutation of all teams")
     return idx
+
+
+def _seed_rows(seeding, names: Sequence[str], rng, rows: int) -> np.ndarray:
+    """The seed lists (`_seed_list`) of `rows` runs of a FormatSpec seeding,
+    an int array (rows, teams). Row r of a random seeding is the r-th of
+    `rows` permutations drawn one call at a time by numpy's `permutation`."""
+    if seeding == RANDOM_SEEDING:
+        return rng.permuted(np.arange(len(names))[None].repeat(rows, 0), axis=1)
+    return np.array([_seed_list(names, seeding)]).repeat(rows, 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -600,10 +619,7 @@ def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> Tourn
     games_total is still exact."""
     if spec.kind == "iterated_round_robin":
         return _iterated_round_robin(spec, sampler, rng, keep_games)
-    seeding = spec.seeding
-    if seeding == RANDOM_SEEDING:
-        seeding = rng.permutation(len(sampler.names)).tolist()
-    seeds = _seed_list(sampler.names, seeding)
+    seeds = _seed_rows(spec.seeding, sampler.names, rng, 1)[0].tolist()
     provider = _LiveProvider(sampler, rng, spec.decisive, seeds)
     ranking = _play(provider, spec, seeds)
     entries = provider.entries

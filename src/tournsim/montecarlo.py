@@ -21,9 +21,10 @@ batched, and too few to pay for a pool, plays in the calling process
 
 Both engines play the stage tables `formats.BRACKETS` and the tie-break
 kernel `scoring.tiebreak_order`. Specs the batched engine supports
-(`batch.supports`) play a whole block as arrays with `batch.play_block`;
-the rest run the scalar interpreter `formats.run_format` row after row
-on the block's generator, up to the campaign's last tournament.
+(`batch.supports`) play a block as arrays: `formats._seed_rows` draws its
+seeds on the block's generator and `batch.play_block` plays them. The
+rest run `formats.run_format`, which seeds by the same rule, row after
+row on the block's generator, up to the campaign's last tournament.
 
 A campaign keeps only the count of each L1 value, and its summary is
 computed from those counts, so its memory does not grow with its size.
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import batch
 from .errors import InvalidComparisonError, InvalidInputError, TournsimError
-from .formats import FormatSpec, run_format
+from .formats import FormatSpec, _seed_rows, run_format
 from .model import derive_rng
 from .scoring import Ranking, l1_distance
 
@@ -244,7 +245,8 @@ def _simulate_block(spec: CampaignSpec, first: int, last: int) -> Counter:
         rng = derive_rng(spec.master_seed, b)
         if batched:
             with _located(f"tournaments {base + r0}-{base + r1 - 1}"):
-                final = batch.play_block(spec.format, spec.sampler, rng, BLOCK_SIZE)
+                seeds = _seed_rows(spec.format.seeding, names, rng, BLOCK_SIZE)
+                final = batch.play_block(spec.format, spec.sampler, rng, seeds)
             l1 = np.einsum("ij->i", np.abs(places - truth_place[final[r0:r1]]))
         else:
             l1 = []

@@ -153,9 +153,6 @@ class Ranking:
     def __getitem__(self, name: str) -> int:
         return self.places[name]
 
-    def __len__(self) -> int:
-        return len(self.places)
-
 
 def tiebreak_order(points, goals_for, goals_against, policy: TieBreakPolicy, pair_points=None):
     """Finishing order of the teams along the last axis under `policy`,

@@ -26,7 +26,7 @@ from tournsim import (
     standings_from_games,
 )
 from tournsim import batch
-from tournsim.formats import BRACKETS, RR
+from tournsim.formats import BRACKETS, RR, _seed_rows
 
 from duck_sampler import DuckSampler
 from reference_ranking import ALL_POLICIES, reference_rank
@@ -61,6 +61,13 @@ def zero_sampler():
     return sampler_of(np.zeros((8, 8)))
 
 
+def block(spec, sampler, rng, rows):
+    """`play_block` of `rows` tournaments, seeded as a campaign seeds a
+    block: by `_seed_rows` on the block's generator, before any game."""
+    seeds = _seed_rows(spec.seeding, sampler.names, rng, rows)
+    return batch.play_block(spec, sampler, rng, seeds)
+
+
 def scalar_order(spec, sampler, seed):
     names = list(sampler.names)
     ranking = run_format(spec, sampler, derive_rng(seed), keep_games=False).ranking
@@ -81,7 +88,7 @@ class TestDeterministicModelsMatchExactly:
                 decisive=DecisivePolicy(replays, HIGHER_SEED),
             )
             want = scalar_order(spec, sampler, 1)
-            got = batch.play_block(spec, sampler, derive_rng(2), 16)
+            got = block(spec, sampler, derive_rng(2), 16)
             assert (got == want).all(), (want, got[0])
 
     @pytest.mark.parametrize("kind,bo3", VARIANTS, ids=VARIANT_IDS)
@@ -95,7 +102,7 @@ class TestDeterministicModelsMatchExactly:
                 decisive=DecisivePolicy(replays, resolution),
             )
             want = scalar_order(spec, sampler, 3)
-            got = batch.play_block(spec, sampler, derive_rng(4), 16)
+            got = block(spec, sampler, derive_rng(4), 16)
             assert (got == want).all(), (want, got[0])
 
     def test_tie_break_policy_order_is_followed(self):
@@ -107,7 +114,7 @@ class TestDeterministicModelsMatchExactly:
             policy=TieBreakPolicy(("goals_for", "points", "seed_order")),
         )
         want = scalar_order(spec, zero_sampler(), 5)
-        assert (batch.play_block(spec, zero_sampler(), derive_rng(6), 4) == want).all()
+        assert (block(spec, zero_sampler(), derive_rng(6), 4) == want).all()
 
     def test_head_to_head_decides_level_teams(self):
         # Every game is a 40-0 win or a 0-0 draw. Seeds 1 and 2 finish the
@@ -124,7 +131,7 @@ class TestDeterministicModelsMatchExactly:
         )
         want = [1, 2, 0, 3, 4, 5, 6, 7]
         assert scalar_order(spec, sampler_of(means), 7) == want
-        assert (batch.play_block(spec, sampler_of(means), derive_rng(8), 4) == want).all()
+        assert (block(spec, sampler_of(means), derive_rng(8), 4) == want).all()
 
 
 def pooled_bins(a: dict, b: dict, min_count=20):
@@ -444,10 +451,41 @@ class TestPinnedBlocks:
                     (UNIFORM_COIN, HIGHER_SEED), (TieBreakPolicy(), self.H2H)):
                 fmt = FormatSpec(kind, best_of_three=bo3, seeding=seeding,
                                  decisive=DecisivePolicy(replays, resolution), policy=policy)
-                for block in (0, 1):
-                    final = batch.play_block(fmt, sampler, derive_rng(2014, block), 250)
+                for b in (0, 1):
+                    final = block(fmt, sampler, derive_rng(2014, b), 250)
                     digest.update(final.astype("<i8").tobytes())
         assert digest.hexdigest() == self.SHA256
+
+
+class TestSeeds:
+    """Both engines seed by `formats._seed_rows`, and `play_block` plays
+    the seeds it is given."""
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 11])
+    def test_random_rows_are_consecutive_permutations(self, n):
+        # Row r of a block is the r-th one-row draw, and each one-row draw
+        # is one `permutation` call. The one rule both engines seed by
+        # rests on this property of numpy's generator.
+        names = [f"T{i}" for i in range(n)]
+        rng, twin, plain = derive_rng(3), derive_rng(3), derive_rng(3)
+        rows = _seed_rows(RANDOM_SEEDING, names, rng, 250)
+        one_by_one = [_seed_rows(RANDOM_SEEDING, names, twin, 1) for _ in range(250)]
+        assert rows.shape == (250, n)
+        assert (rows == np.concatenate(one_by_one)).all()
+        assert (rows == [plain.permutation(n) for _ in range(250)]).all()
+        assert rng.bit_generator.state == twin.bit_generator.state == plain.bit_generator.state
+
+    def test_block_plays_the_seeds_given(self):
+        # 0-0 everywhere: each round robin ends in seed order and every
+        # playoff goes to the higher seed, so a row finishes as it was
+        # seeded. The spec's random seeding is not read: nothing is drawn.
+        spec = FormatSpec("proposed", seeding=RANDOM_SEEDING,
+                          decisive=DecisivePolicy(0, HIGHER_SEED))
+        seeds = _seed_rows(RANDOM_SEEDING, NAMES8, derive_rng(11), 40)
+        rng = derive_rng(12)
+        state = rng.bit_generator.state
+        assert (batch.play_block(spec, zero_sampler(), rng, seeds) == seeds).all()
+        assert rng.bit_generator.state == state
 
 
 class TestSupports:

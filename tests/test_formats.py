@@ -14,6 +14,7 @@ from tournsim import (
     HIGHER_SEED,
     RANDOM_SEEDING,
     UNIFORM_COIN,
+    CampaignSpec,
     DecisivePolicy,
     FormatSpec,
     GameResult,
@@ -26,10 +27,12 @@ from tournsim import (
     TeamStats,
     TieBreakPolicy,
     TournamentOutcome,
+    TournsimError,
     UnsupportedSizeError,
     derive_rng,
     rank_from_fixed_results,
     replay_outcome,
+    run_campaign,
     run_format,
 )
 from tournsim import fixtures
@@ -44,6 +47,7 @@ from tournsim.formats import (
     _ledger_labels,
     _pair_index,
     _scheme_matrices,
+    _seed_rows,
 )
 from tournsim.scoring import league_table
 
@@ -175,6 +179,59 @@ class TestSeeding:
         out = run_format(FormatSpec("proposed"), flat_sampler(), derive_rng(8, 1))
         with pytest.raises(InvalidInputError, match="'Nope'"):
             replay_outcome(FormatSpec("proposed", seeding=seeding), NAMES8, out)
+
+    @pytest.mark.parametrize("seeding, value", [
+        ((True, 0, 2, 3, 4, 5, 6, 7), "True"),
+        ((0, 1, 2, 3, 4, 5, 6, 7.9), "7.9"),
+        ((0, 1, 2, 3, 4, 5, 6, math.nan), "nan"),
+    ])
+    def test_seeding_index_not_an_integer_rejected(self, seeding, value):
+        # Not cast: True would play as team 1, and 7.9 as team 7.
+        match = f"seeding indices must be integers, not {value}"
+        spec = FormatSpec("format_2013_double_elim", seeding=seeding)
+        with pytest.raises(InvalidInputError, match=f"^{match}$"):
+            run_format(spec, flat_sampler(), derive_rng(8, 2))
+        out = run_format(FormatSpec("format_2013_double_elim"), flat_sampler(), derive_rng(8, 2))
+        with pytest.raises(InvalidInputError, match=f"^{match}$"):
+            replay_outcome(spec, NAMES8, out)
+        # Both campaign engines: batched, and the scalar fallback.
+        for sampler in (flat_sampler(), DuckSampler(flat_sampler())):
+            campaign = CampaignSpec(spec, sampler, Ranking.from_order(NAMES8), 5, 1)
+            with pytest.raises(TournsimError, match=match):
+                run_campaign(campaign)
+
+    def test_integral_float_seeding_index_accepted(self):
+        spec = FormatSpec("format_2013_double_elim", seeding=(7.0, 1, 2, 3, 4, 5, 6, 0.0))
+        out = run_format(spec, flat_sampler(), derive_rng(8, 3))
+        assert out.seeding == (7, 1, 2, 3, 4, 5, 6, 0)
+        assert replay_outcome(spec, NAMES8, out) == out.ranking
+
+    @pytest.mark.parametrize("given, kept", [
+        (list(reversed(NAMES8)), tuple(reversed(NAMES8))),
+        (np.array(NAMES8[::-1]), tuple(reversed(NAMES8))),
+        (np.arange(8)[::-1], (7, 6, 5, 4, 3, 2, 1, 0)),
+    ], ids=["list", "array-of-names", "array-of-indices"])
+    def test_seeding_sequence_kept_as_a_tuple(self, given, kept):
+        # A list kept as given would leave the frozen spec unhashable, and
+        # an array would fail every run on its ambiguous truth value.
+        spec = FormatSpec("format_2012", seeding=given)
+        want = FormatSpec("format_2012", seeding=kept)
+        assert isinstance(spec.seeding, tuple)
+        assert spec == want and hash(spec) == hash(want)
+        sampler = flat_sampler()
+        out = run_format(spec, sampler, derive_rng(8, 4))
+        assert out.seeding == tuple(range(7, -1, -1))
+        assert out.games == run_format(want, sampler, derive_rng(8, 4)).games
+        truth = Ranking.from_order(NAMES8)
+        assert (run_campaign(CampaignSpec(spec, sampler, truth, 300, 5)).counts
+                == run_campaign(CampaignSpec(want, sampler, truth, 300, 5)).counts)
+
+    def test_random_seeding_records_row_0_of_the_seed_rows(self):
+        spec = FormatSpec("format_2012", seeding=RANDOM_SEEDING)
+        for k in range(5):
+            out = run_format(spec, flat_sampler(), derive_rng(14, k))
+            row = _seed_rows(RANDOM_SEEDING, NAMES8, derive_rng(14, k), 1)[0]
+            assert out.seeding == tuple(row.tolist())
 
     def test_random_seeding_varies_pairings(self):
         spec = FormatSpec("format_2013_double_elim", seeding="random")
@@ -951,6 +1008,13 @@ class TestLedger:
         with pytest.raises(IndexError):
             ledger[g]
 
+    def test_repr_lists_its_entries(self):
+        # pytest prints it when a comparison of ledgers fails.
+        ledger = Ledger(["A", "B"], ["rr-1v2-g1"], [[0], [1]], [[2], [1]])
+        assert repr(ledger) == (
+            "Ledger([LedgerEntry(stage='rr-1v2-g1', result=GameResult(home='A', away='B', "
+            "home_goals=2, away_goals=1), winner=None)])")
+
     def test_read_only(self):
         ledger, want = self.live()
         with pytest.raises(TypeError):
@@ -1079,6 +1143,9 @@ class TestSpecValidation:
         ("swiss", {}, "^unknown format kind 'swiss'$"),
         ("iterated_round_robin", {"games_per_pair": 0}, "^games_per_pair must be >= 1$"),
         ("proposed", {"scheme": "elo"}, "^unknown scheme 'elo'$"),
+        ("proposed", {"seeding": "rnd"}, "^unknown seeding 'rnd'$"),
+        ("proposed", {"seeding": {"T0"}}, r"^seeding is not a sequence: \{'T0'\}$"),
+        ("proposed", {"seeding": 5}, "^seeding is not a sequence: 5$"),
     ])
     def test_format_spec_rejected(self, kind, kwargs, match):
         with pytest.raises(InvalidInputError, match=match):
