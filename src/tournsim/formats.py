@@ -37,14 +37,12 @@ The iterated round-robin (the ground-truth oracle) is not a bracket: it
 samples every pair's games in one `sample_many` call, turns them into the
 integer goal and points matrices of its scheme by the `scoring` rules
 (`_scheme_matrices`), and ranks those with `scoring.league_table`. Its
-ledger is its columns: a `Ledger` keeps the drawn goals array beside the
-teams' indices and builds a `LedgerEntry` only when one is read. Draws
-are checked, not cast: a goal `GameResult` would reject (0.4, NaN, a
-negative) fails the run, ledger kept or not. A replay
-checks those columns by arrays and ranks them as the live run does; a list
-of entries is read as the `Ledger` of its games (`Ledger.of`), and one
-that records a winner is rejected. A bracket's ledger is a list of
-entries, and a bracket round robin is ranked from its games by
+ledger, a `Ledger`, is the goals array it drew, in a fixed layout that
+gives each game's label and teams. Draws are checked, not cast: a goal
+`GameResult` would reject (0.4, NaN, a negative) fails the run, ledger
+kept or not. A replay reads that array as it lies, and a list of entries
+must be that ledger's entries, game by game. A bracket's ledger is a list
+of entries, and a bracket round robin is ranked from its games by
 `scoring.rank`.
 """
 
@@ -59,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .model import FixedResultTable, GameResult, _integer
+from .model import FixedResultTable, GameResult, _integer, _integer_field
 from .scoring import (
     CONTINUOUS,
     DEFAULT_POLICY,
@@ -87,7 +85,7 @@ class DecisivePolicy:
     final_resolution: str = UNIFORM_COIN
 
     def __post_init__(self):
-        if self.max_replays < 0:
+        if _integer_field(self, "max_replays") < 0:
             raise InvalidInputError("max_replays must be nonnegative")
         if self.final_resolution not in (UNIFORM_COIN, HIGHER_SEED):
             raise InvalidInputError(
@@ -119,7 +117,7 @@ class FormatSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown format kind {self.kind!r}")
-        if self.games_per_pair < 1:
+        if _integer_field(self, "games_per_pair") < 1:
             raise InvalidInputError("games_per_pair must be >= 1")
         if self.scheme not in (CONTINUOUS, DISCRETE):
             raise InvalidInputError(f"unknown scheme {self.scheme!r}")
@@ -144,72 +142,55 @@ class LedgerEntry:
 
 
 class Ledger(Sequence):
-    """A read-only ledger held as columns, the oracle's: the team `names`
-    (a tuple), each game's stage label in `labels`, and two (2, games)
-    arrays, `teams` of home and away indices into names and `goals` of
-    home and away goals, held as int64. The constructor rejects a team
-    index that is not an integer (a bool, a fraction, NaN or inf) or lies
-    outside names, checks every game and raises what `GameResult` raises
-    for the first game it rejects.
-    Indexing and iteration build `LedgerEntry` views on demand, a slice is
-    a list of them, and a ledger equals another or a list of the same
-    entries."""
+    """The oracle's ledger, read-only: the team `names` (a tuple) and the
+    int64 array `goals` (2, pairs, k) of home and away goals it drew, pair
+    by pair as `_pair_index`, game by game, the lower-indexed team at home,
+    so each game's `labels` and `teams` (indices into names) follow. The
+    constructor raises what `GameResult` raises for the first game it
+    rejects. Entries are `LedgerEntry` views built when read, a slice is a
+    list of them, and a ledger equals another or a list of the same entries."""
 
-    __slots__ = ("names", "labels", "teams", "goals")
+    __slots__ = ("names", "goals")
     __hash__ = None
 
-    def __init__(self, names: Sequence[str], labels: Sequence[str], teams, goals):
+    def __init__(self, names: Sequence[str], goals):
         names = tuple(names)
-        # Columns not in an array are read as the values they are: numpy
+        # Goals not in an array are read as the values they are: numpy
         # would turn a bool among ints into an int.
-        teams, goals = (c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
-                        for c in (teams, goals))
+        if not isinstance(goals, np.ndarray):
+            goals = np.array(goals, dtype=object)
         if len(set(names)) != len(names):
             raise InvalidInputError("duplicate team name in ledger")
-        if not teams.shape == goals.shape == (2, len(labels)):
-            raise InvalidInputError(f"teams of shape {teams.shape} and goals of shape "
-                                    f"{goals.shape} do not fit {len(labels)} labels")
-        if teams.dtype.kind not in "iu":
-            # Read one by one, so that a fraction is rejected, not truncated.
-            teams = np.array([_integer(t, "team indices") for t in teams.ravel().tolist()],
-                             dtype=object).reshape(teams.shape)
-        if teams.size and not 0 <= teams.min() <= teams.max() < len(names):
-            raise InvalidInputError(f"team indices must lie in 0..{len(names) - 1}")
-        teams = teams.astype(np.int64, copy=False)
+        pairs = len(names) * (len(names) - 1) // 2
+        if goals.ndim != 3 or goals.shape[:2] != (2, pairs):
+            raise InvalidInputError(f"goals of shape {goals.shape} do not fit the {pairs} "
+                                    f"pairs of {len(names)} teams")
         if goals.dtype.kind in "iu":
             goals = goals.astype(np.int64, copy=False)
-            self_play = teams[0] == teams[1]
-            if self_play.any() or (goals < 0).any():
-                # The first game the constructor rejects, rebuilt to raise its error.
-                g = int((self_play | (goals < 0).any(0)).argmax())
-                GameResult(names[teams[0, g]], names[teams[1, g]], *goals[:, g].tolist())
+            if (goals < 0).any():
+                raise InvalidInputError("goals must be nonnegative")
         else:
             # Any other goals: each game is built, so the first that
             # `GameResult` rejects raises, and the goals it keeps are ints.
+            teams = _pair_index(len(names)).repeat(goals.shape[2], axis=1).tolist()
             goals = np.array([GameResult(names[h], names[a], *g)[2:] for h, a, g in
-                              zip(*teams.tolist(), goals.T.tolist())], np.int64).reshape(-1, 2).T
-        # Read-only views: writes through the ledger fail.
-        teams, goals = teams.view(), goals.view()
-        teams.setflags(write=False)
+                              zip(*teams, goals.reshape(2, -1).T.tolist())],
+                             np.int64).T.reshape(goals.shape)
+        # A read-only view: writes through the ledger fail.
+        goals = goals.view()
         goals.setflags(write=False)
-        self.names, self.labels, self.teams, self.goals = names, tuple(labels), teams, goals
+        self.names, self.goals = names, goals
 
-    @classmethod
-    def of(cls, entries: Sequence[LedgerEntry]) -> Ledger:
-        """The ledger of the games of `entries`, its names in the order they
-        first appear. No round robin game settles a slot, so an entry that
-        records a winner is rejected."""
-        for e in entries:
-            if e.winner is not None:
-                raise _stray_winner(e)
-        results = [e.result for e in entries]
-        index = {}  # name -> its index, in the order the names first appear
-        teams = [[index.setdefault(r[side], len(index)) for r in results] for side in (0, 1)]
-        return cls(tuple(index), [e.stage for e in entries], teams,
-                   [[r[side] for r in results] for side in (2, 3)])
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return _ledger_labels(len(self.names), self.goals.shape[2])
+
+    @property
+    def teams(self) -> np.ndarray:
+        return _pair_index(len(self.names)).repeat(self.goals.shape[2], axis=1)
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self.goals[0].size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -217,13 +198,13 @@ class Ledger(Sequence):
         label = self.labels[index]
         home, away = self.teams[:, index].tolist()
         return LedgerEntry(label, GameResult(self.names[home], self.names[away],
-                                             *self.goals[:, index].tolist()))
+                                             *self.goals.reshape(2, -1)[:, index].tolist()))
 
     def __iter__(self):
         team = self.names.__getitem__
         home, away = self.teams.tolist()
-        return map(LedgerEntry, self.labels,
-                   map(GameResult, map(team, home), map(team, away), *self.goals.tolist()))
+        return map(LedgerEntry, self.labels, map(GameResult, map(team, home), map(team, away),
+                                                 *self.goals.reshape(2, -1).tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, (Ledger, list)):
@@ -241,10 +222,10 @@ def _stray_winner(entry: LedgerEntry) -> InvalidInputError:
 
 @dataclass
 class TournamentOutcome:
-    """A run's ranking, its ledger (None when not kept; a `Ledger` for the
-    oracle, a list of entries for a bracket), its game count and, for a
-    bracket, the seeding it was played with (team indices, seed 1 first),
-    which replays a random seeding."""
+    """A run's ranking, its ledger (None when not kept; for the oracle the
+    `Ledger` of the goals it drew, in its fixed layout; for a bracket a list
+    of entries), its game count and, for a bracket, the seeding it was
+    played with (team indices, seed 1 first), which replays a random one."""
 
     ranking: Ranking
     games: Optional[Sequence[LedgerEntry]]
@@ -537,8 +518,8 @@ def _seed_list(names: Sequence[str], seeding) -> list[int]:
     for s in seeding:
         if isinstance(s, str) and s not in names:
             raise InvalidInputError(f"seeding names {s!r}, not a team of the model")
-    idx = [names.index(s) if isinstance(s, str) else _integer(s, "seeding indices")
-           for s in seeding]
+    idx = [names.index(s) if isinstance(s, str)
+           else _integer(s, "seeding indices must be integers") for s in seeding]
     if sorted(idx) != list(range(len(names))):
         raise InvalidInputError("seeding must be a permutation of all teams")
     return idx
@@ -565,9 +546,8 @@ def _pair_index(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _ledger_labels(n: int, k: int) -> tuple[str, ...]:
     """The stage labels of an oracle ledger of n teams and k games a pair,
-    in ledger order (pair by pair as `_pair_index`, game by game), built
-    once per (n, k); a few entries are kept, since one holds k * pairs
-    labels."""
+    in ledger order, built once per (n, k); a few entries are kept, since
+    one holds k * pairs labels."""
     prefixes = [f"rr-{i + 1}v{j + 1}-g" for i, j in _pair_index(n).T.tolist()]
     suffixes = [str(g) for g in range(1, k + 1)]
     return tuple(p + s for p in prefixes for s in suffixes)
@@ -579,16 +559,12 @@ def _iterated_round_robin(spec: FormatSpec, sampler, rng, keep_games: bool) -> T
     names = list(sampler.names)
     if len(names) < 2:
         raise UnsupportedSizeError("need at least 2 teams")
-    k = spec.games_per_pair
-    pairs = _pair_index(len(names))
-    goals = np.asarray(sampler.sample_many(pairs[0], pairs[1], k, rng))
+    goals = np.asarray(sampler.sample_many(*_pair_index(len(names)), spec.games_per_pair, rng))
     entries = None
     if keep_games or goals.dtype.kind not in "iu" or (goals < 0).any():
-        # The drawn goals are the ledger, in ledger order (pair by pair,
-        # game by game), which checks them as `GameResult` does.
-        entries = Ledger(names, _ledger_labels(len(names), k), pairs.repeat(k, axis=1),
-                         goals.reshape(2, -1))
-        goals = entries.goals.reshape(2, -1, k)
+        # The drawn goals are the ledger, which checks them as `GameResult` does.
+        entries = Ledger(names, goals)
+        goals = entries.goals
     _, ranking = league_table(names, *_scheme_matrices(len(names), goals, spec.scheme),
                               spec.policy)
     return TournamentOutcome(ranking, entries if keep_games else None, goals[0].size)
@@ -652,35 +628,29 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
 
 
 def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
-    """The goals of an oracle ledger of k games a pair, as the live run
-    holds them: shape (2, pairs, k), pairs as `_pair_index`, each game
-    oriented (i, j) whichever way it is named. A list of entries is read
-    as the `Ledger` of its games."""
-    if not isinstance(games, Ledger):
-        games = Ledger.of(games)
-    n = len(names)
-    index = {name: i for i, name in enumerate(names)}
-    # Each of the ledger's teams is looked up once.
-    mapped = np.array([index.get(name, -1) for name in games.names], np.int64)
-    teams = mapped[games.teams]
-    outside = teams < 0
-    if outside.any():
-        # The first in the home column, else the first in the away column.
-        side, g = np.argwhere(outside)[0].tolist()
-        raise InvalidInputError(
-            f"ledger game of {games.names[games.teams[side, g]]!r}, a team not in names")
-    home, away = teams
-    pair = np.minimum(home, away) * n + np.maximum(home, away)
-    pairs = _pair_index(n)
-    counts = np.bincount(pair, minlength=n * n)[pairs[0] * n + pairs[1]]
-    wrong = counts != k
-    if wrong.any():
-        p = int(wrong.argmax())
-        i, j = pairs[:, p].tolist()
-        raise InvalidInputError(
-            f"ledger has {counts[p]} games of ({names[i]}, {names[j]}), not {k}")
-    goals = np.where(home > away, games.goals[::-1], games.goals)
-    return goals[:, np.argsort(pair, kind="stable")].reshape(2, -1, k)
+    """The goals array of the oracle ledger `games` of `names` and k games
+    a pair. A `Ledger` is read as it lies. A list of entries must be the
+    entries of the `Ledger` of its goals, one by one, so an entry that
+    records a winner is rejected: no round robin game settles a slot."""
+    names = tuple(names)
+    if isinstance(games, Ledger):
+        if games.names != names or games.goals.shape[2] != k:
+            raise InvalidInputError(f"ledger of {games.names}, {games.goals.shape[2]} games a "
+                                    f"pair, replayed as one of {names}, {k} games a pair")
+        return games.goals
+    size = len(names) * (len(names) - 1) // 2 * k
+    if len(games) != size:
+        raise InvalidInputError(f"ledger has {len(games)} games, not {size}")
+    goals = np.array([e.result[2:] for e in games], dtype=object).T
+    ledger = Ledger(names, goals.reshape(2, -1, k))
+    for entry, want in zip(games, ledger):
+        if entry != want:
+            if entry.winner is not None:
+                raise _stray_winner(entry)
+            raise InvalidInputError(
+                f"ledger game {entry.stage!r} of {entry.result.home} v {entry.result.away} "
+                f"is not {want.stage!r} of {want.result.home} v {want.result.away}")
+    return ledger.goals
 
 
 def rank_from_fixed_results(

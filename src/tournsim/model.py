@@ -51,14 +51,23 @@ class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
         return cls(*iterable)
 
 
-def _integer(value, what: str = "goals") -> int:
-    """`value` as an int, if it is an integral number and not a bool."""
+def _integer(value, rule: str = "goals must be integers") -> int:
+    """`value` as an int, if it is an integral number and not a bool;
+    otherwise an error that states `rule` and shows the value."""
     try:
         if not isinstance(value, (bool, np.bool_)) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise InvalidInputError(f"{what} must be integers, not {value!r}")
+    raise InvalidInputError(f"{rule}, not {value!r}")
+
+
+def _integer_field(spec, field: str) -> int:
+    """Store the frozen dataclass field `field` of `spec` as the int
+    `_integer` reads, naming the field if it is no integer; returns it."""
+    value = _integer(getattr(spec, field), f"{field} must be an integer")
+    object.__setattr__(spec, field, value)
+    return value
 
 
 # The largest mean a model accepts: a team's goal total in any oracle run

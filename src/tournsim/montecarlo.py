@@ -45,7 +45,7 @@ import numpy as np
 from . import batch
 from .errors import InvalidComparisonError, InvalidInputError, TournsimError
 from .formats import FormatSpec, _seed_rows, run_format
-from .model import derive_rng
+from .model import _integer, _integer_field, derive_rng
 from .scoring import Ranking, l1_distance
 
 BLOCK_SIZE = 250  # tournaments per block of the stream layout
@@ -70,10 +70,12 @@ class CampaignSpec:
     start_index: int = 0
 
     def __post_init__(self):
-        if self.n_tournaments < 1:
+        if _integer_field(self, "n_tournaments") < 1:
             raise InvalidInputError("n_tournaments must be >= 1")
-        if self.start_index < 0:
+        if _integer_field(self, "start_index") < 0:
             raise InvalidInputError(f"start_index must be >= 0, not {self.start_index}")
+        if _integer_field(self, "master_seed") < 0:
+            raise InvalidInputError(f"master_seed must be >= 0, not {self.master_seed}")
         if set(self.truth.places) != set(self.sampler.names):
             raise InvalidInputError("truth ranking does not cover the model's teams")
 
@@ -98,6 +100,9 @@ class DiscrepancyDistribution:
         if n_teams < 2:
             raise InvalidInputError(f"a ranking needs at least 2 teams, not {n_teams}")
         bound = (n_teams * n_teams) // 2
+        # Both as the ints a histogram file holds: a bool or a fraction is rejected.
+        counts = {_integer(v, "L1 values must be integers"): _integer(c, "counts must be integers")
+                  for v, c in counts.items()}
         for v, c in counts.items():
             if v % 2 or not (0 <= v <= bound):
                 raise InvalidInputError(f"impossible L1 value {v} for n={n_teams}")
@@ -289,6 +294,7 @@ def run_campaigns(
     spec's blocks are split into up to `_process_count` runs, and the runs
     of all specs share one pool. A campaign that pays for no pool plays in
     the calling process, and the pool machinery is not imported."""
+    workers = _integer(workers, "workers must be an integer")
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, not {workers}")
     ranges = [_block_range(spec) for spec in specs]

@@ -49,7 +49,7 @@ from tournsim.formats import (
     _scheme_matrices,
     _seed_rows,
 )
-from tournsim.scoring import league_table
+from tournsim.scoring import league_table, rank, standings_from_games
 
 from duck_sampler import DuckSampler
 from reference_ranking import ALL_POLICIES, reference_rank
@@ -157,12 +157,8 @@ class TestDominance:
 
 
 def _prelim_ranking(spec, outcome):
-    sub = [e for e in outcome.games if e.stage.startswith("rr-")]
-    from tournsim.formats import TournamentOutcome
-
-    partial = TournamentOutcome(outcome.ranking, sub, len(sub))
-    rr_spec = FormatSpec("iterated_round_robin", scheme=spec.scheme, policy=spec.policy)
-    return replay_outcome(rr_spec, NAMES8, partial).places
+    games = [e.result for e in outcome.games if e.stage.startswith("rr-")]
+    return rank(standings_from_games(games, NAMES8), spec.policy, NAMES8, games).places
 
 
 class TestSeeding:
@@ -794,11 +790,19 @@ class TestLeagueTable:
         assert live.games_total == len(live.games) == k * n * (n - 1) // 2
         assert live.ranking.places == ranking.places
         assert replay_outcome(spec, names, live).places == live.ranking.places
-        # any game order, either orientation
-        games = [flipped(e) if shuffle.random() < 0.5 else e for e in live.games]
+        # Its entries replay in ledger order alone: in another order, or
+        # with a game the other way round, they are rejected.
+        games = list(live.games)
+        assert replay_outcome(spec, names, TournamentOutcome(live.ranking, games, len(games))
+                              ).places == live.ranking.places
+        games = [flipped(e) if shuffle.random() < 0.5 else e for e in games]
         shuffle.shuffle(games)
         mixed = TournamentOutcome(live.ranking, games, len(games))
-        assert replay_outcome(spec, names, mixed).places == live.ranking.places
+        if games == list(live.games):
+            assert replay_outcome(spec, names, mixed).places == live.ranking.places
+        else:
+            with pytest.raises(InvalidInputError, match="^ledger game 'rr-"):
+                replay_outcome(spec, names, mixed)
 
 
 class TestOracleHeadToHead:
@@ -847,12 +851,13 @@ class TestOracleLedger:
     SPEC = FormatSpec("iterated_round_robin", games_per_pair=10)
 
     def ledger(self, pairs=TIED_ON_POINTS):
+        """The entries of `pairs`, labelled game by game as the oracle
+        labels them."""
         names = self.NAMES
         games = [
-            LedgerEntry(f"rr-{i + 1}v{j + 1}", GameResult(names[i], names[j], a, b))
+            LedgerEntry(f"rr-{i + 1}v{j + 1}-g{g + 1}", GameResult(names[i], names[j], a, b))
             for (i, j), runs in pairs.items()
-            for count, a, b in runs
-            for _ in range(count)
+            for g, (a, b) in enumerate((a, b) for count, a, b in runs for _ in range(count))
         ]
         return TournamentOutcome(Ranking.from_order(self.NAMES), games, len(games))
 
@@ -900,39 +905,21 @@ class TestOracleLedger:
         with pytest.raises(InvalidInputError, match="^goals must be integers, not 0.4$"):
             replay_outcome(self.SPEC, self.NAMES, outcome)
 
-    @pytest.mark.parametrize("away", ["E", "Z", "A2"])
-    def test_team_outside_names_rejected(self, away):
-        outcome = self.ledger()
-        r = outcome.games[0].result
-        outcome.games[0] = LedgerEntry(
-            "rr-1v5", GameResult(r.home, away, r.home_goals, r.away_goals)
-        )
-        with pytest.raises(InvalidInputError, match=f"'{away}', a team not in names"):
-            replay_outcome(self.SPEC, self.NAMES, outcome)
-
-    @pytest.mark.parametrize("position", [0, -1])
-    def test_home_team_outside_names_rejected(self, position):
-        outcome = self.ledger()
-        r = outcome.games[position].result
-        outcome.games[position] = LedgerEntry("rr-5v1", r._replace(home="E"))
-        with pytest.raises(InvalidInputError, match="'E', a team not in names"):
-            replay_outcome(self.SPEC, self.NAMES, outcome)
-
     def test_empty_ledger_rejected(self):
         outcome = TournamentOutcome(Ranking.from_order(self.NAMES), [], 0)
-        with pytest.raises(InvalidInputError, match=r"0 games of \(A, B\), not 10"):
+        with pytest.raises(InvalidInputError, match="^ledger has 0 games, not 60$"):
             replay_outcome(self.SPEC, self.NAMES, outcome)
 
     def test_missing_pair_rejected(self):
         pairs = {p: runs for p, runs in TIED_ON_POINTS.items() if p != (1, 3)}
-        with pytest.raises(InvalidInputError, match=r"0 games of \(B, D\)"):
+        with pytest.raises(InvalidInputError, match="^ledger has 50 games, not 60$"):
             replay_outcome(self.SPEC, self.NAMES, self.ledger(pairs))
 
     @pytest.mark.parametrize("count", [9, 11])
     def test_wrong_game_count_rejected(self, count):
         pairs = dict(TIED_ON_POINTS)
         pairs[(2, 3)] = [(count, 0, 0)]
-        with pytest.raises(InvalidInputError, match=rf"{count} games of \(C, D\)"):
+        with pytest.raises(InvalidInputError, match=f"^ledger has {50 + count} games, not 60$"):
             replay_outcome(self.SPEC, self.NAMES, self.ledger(pairs))
 
     @pytest.mark.parametrize("position", [0, 25, -1])
@@ -946,12 +933,51 @@ class TestOracleLedger:
                                                     "no knockout slot$"):
             replay_outcome(self.SPEC, self.NAMES, outcome)
 
-
-    def test_empty_column_ledger_rejected_as_the_empty_list(self):
-        empty = Ledger(self.NAMES, (), np.zeros((2, 0)), np.zeros((2, 0)))
-        outcome = TournamentOutcome(Ranking.from_order(self.NAMES), empty, 0)
-        with pytest.raises(InvalidInputError, match=r"^ledger has 0 games of \(A, B\), not 10$"):
+    @pytest.mark.parametrize("k", [0, 9, 11])
+    def test_ledger_of_another_game_count_rejected(self, k):
+        ledger = Ledger(self.NAMES, np.zeros((2, 6, k), int))
+        outcome = TournamentOutcome(Ranking.from_order(self.NAMES), ledger, len(ledger))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"ledger of ('A', 'B', 'C', 'D'), {k} games a pair, replayed as one of "
+                "('A', 'B', 'C', 'D'), 10 games a pair")):
             replay_outcome(self.SPEC, self.NAMES, outcome)
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_names_in_another_order_rejected(self, as_list):
+        # Every game 0-0: the ranking is the seed order, A then B. Read under
+        # names B, A, the same games would rank B first.
+        spec = oracle(3)
+        sampler = PoissonSampler(PairwiseGoalModel(["A", "B"], np.zeros((2, 2))))
+        live = run_format(spec, sampler, derive_rng(22, 0))
+        assert live.ranking.order() == ["A", "B"]
+        games = list(live.games) if as_list else live.games
+        outcome = TournamentOutcome(live.ranking, games, len(games))
+        assert replay_outcome(spec, ["A", "B"], outcome).order() == ["A", "B"]
+        match = ("^ledger game 'rr-1v2-g1' of A v B is not 'rr-1v2-g1' of B v A$" if as_list
+                 else re.escape("ledger of ('A', 'B'), 3 games a pair, replayed as one of "
+                                "('B', 'A'), 3 games a pair"))
+        with pytest.raises(InvalidInputError, match=match):
+            replay_outcome(spec, ["B", "A"], outcome)
+
+    @pytest.mark.parametrize("g", [0, 1, 9, 10, 37, 58])
+    def test_entry_list_out_of_ledger_order_rejected(self, g):
+        # Game g relabelled, played the other way round, or moved to the
+        # end: the error names the first entry that is not the ledger's.
+        want = self.ledger().games
+        label, (home, away, *_) = want[g].stage, want[g].result
+        expected = f" is not '{label}' of {home} v {away}$"
+        moved = want[g + 1]
+        for games, named in [
+            (want[:g] + [LedgerEntry("rr-1v2", want[g].result)] + want[g + 1:],
+             f"'rr-1v2' of {home} v {away}{expected}"),
+            (want[:g] + [flipped(want[g])] + want[g + 1:], f"'{label}' of {away} v {home}"
+                                                           f"{expected}"),
+            (want[:g] + want[g + 1:] + [want[g]],
+             f"'{moved.stage}' of {moved.result.home} v {moved.result.away}{expected}"),
+        ]:
+            outcome = TournamentOutcome(Ranking.from_order(self.NAMES), games, len(games))
+            with pytest.raises(InvalidInputError, match=f"^ledger game {named}"):
+                replay_outcome(self.SPEC, self.NAMES, outcome)
 
 
 def built(build):
@@ -995,12 +1021,26 @@ class TestLedger:
                                                  "rr-1v3-g1"]
         assert ledger[-1].stage == "rr-7v8-g3"
 
-    def test_of_its_entries_is_the_same_ledger(self):
+    def test_its_entry_list_replays_as_the_ledger(self):
         ledger, want = self.live()
-        of = Ledger.of(want)
-        assert of == ledger and list(of) == want
-        assert set(of.names) == set(ledger.names)
-        assert len(Ledger.of([])) == 0
+        assert Ledger(ledger.names, ledger.goals) == ledger == want
+        outcome = TournamentOutcome(Ranking.from_order(ledger.names), ledger, len(ledger))
+        ranking = replay_outcome(oracle(3), ledger.names, outcome)
+        as_list = TournamentOutcome(outcome.ranking, list(ledger), len(ledger))
+        assert replay_outcome(oracle(3), ledger.names, as_list) == ranking
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_labels_and_teams_are_the_layout_the_oracle_draws(self, n, k):
+        # Pair by pair (i < j, row-major), game by game, team i at home.
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ledger = Ledger(NAMES8[:n] + ["X"] * (n > 8), np.ones((2, len(pairs), k), int))
+        assert ledger.labels == tuple(f"rr-{i + 1}v{j + 1}-g{g + 1}"
+                                      for i, j in pairs for g in range(k))
+        assert ledger.teams.dtype == np.int64
+        assert ledger.teams.tolist() == [[i for i, _ in pairs for _ in range(k)],
+                                         [j for _, j in pairs for _ in range(k)]]
+        assert [e.stage for e in ledger] == list(ledger.labels)
 
     @pytest.mark.parametrize("g", [84, -85, 1000])
     def test_index_past_the_end_rejected(self, g):
@@ -1010,7 +1050,7 @@ class TestLedger:
 
     def test_repr_lists_its_entries(self):
         # pytest prints it when a comparison of ledgers fails.
-        ledger = Ledger(["A", "B"], ["rr-1v2-g1"], [[0], [1]], [[2], [1]])
+        ledger = Ledger(["A", "B"], [[[2]], [[1]]])
         assert repr(ledger) == (
             "Ledger([LedgerEntry(stage='rr-1v2-g1', result=GameResult(home='A', away='B', "
             "home_goals=2, away_goals=1), winner=None)])")
@@ -1019,22 +1059,23 @@ class TestLedger:
         ledger, want = self.live()
         with pytest.raises(TypeError):
             ledger[0] = want[1]
-        for column in (ledger.teams, ledger.goals):
-            with pytest.raises(ValueError, match="read-only"):
-                column[0, 0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            ledger.goals[0, 0, 0] = 7
+        # The teams are derived, not kept: a write to them changes no game.
+        ledger.teams[0, 0] = 7
         assert list(ledger) == want
 
     def test_equals_the_same_entries_only(self):
         ledger, want = self.live()
         assert ledger == want and want == ledger and not ledger != want
-        assert ledger == Ledger(ledger.names, ledger.labels, ledger.teams, ledger.goals)
+        assert ledger == Ledger(ledger.names, ledger.goals)
         r = want[40].result
         changed = list(want)
         changed[40] = LedgerEntry(want[40].stage, r._replace(away_goals=r.away_goals + 1))
         assert ledger != changed and changed != ledger
         goals = ledger.goals.copy()
-        goals[1, 40] += 1
-        other = Ledger(ledger.names, ledger.labels, ledger.teams, goals)
+        goals[1, 13, 1] += 1  # game 40: the second of pair 13
+        other = Ledger(ledger.names, goals)
         assert other == changed and ledger != other
         assert ledger != want[:-1]
         # As a list never equals a tuple.
@@ -1043,58 +1084,46 @@ class TestLedger:
             hash(ledger)
 
     @pytest.mark.parametrize("renamed, reported", [((5, 2), 2), ((7, 3), 3), ((7,), 7)])
-    def test_first_team_outside_names_reported(self, renamed, reported):
-        # The first outside team in the home column, in ledger order, else
-        # the first in the away column; through either path.
+    def test_ledger_of_other_names_rejected(self, renamed, reported):
+        # The ledger's names must be the replay's; a list of its entries is
+        # rejected at its first game of a renamed team.
         ledger, _ = self.live()
         names = list(ledger.names)
         for t in renamed:
             names[t] = f"X{t}"
-        tampered = Ledger(names, ledger.labels, ledger.teams, ledger.goals)
-        for games in (tampered, list(tampered)):
+        tampered = Ledger(names, ledger.goals)
+        first = next(e for e in tampered if f"X{reported}" in e.result[:2])
+        for games, match in (
+            (tampered, re.escape(f"ledger of {tuple(names)}, 3 games a pair, replayed as "
+                                 f"one of {ledger.names}, 3 games a pair")),
+            (list(tampered), f"^ledger game '{first.stage}' of .*X{reported}.* is not "),
+        ):
             outcome = TournamentOutcome(Ranking.from_order(ledger.names), games, len(games))
-            with pytest.raises(InvalidInputError,
-                               match=f"^ledger game of 'X{reported}', a team not in names$"):
+            with pytest.raises(InvalidInputError, match=match):
                 replay_outcome(oracle(3), ledger.names, outcome)
 
-    @pytest.mark.parametrize("names, teams, goals, match", [
-        (("A", "B"), [[0], [1]], [[1, 2], [0, 0]], "shape"),
-        (("A", "B"), [[0, 1]], [[1, 2]], "shape"),
-        (("A", "B"), [[0], [2]], [[1], [0]], r"0\.\.1"),
-        (("A", "B"), [[-1], [1]], [[1], [0]], r"0\.\.1"),
-        (("A", "A"), [[0], [1]], [[1], [0]], "duplicate team name"),
+    @pytest.mark.parametrize("names, goals, match", [
+        (("A", "B"), [[[1], [2]], [[0], [0]]], r"^goals of shape \(2, 2, 1\) do not fit the 1 "
+                                               r"pairs of 2 teams$"),
+        (("A", "B"), [[1], [0]], r"shape \(2, 1\)"),
+        (("A", "B"), [[[1]]], r"shape \(1, 1, 1\)"),
+        (("A", "B", "C"), [[[1]], [[0]]], "the 3 pairs of 3 teams"),
+        (("A", "B"), [[[1]], [[0, 1]]], "shape"),
+        (("A", "A"), [[[1]], [[0]]], "^duplicate team name in ledger$"),
+        (("A", "B"), [[[0.4]], [[0]]], "^goals must be integers, not 0.4$"),
+        (("A", "B"), [[[1]], [[-1]]], "^goals must be nonnegative$"),
+        (("A", "B"), np.array([[[1]], [[-1]]]), "^goals must be nonnegative$"),
     ])
-    def test_columns_that_do_not_fit_rejected(self, names, teams, goals, match):
+    def test_goals_that_do_not_fit_rejected(self, names, goals, match):
         with pytest.raises(InvalidInputError, match=match):
-            Ledger(names, ("g1",), teams, goals)
+            Ledger(names, goals)
 
-    @pytest.mark.parametrize("teams, shown", [
-        ([[0.7], [1.2]], "0.7"),
-        ([[0], [1.5]], "1.5"),
-        ([[True], [1]], "True"),
-        ([[math.nan], [1]], "nan"),
-        ([[0], [math.inf]], "inf"),
-        ([["1"], [0]], "'1'"),
-    ])
-    @pytest.mark.parametrize("as_array", [False, True])
-    def test_index_that_is_not_an_integer_rejected(self, teams, shown, as_array):
-        # Casting would truncate 0.7 and 1.2 to a game of A v B.
-        if as_array:
-            if shown == "True":
-                teams = [[True], [False]]  # numpy reads a bool among ints as an int
-            teams = np.array(teams)
-        with pytest.raises(InvalidInputError,
-                           match=f"^team indices must be integers, not {re.escape(shown)}$"):
-            Ledger(("A", "B"), ("g1",), teams, [[1], [0]])
-
-    def test_integral_indices_of_any_type_kept(self):
-        want = Ledger(("A", "B"), ("g1",), np.array([[1], [0]]), [[1], [0]])
-        for teams in ([[1.0], [0]], np.array([[1.0], [0.0]]), np.array([[1], [0]], np.uint8),
-                      [[np.int32(1)], [np.float64(0.0)]]):
-            ledger = Ledger(("A", "B"), ("g1",), teams, [[1], [0]])
-            assert ledger.teams.dtype == np.int64 and ledger == want
-        for empty in (Ledger.of([]), Ledger(("A",), (), np.zeros((2, 0)), np.zeros((2, 0)))):
-            assert empty.teams.dtype == np.int64 and empty.teams.shape == (2, 0)
+    def test_team_indices_are_int64(self):
+        ledger, _ = self.live()
+        assert ledger.teams.dtype == np.int64 and ledger.teams.shape == (2, 84)
+        empty = Ledger(("A",), np.zeros((2, 0, 1)))
+        assert empty.teams.dtype == np.int64 and empty.teams.shape == (2, 0)
+        assert len(empty) == 0 and list(empty) == []
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.integers(1, 5), scheme=st.sampled_from(["continuous", "discrete"]),
@@ -1106,34 +1135,37 @@ class TestLedger:
         live = run_format(spec, flat_sampler(mean=mean), derive_rng(seed))
         ledger = live.games
 
-        def replayed(games):
+        def replayed(games, names=NAMES8):
             outcome = TournamentOutcome(live.ranking, games, len(games))
             return built(lambda: replay_outcome(spec, names, outcome).places)
 
-        assert replayed(ledger) == replayed(list(ledger))
-        assert replay_outcome(spec, NAMES8, live).places == live.ranking.places
+        assert replayed(ledger) == replayed(list(ledger)) == live.ranking.places
+        # Under names in another order both are rejected.
+        if names != NAMES8:
+            assert replayed(ledger, names)[0] is InvalidInputError
+            assert replayed(list(ledger), names)[0] is InvalidInputError
         # One game moved to another pair, one game dropped, one team renamed
         # to a team outside names.
         g %= len(ledger)
-        moved = ledger.teams.copy()
-        moved[1, g] = [t for t in range(8) if t not in moved[:, g]][other]
+        entries = list(ledger)
+        stage, result = entries[g].stage, entries[g].result
+        moved = list(entries)
+        moved[g] = LedgerEntry(stage, result._replace(
+            away=[t for t in NAMES8 if t not in result[:2]][other]))
         outside = list(ledger.names)
         outside[renamed] = "T9"
-        for tampered in (
-            Ledger(ledger.names, ledger.labels, moved, ledger.goals),
-            Ledger(ledger.names, ledger.labels[:g] + ledger.labels[g + 1:],
-                   np.delete(ledger.teams, g, 1), np.delete(ledger.goals, g, 1)),
-            Ledger(outside, ledger.labels, ledger.teams, ledger.goals),
-        ):
-            rejected = replayed(tampered)
-            assert rejected[0] is InvalidInputError
-            assert rejected == replayed(list(tampered))
+        for tampered in (moved, entries[:g] + entries[g + 1:], Ledger(outside, ledger.goals),
+                         list(Ledger(outside, ledger.goals))):
+            assert replayed(tampered)[0] is InvalidInputError
 
 
 class TestSpecValidation:
     @pytest.mark.parametrize("kwargs, match", [
         ({"max_replays": -1}, "^max_replays must be nonnegative$"),
         ({"final_resolution": "toss"}, "^unknown final_resolution 'toss'$"),
+        ({"max_replays": 1.5}, "^max_replays must be an integer, not 1.5$"),
+        ({"max_replays": True}, "^max_replays must be an integer, not True$"),
+        ({"max_replays": "1"}, "^max_replays must be an integer, not '1'$"),
     ])
     def test_decisive_policy_rejected(self, kwargs, match):
         with pytest.raises(InvalidInputError, match=match):
@@ -1146,7 +1178,24 @@ class TestSpecValidation:
         ("proposed", {"seeding": "rnd"}, "^unknown seeding 'rnd'$"),
         ("proposed", {"seeding": {"T0"}}, r"^seeding is not a sequence: \{'T0'\}$"),
         ("proposed", {"seeding": 5}, "^seeding is not a sequence: 5$"),
+        ("iterated_round_robin", {"games_per_pair": 2.5},
+         "^games_per_pair must be an integer, not 2.5$"),
+        ("iterated_round_robin", {"games_per_pair": "3"},
+         "^games_per_pair must be an integer, not '3'$"),
+        ("iterated_round_robin", {"games_per_pair": True},
+         "^games_per_pair must be an integer, not True$"),
     ])
     def test_format_spec_rejected(self, kind, kwargs, match):
         with pytest.raises(InvalidInputError, match=match):
             FormatSpec(kind, **kwargs)
+
+    def test_integral_fields_kept_as_ints(self):
+        # An integral float or numpy int is read as the int it equals.
+        spec = FormatSpec("iterated_round_robin", games_per_pair=np.int64(3),
+                          decisive=DecisivePolicy(max_replays=2.0))
+        assert spec == FormatSpec("iterated_round_robin", games_per_pair=3,
+                                  decisive=DecisivePolicy(max_replays=2))
+        assert type(spec.games_per_pair) is int and type(spec.decisive.max_replays) is int
+        out = run_format(spec, flat_sampler(), derive_rng(23, 0))
+        assert out.games_total == 84
+        assert out.games == run_format(oracle(3), flat_sampler(), derive_rng(23, 0)).games

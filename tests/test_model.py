@@ -287,28 +287,29 @@ def built(build):
         return type(e), str(e)
 
 
-# Columns of games on three teams, with negative and NaN goals among them.
-GAME_COLUMNS = st.integers(0, 12).flatmap(lambda n: st.tuples(*(
-    st.lists(values, min_size=n, max_size=n) for values in (
-        st.sampled_from("ABC"), st.sampled_from("ABC"),
+# Home and away goals of k games of each of the 3 pairs of A, B, C, with
+# negative and NaN goals among them.
+GOAL_COLUMNS = st.integers(0, 4).flatmap(lambda k: st.tuples(*(
+    st.lists(st.lists(values, min_size=k, max_size=k), min_size=3, max_size=3) for values in (
         st.sampled_from([0, 1, 5, -1, math.nan]), st.sampled_from([0, 2, -3, math.nan, 0.5]),
     ))))
 
 
-def column_ledger(home, away, home_goals, away_goals):
-    """A `Ledger` of the games of four columns, teams by name among A, B, C."""
-    names = ("A", "B", "C")
-    teams = [[names.index(t) for t in home], [names.index(t) for t in away]]
-    labels = [f"g{g}" for g in range(len(home))]
-    return Ledger(names, labels, teams, [home_goals, away_goals])
+def one_game_ledger(home_goals, away_goals):
+    """The `Ledger` of one game of A v B."""
+    return Ledger(("A", "B"), [[[home_goals]], [[away_goals]]])
 
 
 class TestGameResult:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(columns=GAME_COLUMNS)
+    @given(columns=GOAL_COLUMNS)
     def test_ledger_builds_and_rejects_as_the_constructor(self, columns):
-        ledger = built(lambda: column_ledger(*columns))
-        one_by_one = built(lambda: [GameResult(*game) for game in zip(*columns)])
+        names = ("A", "B", "C")
+        ledger = built(lambda: Ledger(names, columns))
+        home, away = columns
+        one_by_one = built(lambda: [GameResult(names[i], names[j], *game)
+                                    for (i, j), h, a in zip(_pair_index(3).T.tolist(), home, away)
+                                    for game in zip(h, a)])
         if isinstance(one_by_one, list):
             games = [e.result for e in ledger]
             assert [type(g) for g in games] == [GameResult] * len(one_by_one)
@@ -340,18 +341,20 @@ class TestGameResult:
         with pytest.raises(InvalidInputError, match=match):
             GameResult("A", "B", *goals)
         with pytest.raises(InvalidInputError, match=match):
-            column_ledger(["A"], ["B"], *([g] for g in goals))
+            one_game_ledger(*goals)
 
     def test_bool_goals_array_rejected(self):
         with pytest.raises(InvalidInputError, match="^goals must be integers, not True$"):
-            Ledger(("A", "B"), ["g0"], [[0], [1]], np.array([[True], [False]]))
+            Ledger(("A", "B"), np.array([[[True]], [[False]]]))
 
     def test_integral_goals_kept_as_ints(self):
         g = GameResult("A", "B", np.int64(2), 1.0)
         assert g == ("A", "B", 2, 1) and [type(x) for x in g[2:]] == [int, int]
-        for goals in ([[2.0], [1]], np.array([[2.0], [1.0]]), np.array([[2], [1]], np.int32)):
-            ledger = Ledger(("A", "B"), ["g0"], [[0], [1]], goals)
-            assert ledger.goals.dtype == np.int64 and list(ledger) == [LedgerEntry("g0", g)]
+        for goals in ([[[2.0]], [[1]]], np.array([[[2.0]], [[1.0]]]),
+                      np.array([[[2]], [[1]]], np.int32)):
+            ledger = Ledger(("A", "B"), goals)
+            assert ledger.goals.dtype == np.int64
+            assert list(ledger) == [LedgerEntry("rr-1v2-g1", g)]
 
     def test_fields_unpack_and_repr(self):
         g = GameResult("A", "B", 2, 1)
@@ -387,14 +390,17 @@ class TestGameResult:
     def test_every_constructor_path_checks(self, fields, error):
         # A record forged past the constructor is rebuilt through it by
         # unpickling and copying, `_make`/`_replace` build through it, and
-        # a one-game `Ledger` of its fields rejects it as it does.
+        # a one-game `Ledger` of its goals rejects them as it does. (A
+        # ledger's teams are those of its pairs, so none plays itself.)
         forged = tuple.__new__(GameResult, fields)
-        for rebuild in (lambda: pickle.loads(pickle.dumps(forged)),
-                        lambda: copy.copy(forged), lambda: copy.deepcopy(forged),
-                        lambda: GameResult._make(fields),
-                        lambda: column_ledger(*([f] for f in fields)),
-                        lambda: GameResult("A", "B", 0, 0)._replace(
-                            **dict(zip(GameResult._fields, fields)))):
+        rebuilds = [lambda: pickle.loads(pickle.dumps(forged)),
+                    lambda: copy.copy(forged), lambda: copy.deepcopy(forged),
+                    lambda: GameResult._make(fields),
+                    lambda: GameResult("A", "B", 0, 0)._replace(
+                        **dict(zip(GameResult._fields, fields)))]
+        if fields[:2] == ("A", "B"):
+            rebuilds.append(lambda: one_game_ledger(*fields[2:]))
+        for rebuild in rebuilds:
             with pytest.raises(error):
                 rebuild()
 

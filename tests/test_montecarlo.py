@@ -459,3 +459,63 @@ def test_campaign_spec_validation():
             master_seed=1,
             start_index=-5,
         )
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("n_tournaments", 2.5, "^n_tournaments must be an integer, not 2.5$"),
+    ("n_tournaments", True, "^n_tournaments must be an integer, not True$"),
+    ("n_tournaments", "5", "^n_tournaments must be an integer, not '5'$"),
+    ("start_index", 0.5, "^start_index must be an integer, not 0.5$"),
+    ("master_seed", 1.5, "^master_seed must be an integer, not 1.5$"),
+    ("master_seed", False, "^master_seed must be an integer, not False$"),
+    ("master_seed", -1, "^master_seed must be >= 0, not -1$"),
+])
+def test_campaign_spec_reads_integer_fields(field, value, match):
+    # Rejected when the spec is built, not in its first block: True would
+    # run one tournament, and 2.5 fail inside numpy.
+    keyword = {"n_tournaments": "n", "start_index": "start", "master_seed": "seed"}[field]
+    with pytest.raises(InvalidInputError, match=match):
+        spec(**{keyword: value})
+
+
+def test_campaign_spec_keeps_integral_fields_as_ints():
+    want = run_campaign(spec(n=300, seed=7, start=5))
+    got = spec(n=300.0, seed=np.int64(7), start=np.uint8(5))
+    assert [type(v) for v in (got.n_tournaments, got.master_seed, got.start_index)] == [int] * 3
+    assert (got.n_tournaments, got.master_seed, got.start_index) == (300, 7, 5)
+    assert run_campaign(got).to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("workers", [1.5, True, "2", None])
+def test_workers_that_are_not_an_integer_rejected(workers):
+    with pytest.raises(InvalidInputError, match=f"^workers must be an integer, not {workers!r}$"):
+        run_campaigns([spec(n=5)], workers=workers)
+
+
+def test_integral_workers_accepted():
+    want = run_campaign(spec(n=5)).to_text()
+    assert run_campaign(spec(n=5), workers=2.0).to_text() == want
+    assert run_campaign(spec(n=5), workers=np.int32(2)).to_text() == want
+
+
+@pytest.mark.parametrize("counts, match", [
+    ({0: 2.5, 2: 1}, "^counts must be integers, not 2.5$"),
+    ({0: True, 2: 1}, "^counts must be integers, not True$"),
+    ({0: 1, 2: "3"}, "^counts must be integers, not '3'$"),
+    ({0.5: 1, 2: 1}, "^L1 values must be integers, not 0.5$"),
+    ({True: 1, 2: 1}, "^L1 values must be integers, not True$"),
+])
+def test_counts_a_histogram_file_cannot_hold_rejected(counts, match):
+    with pytest.raises(InvalidInputError, match=match):
+        DiscrepancyDistribution.from_counts(counts, 8)
+
+
+def test_integral_counts_are_written_and_read_back_as_ints():
+    # 0.0 and 2.0 would otherwise be written as "0.0,1", which
+    # `from_text` rejects.
+    dist = DiscrepancyDistribution.from_counts({0.0: np.int64(1), np.int32(2): 2.0}, 8)
+    assert dist.counts == {0: 1, 2: 2}
+    assert [type(x) for item in dist.counts.items() for x in item] == [int] * 4
+    text = dist.to_text()
+    assert text.endswith("l1,count\n0,1\n2,2\n")
+    assert DiscrepancyDistribution.from_text(text) == dist
