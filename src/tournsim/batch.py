@@ -2,22 +2,20 @@
 
 Plays every bracket of `formats.BRACKETS`, the stage tables the scalar
 interpreter `formats.run_format` plays, for every row of a block at once.
-Each table is compiled once, at import, into a list of calls. Consecutive
-stages share a call when they have one kind and one team count and none
-of them reads a result of another stage in the same call; a call samples
-all its games for all rows in one `rng.poisson` call. Round robins are
+Each table compiled in `formats._TABLES` is grouped once, at import,
+into a list of calls. Consecutive stages share a call when they have one
+kind and one team count and none of them reads a column the call itself
+writes; a call samples all its games for all rows in one `rng.poisson`
+call. Round robins are
 scored by `scoring.game_points` and summed and ranked by the kernels
 every league table uses; knockout slots are settled with `np.where`.
 
-Results live on one (rows, columns) int board of team indices. Columns
-0-7 hold the seeds `play_block` is given, the team at each seed position
-(column 0 is the top seed); it knows no seeding rule, and its caller
-draws them by `formats._seed_rows`, as `run_format` does. Each stage
-writes what it yields, its finishing order or its winner then its
-loser, to columns of its own. The final order is
-read off the board as it stands. Only the higher-seed rule needs seed
-positions: it reads them from the inverse permutation of the seeds, in
-the rows with a drawn slot.
+Results live on the board of `formats._compile`, one row a tournament,
+the compiled table both engines play. Its first columns hold the seeds
+`play_block` is given; it knows no seeding rule, and its caller draws
+them by `formats._seed_rows`, as `run_format` does. Only the higher-seed
+rule needs seed positions: it reads them from the inverse permutation of
+the seeds, in the rows with a drawn slot.
 
 The model's means are kept as one flat n*n vector, the mean of team i
 against team j at `i * n + j`, so a call gathers all its means with one
@@ -35,35 +33,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .formats import BRACKETS, HIGHER_SEED, KO, LEGS, PLAYOFF, RR
+from .formats import _BEST_OF_THREE, _TABLES, BRACKETS, HIGHER_SEED, KO, LEGS, RR
 from .model import PoissonSampler
 from .scoring import game_points, round_robin_totals, tiebreak_order
 
 
-def _compile(stages, places):
-    """A stage table as (calls, place columns, board width). A call is
-    (kind, team columns, yield columns), the last two of shape (stages,
-    teams): a round robin's team columns are its seed positions."""
-    column = {"seeds": range(len(places))}
+def _calls(stages, teams: int):
+    """The stages of a compiled table (`formats._compile`) of `teams` teams
+    as calls (kind, team columns, yield columns), the last two of shape
+    (stages, teams): consecutive stages share a call when they have one
+    kind and one team count and none reads a column the call writes."""
     calls = []
-    width = first = len(places)  # first: the first column the last call yields
-    for label, kind, refs in stages:
-        teams = [column[stage][p] for stage, p in refs]
-        if kind == RR and ({s for s, _ in refs} != {"seeds"} or teams != sorted(teams)):
-            raise ValueError(f"round robin {label!r} must be played by seeds in seed order")
-        column[label] = range(width, width + len(teams))
-        if not (calls and calls[-1][0] == kind and len(calls[-1][1][0]) == len(teams)
-                and max(teams) < first):
+    for kind, games, cols, yields in stages:
+        # The engine reads a round robin's teams off the seeding in seed
+        # order. Its first game is labelled by the stage, then 1v2.
+        if kind == RR and (max(cols) >= teams or list(cols) != sorted(cols)):
+            raise ValueError(f"round robin {games[0][0].removesuffix('1v2')!r} "
+                             "must be played by seeds in seed order")
+        if not (calls and calls[-1][0] == kind and len(calls[-1][1][0]) == len(cols)
+                and set(cols).isdisjoint(c for written in calls[-1][2] for c in written)):
             calls.append((kind, [], []))
-            first = width
-        calls[-1][1].append(teams)
-        calls[-1][2].append(column[label])
-        width += len(teams)
-    calls = [(kind, np.array(teams), np.array(yields)) for kind, teams, yields in calls]
-    return calls, np.array([column[stage][p] for stage, p in places]), width
+        calls[-1][1].append(cols)
+        calls[-1][2].append(yields)
+    return [(kind, np.array(cols), np.array(yields)) for kind, cols, yields in calls]
 
 
-_PLANS = {kind: _compile(*table) for kind, table in BRACKETS.items()}
+_PLANS = {key: (_calls(stages, len(places)), np.array(places), width)
+          for key, (stages, places, width) in _TABLES.items()}
 
 
 def supports(fmt, sampler) -> bool:
@@ -77,16 +73,12 @@ def play_block(fmt, sampler, rng: np.random.Generator, seeds) -> np.ndarray:
     """Final orders of tournaments of `fmt`, one a row of `seeds`, an int
     array (rows, teams) of team indices by seed position: an int array of
     team indices of that shape, best first. `fmt.seeding` is not read."""
-    calls, places, width = _PLANS[fmt.kind]
+    calls, places, width = _PLANS[fmt.kind, fmt.best_of_three]
     teams = len(places)
     board = np.empty((len(seeds), width), dtype=np.intp)
     board[:, :teams] = seeds
     games = _Games(rng, sampler.model.mean_goals, board[:, :teams], fmt.decisive)
-    play = {
-        KO: games.knockout,
-        LEGS: games.two_legs,
-        PLAYOFF: games.best_of_three if fmt.best_of_three else games.knockout,
-    }
+    play = {KO: games.knockout, LEGS: games.two_legs, _BEST_OF_THREE: games.best_of_three}
     for kind, team_cols, yield_cols in calls:
         if kind == RR:
             board[:, yield_cols] = games.round_robin(board[:, team_cols], fmt.policy)

@@ -1,9 +1,13 @@
 """Executable tournament formats.
 
-Each bracket format is written once, as a stage table in `BRACKETS`,
-played by the interpreter `_play` here and, a block of campaign
-tournaments at a time, by the batched engine `tournsim.batch`. A table
-lists the stages in playing order and the stages that give places 1-8:
+Each bracket format is written once, as a stage table in `BRACKETS`. A
+table lists the stages in playing order and the stages that give places
+1-8. It is compiled once, at import, by `_compile` into `_TABLES`: the
+board columns each stage reads its teams from and writes its results to,
+its resolved kind and its ledger labels. Both engines play that one
+compiled table, the interpreter `_play` here a tournament at a time and
+the batched engine `tournsim.batch` a block of campaign tournaments at a
+time. The brackets are:
 
 * the 2012 hybrid format (two seeded groups, two-legged semifinals,
   final / third-place / classification games; 20 games),
@@ -141,6 +145,15 @@ class LedgerEntry:
     winner: Optional[str] = None
 
 
+# The largest goal a ledger's int64 array holds.
+_MAX_GOAL = np.iinfo(np.int64).max
+
+
+def _too_large(goal) -> InvalidInputError:
+    return InvalidInputError(f"goal {goal} is too large for the ledger, "
+                             f"which holds goals up to {_MAX_GOAL}")
+
+
 class Ledger(Sequence):
     """The oracle's ledger, read-only: the team `names` (a tuple) and the
     int64 array `goals` (2, pairs, k) of home and away goals it drew, pair
@@ -148,7 +161,8 @@ class Ledger(Sequence):
     so each game's `labels` and `teams` (indices into names) follow. The
     constructor raises what `GameResult` raises for the first game it
     rejects. Entries are `LedgerEntry` views built when read, a slice is a
-    list of them, and a ledger equals another or a list of the same entries."""
+    list of them, and a ledger equals another or a list of the same entries.
+    A goal above the int64 maximum is rejected as too large."""
 
     __slots__ = ("names", "goals")
     __hash__ = None
@@ -166,6 +180,8 @@ class Ledger(Sequence):
             raise InvalidInputError(f"goals of shape {goals.shape} do not fit the {pairs} "
                                     f"pairs of {len(names)} teams")
         if goals.dtype.kind in "iu":
+            if goals.dtype.kind == "u" and goals.size and int(goals.max()) > _MAX_GOAL:
+                raise _too_large(goals.max())
             goals = goals.astype(np.int64, copy=False)
             if (goals < 0).any():
                 raise InvalidInputError("goals must be nonnegative")
@@ -173,9 +189,12 @@ class Ledger(Sequence):
             # Any other goals: each game is built, so the first that
             # `GameResult` rejects raises, and the goals it keeps are ints.
             teams = _pair_index(len(names)).repeat(goals.shape[2], axis=1).tolist()
-            goals = np.array([GameResult(names[h], names[a], *g)[2:] for h, a, g in
-                              zip(*teams, goals.reshape(2, -1).T.tolist())],
-                             np.int64).T.reshape(goals.shape)
+            games = [GameResult(names[h], names[a], *g)[2:] for h, a, g in
+                     zip(*teams, goals.reshape(2, -1).T.tolist())]
+            most = max(map(max, games), default=0)
+            if most > _MAX_GOAL:
+                raise _too_large(most)
+            goals = np.array(games, np.int64).T.reshape(goals.shape)
         # A read-only view: writes through the ledger fail.
         goals = goals.view()
         goals.setflags(write=False)
@@ -195,10 +214,11 @@ class Ledger(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[g] for g in range(*index.indices(len(self)))]
-        label = self.labels[index]
-        home, away = self.teams[:, index].tolist()
-        return LedgerEntry(label, GameResult(self.names[home], self.names[away],
-                                             *self.goals.reshape(2, -1)[:, index].tolist()))
+        index = range(len(self))[index]  # in range, and not negative
+        pair, game = divmod(index, self.goals.shape[2])
+        home, away = _pair_index(len(self.names))[:, pair].tolist()
+        return LedgerEntry(self.labels[index], GameResult(
+            self.names[home], self.names[away], *self.goals[:, pair, game].tolist()))
 
     def __iter__(self):
         team = self.names.__getitem__
@@ -313,15 +333,25 @@ BRACKETS = {
 
 KINDS = ("iterated_round_robin", *BRACKETS)
 
-# The scalar interpreter's own stage kind: a playoff under best of three.
+# The compiled kind of a playoff under best of three.
 _BEST_OF_THREE = "best_of_three"
 
 
-def _labelled(stages, best_of_three: bool):
-    """A bracket's stages as `_play` reads them, (label, kind, refs, games):
-    a playoff is a KO, or a _BEST_OF_THREE under `best_of_three`, and
-    `games` holds the ledger labels of the stage's games in playing order,
-    as (label, a, b) for a round robin's game of its a-th and b-th team."""
+def _compile(stages, places, best_of_three: bool):
+    """A bracket as both engines play it: (stages, place columns, width).
+
+    Results live on a board of team indices, `width` columns wide. Its
+    first columns hold the seeds, the team at each seed position (column 0
+    is the top seed). Each stage writes what it yields, its finishing
+    order or its winner then its loser, to columns of its own, in playing
+    order, and the places are read off the board by column. A stage is
+    (kind, games, team columns, yield columns): a playoff's kind is KO, or
+    _BEST_OF_THREE under `best_of_three`; `games` holds the ledger labels
+    of the stage's games in playing order, as (label, a, b) for a round
+    robin's game of its a-th and b-th team; the team columns are where its
+    teams stand on the board."""
+    column = {"seeds": range(len(places))}
+    width = len(places)
     table = []
     for label, kind, refs in stages:
         if kind == RR:
@@ -334,13 +364,16 @@ def _labelled(stages, best_of_three: bool):
             kind, games = _BEST_OF_THREE, tuple(f"{label}-g{g}" for g in (1, 2, 3))
         else:
             kind, games = KO, (label,)
-        table.append((label, kind, refs, games))
-    return table
+        teams = tuple(column[stage][p] for stage, p in refs)
+        column[label] = range(width, width + len(refs))
+        width += len(refs)
+        table.append((kind, games, teams, tuple(column[label])))
+    return table, tuple(column[stage][p] for stage, p in places), width
 
 
-# Each bracket with its ledger labels for both best-of-three settings,
-# built at import so that no run builds a label.
-_TABLES = {(kind, best_of_three): (_labelled(stages, best_of_three), places)
+# Each bracket compiled for both best-of-three settings, at import, so
+# that no run builds a label or looks up a team by stage.
+_TABLES = {(kind, best_of_three): _compile(stages, places, best_of_three)
            for kind, (stages, places) in BRACKETS.items() for best_of_three in (False, True)}
 
 
@@ -465,7 +498,7 @@ class _FixedProvider:
 
 def _round_robin(provider, games, members, policy) -> list[int]:
     """Single round robin among `members`, in seed order, of the games
-    (label, a, b) of `_labelled`; their finishing order."""
+    (label, a, b) of `_compile`; their finishing order."""
     results = [provider.play(label, members[a], members[b]) for label, a, b in games]
     group = [provider.names[m] for m in members]
     table = standings_from_games(results, group)
@@ -474,24 +507,25 @@ def _round_robin(provider, games, members, policy) -> list[int]:
 
 def _play(provider, spec: FormatSpec, seeds: list[int]) -> Ranking:
     """Play bracket spec.kind on `seeds` (indices into provider.names, seed
-    1 first) with the games `provider` gives; returns the final Ranking."""
-    stages, places = _TABLES[spec.kind, spec.best_of_three]
+    1 first) with the games `provider` gives, on the board of its compiled
+    table (`_compile`); returns the final Ranking."""
+    stages, places, width = _TABLES[spec.kind, spec.best_of_three]
     if len(seeds) != len(places):
         raise UnsupportedSizeError(f"{spec.kind} requires exactly {len(places)} teams")
-    yielded = {"seeds": seeds}
-    for label, stage_kind, refs, games in stages:
-        if stage_kind == RR:
-            yielded[label] = _round_robin(
-                provider, games, [yielded[stage][p] for stage, p in refs], spec.policy)
+    board = seeds + [None] * (width - len(seeds))
+    for kind, games, teams, yields in stages:
+        if kind == RR:
+            order = _round_robin(provider, games, [board[c] for c in teams], spec.policy)
+            for c, team in zip(yields, order):
+                board[c] = team
             continue
-        (home, p), (away, q) = refs
-        i, j = yielded[home][p], yielded[away][q]
-        if stage_kind == LEGS:
+        i, j = board[teams[0]], board[teams[1]]
+        if kind == LEGS:
             # Home leg, then away leg; aggregate goals, no away-goals rule.
             _, _, hi, hj = provider.play(games[0], i, j)
             _, _, aj, ai = provider.play(games[1], j, i)
             si, sj = hi + ai, hj + aj
-        elif stage_kind == _BEST_OF_THREE:
+        elif kind == _BEST_OF_THREE:
             # Wins, drawn games counting for neither side; the series stops
             # once a side leads by two. Series points (3/1/0) cannot decide
             # it: equal wins after three games mean equal draws.
@@ -505,9 +539,9 @@ def _play(provider, spec: FormatSpec, seeds: list[int]) -> Ranking:
         else:
             _, _, si, sj = provider.play(games[0], i, j)
         w = provider.resolve(i, j, i if si > sj else j if sj > si else None)
-        yielded[label] = (w, j if w == i else i)
+        board[yields[0]], board[yields[1]] = w, j if w == i else i
     names = provider.names
-    return Ranking.from_order([names[yielded[stage][p]] for stage, p in places])
+    return Ranking.from_order([names[board[c]] for c in places])
 
 
 def _seed_list(names: Sequence[str], seeding) -> list[int]:

@@ -97,6 +97,7 @@ class DiscrepancyDistribution:
         percentiles are computed from the cumulative counts, without
         expanding the sample, and equal `np.mean` and `np.percentile` of
         the expanded sample exactly."""
+        n_teams = _integer(n_teams, "n_teams must be an integer")
         if n_teams < 2:
             raise InvalidInputError(f"a ranking needs at least 2 teams, not {n_teams}")
         bound = (n_teams * n_teams) // 2

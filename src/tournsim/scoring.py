@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections.abc import Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -106,18 +107,28 @@ def round_robin_totals(goals, points):
 
 @dataclass(frozen=True)
 class TieBreakPolicy:
-    """Ordered tie-break criteria; the list must end in seed_order so the
-    resulting ranking is always a total order."""
+    """Ordered tie-break criteria, kept as a tuple of their own; they must
+    end in seed_order so the resulting ranking is always a total order."""
 
     criteria: tuple[str, ...] = ("points", "goal_difference", "goals_for", "seed_order")
 
     def __post_init__(self):
-        if len(set(self.criteria)) != len(self.criteria):
-            raise InvalidInputError("tie-break criteria must be unique")
+        # A string is a sequence of one-letter criteria, and a set has no
+        # order: its order would vary between runs.
+        if isinstance(self.criteria, str) or not isinstance(self.criteria,
+                                                            (Sequence, np.ndarray)):
+            raise InvalidInputError("criteria must be a sequence of criterion names, "
+                                    f"not {self.criteria!r}")
+        # A copy: a list the caller changes later would change the policy
+        # unchecked, and would make it and a FormatSpec holding it unhashable.
+        object.__setattr__(self, "criteria", tuple(self.criteria))
+        # Each criterion is known, so hashable, before the set is built.
         for c in self.criteria:
             if c not in CRITERIA:
                 raise InvalidInputError(f"unknown criterion {c!r}")
-        if self.criteria[-1] != "seed_order":
+        if len(set(self.criteria)) != len(self.criteria):
+            raise InvalidInputError("tie-break criteria must be unique")
+        if self.criteria[-1:] != ("seed_order",):
             raise InvalidInputError("criteria must end with seed_order")
 
 

@@ -26,7 +26,7 @@ from tournsim import (
     standings_from_games,
 )
 from tournsim import batch
-from tournsim.formats import BRACKETS, RR, _seed_rows
+from tournsim.formats import _TABLES, BRACKETS, PLAYOFF, RR, _compile, _seed_rows
 
 from duck_sampler import DuckSampler
 from reference_ranking import ALL_POLICIES, reference_rank
@@ -509,6 +509,23 @@ def test_round_robin_not_of_seeds_in_order_rejected(kind, stage, refs):
     stages, places = BRACKETS[kind]
     label, _, _ = stages[stage]
     changed = [*stages[:stage], (label, RR, refs), *stages[stage + 1:]]
+    compiled, _, _ = _compile(changed, places, False)
     with pytest.raises(ValueError, match=f"^round robin '{label}' must be played by seeds "
                                          "in seed order$"):
-        batch._compile(changed, places)
+        batch._calls(compiled, len(places))
+
+
+@pytest.mark.parametrize("key", list(_TABLES), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_plans_group_the_compiled_stages(key):
+    # Every compiled stage is played once, in order, by a call that reads
+    # no column it writes; the playoff kind is resolved before either
+    # engine sees it.
+    stages, places, width = _TABLES[key]
+    calls, plan_places, plan_width = batch._PLANS[key]
+    assert [(kind, tuple(t), tuple(y)) for kind, teams, yields in calls
+            for t, y in zip(teams.tolist(), yields.tolist())] == [
+        (kind, teams, yields) for kind, _, teams, yields in stages]
+    for _, teams, yields in calls:
+        assert not set(teams.flat) & set(yields.flat)
+    assert PLAYOFF not in {kind for kind, *_ in stages}
+    assert plan_places.tolist() == list(places) and plan_width == width

@@ -37,8 +37,10 @@ from tournsim import (
 )
 from tournsim import fixtures
 from tournsim.formats import (
+    _BEST_OF_THREE,
     BRACKETS,
     KINDS,
+    KO,
     LEGS,
     PLAYOFF,
     RR,
@@ -457,8 +459,9 @@ def test_keep_games_false_drops_only_the_ledger(spec):
 @pytest.mark.parametrize("best_of_three", [False, True])
 @pytest.mark.parametrize("kind", list(BRACKETS))
 def test_precomputed_labels_are_those_of_the_stage_table(kind, best_of_three):
-    # The interpreter reads each stage's ledger labels off a table built
-    # once; they must be the labels the stage table names, in playing order.
+    # Both engines read each stage's ledger labels and resolved kind off a
+    # table compiled once; they must be those the stage table names, in
+    # playing order.
     stages, places = BRACKETS[kind]
     want = []
     for label, stage_kind, refs in stages:
@@ -471,10 +474,29 @@ def test_precomputed_labels_are_those_of_the_stage_table(kind, best_of_three):
             want.append([f"{label}-g1", f"{label}-g2", f"{label}-g3"])
         else:
             want.append([label])
-    table, table_places = _TABLES[kind, best_of_three]
-    assert table_places == places
-    assert [(label, refs) for label, _, refs, _ in table] == [(s[0], s[2]) for s in stages]
-    assert [list(games) for *_, games in table] == want
+    table, table_places, width = _TABLES[kind, best_of_three]
+    assert [list(games) for _, games, _, _ in table] == want
+    resolved = {PLAYOFF: _BEST_OF_THREE if best_of_three else KO}
+    assert [k for k, *_ in table] == [resolved.get(s[1], s[1]) for s in stages]
+    assert len(table_places) == len(places)
+    assert width == len(places) + sum(len(refs) for _, _, refs in stages)
+
+
+def test_compiled_board_columns_of_the_2012_format():
+    # Columns 0-7 are the seeds; each stage yields to the next free columns.
+    table, places, width = _TABLES["format_2012", False]
+    assert [(teams, yields) for _, _, teams, yields in table] == [
+        ((0, 3, 4, 7), (8, 9, 10, 11)),  # group A: seeds 1, 4, 5, 8
+        ((1, 2, 5, 6), (12, 13, 14, 15)),  # group B: seeds 2, 3, 6, 7
+        ((8, 13), (16, 17)),  # semi1: A1 v B2
+        ((12, 9), (18, 19)),  # semi2: B1 v A2
+        ((16, 18), (20, 21)),  # final: semifinal winners
+        ((17, 19), (22, 23)),  # third place: semifinal losers
+        ((10, 14), (24, 25)),  # class-5-6: A3 v B3
+        ((11, 15), (26, 27)),  # class-7-8: A4 v B4
+    ]
+    assert places == tuple(range(20, 28))
+    assert width == 28
 
 
 class TestBracketProperties:
@@ -1117,6 +1139,35 @@ class TestLedger:
     def test_goals_that_do_not_fit_rejected(self, names, goals, match):
         with pytest.raises(InvalidInputError, match=match):
             Ledger(names, goals)
+
+    @pytest.mark.parametrize("goals, goal", [
+        ([[[10**20]], [[0]]], 10**20),
+        (np.array([[[1]], [[2**63]]], np.uint64), 2**63),
+        (np.array([[[2**64 - 1]], [[0]]], np.uint64), 2**64 - 1),
+    ])
+    def test_goal_past_int64_rejected_as_too_large(self, goals, goal):
+        # Not an OverflowError, nor a uint64 cast to a negative int64.
+        with pytest.raises(InvalidInputError,
+                           match=f"^goal {goal} is too large for the ledger, which holds "
+                                 f"goals up to {2**63 - 1}$"):
+            Ledger(("A", "B"), goals)
+
+    def test_largest_int64_goal_kept(self):
+        for goals in ([[[2**63 - 1]], [[0]]], np.array([[[2**63 - 1]], [[0]]], np.uint64)):
+            assert Ledger(("A", "B"), goals)[0].result.home_goals == 2**63 - 1
+
+    def test_an_entry_is_read_without_the_team_array(self, monkeypatch):
+        # Reading one entry reads one game: `ledger[i]`, `reversed` and
+        # `index` do not rebuild the (2, games) team array per entry.
+        ledger, want = self.live()
+
+        def teams(self):
+            raise AssertionError("the team array was built")
+
+        monkeypatch.setattr(Ledger, "teams", property(teams))
+        assert [ledger[g] for g in range(-len(want), len(want))] == want + want
+        assert list(reversed(ledger)) == want[::-1]
+        assert ledger.index(want[50]) == 50
 
     def test_team_indices_are_int64(self):
         ledger, _ = self.live()

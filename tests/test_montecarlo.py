@@ -510,6 +510,19 @@ def test_counts_a_histogram_file_cannot_hold_rejected(counts, match):
         DiscrepancyDistribution.from_counts(counts, 8)
 
 
+@pytest.mark.parametrize("n_teams", [8.5, "8", None, True])
+def test_team_count_that_is_no_integer_rejected(n_teams):
+    with pytest.raises(InvalidInputError, match=f"^n_teams must be an integer, not {n_teams!r}$"):
+        DiscrepancyDistribution.from_counts({0: 1}, n_teams)
+
+
+@pytest.mark.parametrize("n_teams", [np.int64(8), 8.0])
+def test_integral_team_count_kept_as_an_int(n_teams):
+    dist = DiscrepancyDistribution.from_counts({0: 1, 2: 1}, n_teams)
+    assert type(dist.n_teams) is int and dist.n_teams == 8
+    assert DiscrepancyDistribution.from_text(dist.to_text()) == dist
+
+
 def test_integral_counts_are_written_and_read_back_as_ints():
     # 0.0 and 2.0 would otherwise be written as "0.0,1", which
     # `from_text` rejects.

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tournsim import (
+    FormatSpec,
     GameResult,
     IngestionError,
     InvalidComparisonError,
@@ -337,6 +339,34 @@ class TestRank:
             TieBreakPolicy(("points", "points", "seed_order"))
         with pytest.raises(InvalidInputError):
             TieBreakPolicy(("points", "goal_difference"))
+
+    def test_criteria_kept_as_a_tuple_of_their_own(self):
+        criteria = ["points", "seed_order"]
+        policy = TieBreakPolicy(criteria)
+        criteria.insert(0, "bogus")
+        assert policy.criteria == ("points", "seed_order")
+        assert policy == TieBreakPolicy(("points", "seed_order"))
+        hash(FormatSpec("proposed", policy=policy))
+
+    @pytest.mark.parametrize("criteria", ["seed_order", {"points", "seed_order"}, None])
+    def test_criteria_not_in_a_sequence_rejected(self, criteria):
+        # A string would be read a letter at a time, and a set's order
+        # varies between runs.
+        with pytest.raises(InvalidInputError, match="^criteria must be a sequence of criterion "
+                                                    f"names, not {re.escape(repr(criteria))}$"):
+            TieBreakPolicy(criteria)
+
+    @pytest.mark.parametrize("criteria, match", [
+        ((), "^criteria must end with seed_order$"),
+        ((["points"], "seed_order"), r"^unknown criterion \['points'\]$"),
+    ])
+    def test_criteria_rejected_with_an_input_error(self, criteria, match):
+        with pytest.raises(InvalidInputError, match=match):
+            TieBreakPolicy(criteria)
+
+    def test_criteria_of_an_array_kept(self):
+        policy = TieBreakPolicy(np.array(["points", "seed_order"]))
+        assert policy == TieBreakPolicy(("points", "seed_order"))
 
     def test_unknown_criterion_rejected(self):
         with pytest.raises(InvalidInputError, match="^unknown criterion 'wins'$"):
