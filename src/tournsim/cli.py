@@ -17,7 +17,10 @@ import contextlib
 import os
 import sys
 
-from . import __version__, fixtures
+# `fixtures`, the bundled data and its golden checks, is imported by the
+# two commands that use it, rank and reproduce, so that the other
+# commands' interpreters do not load it.
+from . import __version__
 from .errors import InvalidInputError, TournsimError
 from .formats import RANDOM_SEEDING, DecisivePolicy, FormatSpec, run_format
 from .model import PoissonSampler, derive_rng, load_model
@@ -108,6 +111,8 @@ def _points_path(model_path: str) -> str:
 
 
 def cmd_rank(args) -> int:
+    from . import fixtures
+
     model = _read(args.model, load_model)
     if args.scheme == DISCRETE:
         table, ranking = fixtures.discrete_fixture_standings(model)
@@ -225,6 +230,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from . import fixtures
+
     checks = fixtures.golden_checks()
     failures = 0
     for check in checks:

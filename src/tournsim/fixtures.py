@@ -24,9 +24,8 @@ table whose cells no league can have is rejected.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
-from typing import Callable
 
 import numpy as np
 
@@ -173,10 +172,10 @@ def published_truth(year: int) -> Ranking:
     return _TRUTHS[_bundled(year)]
 
 
-@dataclass(frozen=True)
-class GoldenCheck:
-    name: str
-    run: Callable[[], bool]
+class GoldenCheck(namedtuple("GoldenCheck", "name run")):
+    """A named pass/fail check: `run()` returns whether it passes."""
+
+    __slots__ = ()
 
 
 def golden_checks() -> list[GoldenCheck]:

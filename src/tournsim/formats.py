@@ -55,13 +55,12 @@ from __future__ import annotations
 import functools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .model import FixedResultTable, GameResult, _integer, _integer_field
+from .model import FixedResultTable, GameResult, _Fields, _integer, _record
 from .scoring import (
     CONTINUOUS,
     DEFAULT_POLICY,
@@ -80,21 +79,19 @@ UNIFORM_COIN = "uniform_coin"
 HIGHER_SEED = "higher_seed"
 
 
-@dataclass(frozen=True)
-class DecisivePolicy:
+class DecisivePolicy(_record("DecisivePolicy", "max_replays final_resolution")):
     """How a drawn game is turned into a winner where the format demands
     one: up to max_replays resampled games, then a final resolution."""
 
-    max_replays: int = 1
-    final_resolution: str = UNIFORM_COIN
+    __slots__ = ()
 
-    def __post_init__(self):
-        if _integer_field(self, "max_replays") < 0:
+    def __new__(cls, max_replays: int = 1, final_resolution: str = UNIFORM_COIN):
+        max_replays = _integer(max_replays, "max_replays must be an integer")
+        if max_replays < 0:
             raise InvalidInputError("max_replays must be nonnegative")
-        if self.final_resolution not in (UNIFORM_COIN, HIGHER_SEED):
-            raise InvalidInputError(
-                f"unknown final_resolution {self.final_resolution!r}"
-            )
+        if final_resolution not in (UNIFORM_COIN, HIGHER_SEED):
+            raise InvalidInputError(f"unknown final_resolution {final_resolution!r}")
+        return tuple.__new__(cls, (max_replays, final_resolution))
 
 
 DEFAULT_DECISIVE = DecisivePolicy()
@@ -103,46 +100,54 @@ DEFAULT_DECISIVE = DecisivePolicy()
 RANDOM_SEEDING = "random"
 
 
-@dataclass(frozen=True)
-class FormatSpec:
+class FormatSpec(_record("FormatSpec", "kind games_per_pair scheme best_of_three decisive "
+                               "policy seeding")):
     """Declarative description of one tournament format run. `seeding` is
     None for model order, "random" for a permutation drawn per run from the
     run's stream, or a sequence of team names or integer indices, seed 1
     first, kept as a tuple."""
 
-    kind: str
-    games_per_pair: int = 1
-    scheme: str = CONTINUOUS
-    best_of_three: bool = False
-    decisive: DecisivePolicy = DEFAULT_DECISIVE
-    policy: TieBreakPolicy = DEFAULT_POLICY
-    seeding: Optional[object] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown format kind {self.kind!r}")
-        if _integer_field(self, "games_per_pair") < 1:
+    def __new__(
+        cls,
+        kind: str,
+        games_per_pair: int = 1,
+        scheme: str = CONTINUOUS,
+        best_of_three: bool = False,
+        decisive: DecisivePolicy = DEFAULT_DECISIVE,
+        policy: TieBreakPolicy = DEFAULT_POLICY,
+        seeding: Optional[object] = None,
+    ):
+        if kind not in KINDS:
+            raise InvalidInputError(f"unknown format kind {kind!r}")
+        games_per_pair = _integer(games_per_pair, "games_per_pair must be an integer")
+        if games_per_pair < 1:
             raise InvalidInputError("games_per_pair must be >= 1")
-        if self.scheme not in (CONTINUOUS, DISCRETE):
-            raise InvalidInputError(f"unknown scheme {self.scheme!r}")
-        if isinstance(self.seeding, str):
-            if self.seeding != RANDOM_SEEDING:
-                raise InvalidInputError(f"unknown seeding {self.seeding!r}")
-        elif self.seeding is not None:
+        if scheme not in (CONTINUOUS, DISCRETE):
+            raise InvalidInputError(f"unknown scheme {scheme!r}")
+        if isinstance(seeding, str):
+            if seeding != RANDOM_SEEDING:
+                raise InvalidInputError(f"unknown seeding {seeding!r}")
+        elif seeding is not None:
             # A set has no order to seed by: its order would vary between runs.
-            if not isinstance(self.seeding, (Sequence, np.ndarray)):
-                raise InvalidInputError(f"seeding is not a sequence: {self.seeding!r}")
-            object.__setattr__(self, "seeding", tuple(self.seeding))
+            if not isinstance(seeding, (Sequence, np.ndarray)):
+                raise InvalidInputError(f"seeding is not a sequence: {seeding!r}")
+            seeding = tuple(seeding)
+        return tuple.__new__(cls, (kind, games_per_pair, scheme, best_of_three, decisive,
+                                   policy, seeding))
 
 
-@dataclass(slots=True)
-class LedgerEntry:
+class LedgerEntry(_Fields):
     """One played game: stage label, the sampled result, and (for knockout
     slots) the team that advanced."""
 
-    stage: str
-    result: GameResult
-    winner: Optional[str] = None
+    __slots__ = ("stage", "result", "winner")
+
+    def __init__(self, stage: str, result: GameResult, winner: Optional[str] = None):
+        self.stage = stage
+        self.result = result
+        self.winner = winner
 
 
 # The largest goal a ledger's int64 array holds.
@@ -240,17 +245,20 @@ def _stray_winner(entry: LedgerEntry) -> InvalidInputError:
                              "but settles no knockout slot")
 
 
-@dataclass
-class TournamentOutcome:
+class TournamentOutcome(_Fields):
     """A run's ranking, its ledger (None when not kept; for the oracle the
     `Ledger` of the goals it drew, in its fixed layout; for a bracket a list
     of entries), its game count and, for a bracket, the seeding it was
     played with (team indices, seed 1 first), which replays a random one."""
 
-    ranking: Ranking
-    games: Optional[Sequence[LedgerEntry]]
-    games_total: int
-    seeding: Optional[tuple[int, ...]] = None
+    __slots__ = ("ranking", "games", "games_total", "seeding")
+
+    def __init__(self, ranking: Ranking, games: Optional[Sequence[LedgerEntry]],
+                 games_total: int, seeding: Optional[tuple[int, ...]] = None):
+        self.ranking = ranking
+        self.games = games
+        self.games_total = games_total
+        self.seeding = seeding
 
 
 # Stage kinds. A round robin (RR) yields its finishing order. A single
@@ -437,7 +445,7 @@ class _ReplayProvider:
                 f"ledger stage {entry.stage!r} does not match expected {stage!r}"
             )
         # One slice, not two named reads: a named field read of a GameResult
-        # costs about twice a dataclass attribute's.
+        # costs about twice a slot attribute's.
         result = entry.result
         teams = result[:2]
         if teams != (self.names[i], self.names[j]):

@@ -9,17 +9,23 @@ the goal means and per-pair points that `load_model` reads, and
 `FixedResultTable`, the combined score tables of `tournsim.fixtures`.
 Read from text, each goes through one reader, `_read_table`, which checks
 the table's layout and parses its cells into one float array. Both types
-freeze their names and array and check their shape through one
+are `__slots__` classes whose fields cannot be reassigned (`_Frozen`):
+they set their names and array once and check their shape through one
 constructor step, `_freeze`; each then checks its own value rule, naming
 the first bad cell (`_reject_first_cell`). A game's goals are
 nonnegative integers (`GameResult`).
+
+The package's records are plain classes, cheap to build at import, which
+every fresh interpreter pays for. A frozen value record is a namedtuple
+subclass (`_record`) that checks its fields in `__new__`; a mutable
+record is a `__slots__` class equal to another of its class with equal
+fields (`_Fields`).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +33,54 @@ import numpy as np
 from .errors import IngestionError, InvalidInputError, InvalidPairingError
 
 
-class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
+def _record(typename: str, field_names: str) -> type:
+    """The namedtuple base of a frozen value record whose subclass checks
+    its fields in `__new__`. Its `_make`, and so `_replace`, build through
+    the subclass constructor, as copying and unpickling already do."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class _Fields:
+    """Repr by the `__slots__` fields, and equality to a record of the
+    same class with equal fields, so no hash: the mutable records."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Fields):
+    """A `__slots__` record whose fields are set once, by `_freeze`, and
+    cannot be reassigned; equal only to itself. It is pickled as its
+    constructor's arguments, so unpickling checks it again."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GameResult(_record("GameResult", "home away home_goals away_goals")):
     """One sampled game: the two teams by name, integer goals for each side.
     An immutable tuple that unpacks as (home, away, home_goals, away_goals);
     every way of building one (the constructor, `_make`, `_replace`, copy
@@ -46,10 +99,6 @@ class GameResult(namedtuple("GameResult", "home away home_goals away_goals")):
             raise InvalidInputError("goals must be nonnegative")
         return tuple.__new__(cls, (home, away, home_goals, away_goals))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
 
 def _integer(value, rule: str = "goals must be integers") -> int:
     """`value` as an int, if it is an integral number and not a bool;
@@ -62,32 +111,22 @@ def _integer(value, rule: str = "goals must be integers") -> int:
     raise InvalidInputError(f"{rule}, not {value!r}")
 
 
-def _integer_field(spec, field: str) -> int:
-    """Store the frozen dataclass field `field` of `spec` as the int
-    `_integer` reads, naming the field if it is no integer; returns it."""
-    value = _integer(getattr(spec, field), f"{field} must be an integer")
-    object.__setattr__(spec, field, value)
-    return value
-
-
 # The largest mean a model accepts: a team's goal total in any oracle run
 # that fits in memory, about (n - 1) * games_per_pair * mean, stays in int64.
 MAX_MEAN_GOALS = 1e6
 
 
-@dataclass(frozen=True, eq=False)
-class PairwiseGoalModel:
+class PairwiseGoalModel(_Frozen):
     """n x n matrix of mean goals; entry (i, j) is the expected goals team i
     scores against team j, from 0 to MAX_MEAN_GOALS. The diagonal is unused
     and stored as 0. Holds its own tuple of the names and read-only copy of
     the means, set once by the constructor, so it is immutable after
     construction and safe to share across workers."""
 
-    names: tuple[str, ...]
-    mean_goals: np.ndarray  # (n, n) floats
+    __slots__ = ("names", "mean_goals")  # (n, n) floats
 
-    def __post_init__(self):
-        names, matrix = _freeze(self, "mean_goals", (), IngestionError, "model",
+    def __init__(self, names: Sequence[str], mean_goals):
+        names, matrix = _freeze(self, names, mean_goals, (), IngestionError, "model",
                                 "matrix shape {shape} does not match {n} teams")
         if len(names) < 2:
             raise IngestionError("a model needs at least 2 teams")
@@ -96,8 +135,7 @@ class PairwiseGoalModel:
                            lambda i, j: f"invalid mean goals {matrix[i, j].item()}")
 
 
-@dataclass(frozen=True, eq=False)
-class FixedResultTable:
+class FixedResultTable(_Frozen):
     """A complete pairwise score table, used to replay the proposed format
     over fixed, non-sampled results. Its fields cannot be reassigned.
     names, a tuple of distinct team names, and goals, a read-only copy, are
@@ -107,22 +145,23 @@ class FixedResultTable:
     average-valued), finite and nonnegative; the unused diagonal is 0. A
     pair's cells need not mirror."""
 
-    names: tuple[str, ...]
-    goals: np.ndarray  # (n, n, 2) floats
+    __slots__ = ("names", "goals")  # (n, n, 2) floats
 
-    def __post_init__(self):
-        names, goals = _freeze(self, "goals", (2,), InvalidInputError, "table",
+    def __init__(self, names: Sequence[str], goals):
+        names, goals = _freeze(self, names, goals, (2,), InvalidInputError, "table",
                                "goals of shape {shape} do not fit {n} teams, need {need}")
         bad = ~(np.isfinite(goals) & (goals >= 0)).all(-1)
         _reject_first_cell(names, bad, InvalidInputError, lambda i, j:
                            f"goals {goals[i, j].tolist()} are not finite and nonnegative")
 
 
-def _freeze(table, field: str, cell: tuple[int, ...], error: type, kind: str, bad_shape: str):
-    """Freeze both team tables' fields: `table.names` as a tuple, `field`
-    as a read-only float copy with a zero diagonal. Returns the two."""
-    names = tuple(table.names)
-    values = np.array(getattr(table, field), dtype=float)  # a copy: the caller's stays theirs
+def _freeze(table: _Frozen, names, values, cell: tuple[int, ...], error: type, kind: str,
+            bad_shape: str):
+    """Set both fields of a team table once: its names as a tuple, its
+    values as a read-only float copy with a zero diagonal. Returns the
+    two."""
+    names = tuple(names)
+    values = np.array(values, dtype=float)  # a copy: the caller's stays theirs
     n = len(names)
     if len(set(names)) != n:
         raise error(f"duplicate team name in {kind}")
@@ -131,8 +170,10 @@ def _freeze(table, field: str, cell: tuple[int, ...], error: type, kind: str, ba
         raise error(bad_shape.format(shape=values.shape, n=n, need=need))
     values[range(n), range(n)] = 0
     values.setflags(write=False)
-    object.__setattr__(table, "names", names)
-    object.__setattr__(table, field, values)
+    # The fields by slot, as `_Frozen.__setattr__` refuses every write.
+    name_slot, values_slot = type(table).__slots__
+    object.__setattr__(table, name_slot, names)
+    object.__setattr__(table, values_slot, values)
     return names, values
 
 
@@ -247,7 +288,17 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Independent substream for (master_seed, key...); the backbone of the
     one-master-seed reproducibility discipline. The generator is the one
     `np.random.default_rng` makes of the same SeedSequence, built directly,
-    which skips its argument dispatch."""
-    if master_seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, not {master_seed}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, *key])))
+    which skips its argument dispatch. The seed and each key are read as
+    `_integer` reads them and must be >= 0."""
+    words = [master_seed, *key]
+    for w, word in enumerate(words):
+        if type(word) is not int or word < 0:
+            words[w] = _seed_word(word, "key" if w else "seed")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+def _seed_word(value, name: str) -> int:
+    value = _integer(value, f"{name} must be an integer")
+    if value < 0:
+        raise InvalidInputError(f"{name} must be >= 0, not {value}")
+    return value

@@ -36,8 +36,7 @@ import bisect
 import contextlib
 import io
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -45,7 +44,7 @@ import numpy as np
 from . import batch
 from .errors import InvalidComparisonError, InvalidInputError, TournsimError
 from .formats import FormatSpec, _seed_rows, run_format
-from .model import _integer, _integer_field, derive_rng
+from .model import _integer, _record, derive_rng
 from .scoring import Ranking, l1_distance
 
 BLOCK_SIZE = 250  # tournaments per block of the stream layout
@@ -60,36 +59,39 @@ STREAM_LAYOUT = "v2"  # written as `stream=` in campaign histogram headers
 HISTOGRAM_MAGIC = "# tournsim-histogram v1"
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
-    format: FormatSpec
-    sampler: object  # PoissonSampler; any other sampler takes the scalar fallback
-    truth: Ranking
-    n_tournaments: int
-    master_seed: int
-    start_index: int = 0
+class CampaignSpec(_record("CampaignSpec", "format sampler truth n_tournaments master_seed "
+                                 "start_index")):
+    """One campaign: `n_tournaments` runs of `format` from tournament
+    `start_index` of `master_seed`'s streams, each scored against `truth`.
+    The sampler is a PoissonSampler; any other takes the scalar fallback."""
 
-    def __post_init__(self):
-        if _integer_field(self, "n_tournaments") < 1:
+    __slots__ = ()
+
+    def __new__(cls, format: FormatSpec, sampler, truth: Ranking, n_tournaments: int,
+                master_seed: int, start_index: int = 0):
+        n_tournaments = _integer(n_tournaments, "n_tournaments must be an integer")
+        if n_tournaments < 1:
             raise InvalidInputError("n_tournaments must be >= 1")
-        if _integer_field(self, "start_index") < 0:
-            raise InvalidInputError(f"start_index must be >= 0, not {self.start_index}")
-        if _integer_field(self, "master_seed") < 0:
-            raise InvalidInputError(f"master_seed must be >= 0, not {self.master_seed}")
-        if set(self.truth.places) != set(self.sampler.names):
+        start_index = _integer(start_index, "start_index must be an integer")
+        if start_index < 0:
+            raise InvalidInputError(f"start_index must be >= 0, not {start_index}")
+        master_seed = _integer(master_seed, "master_seed must be an integer")
+        if master_seed < 0:
+            raise InvalidInputError(f"master_seed must be >= 0, not {master_seed}")
+        if set(truth.places) != set(sampler.names):
             raise InvalidInputError("truth ranking does not cover the model's teams")
+        return tuple.__new__(cls, (format, sampler, truth, n_tournaments, master_seed,
+                                   start_index))
 
 
-@dataclass(frozen=True)
-class DiscrepancyDistribution:
-    """Empirical distribution of L1 distances from one campaign."""
+class DiscrepancyDistribution(namedtuple(
+    "DiscrepancyDistribution", "counts n_teams n_samples mean median quantiles"
+)):
+    """Empirical distribution of L1 distances from one campaign: the count
+    of each L1 value, the team count, the sample size, the mean, the median
+    and the quantiles (p5, p25, p75, p95)."""
 
-    counts: Mapping[int, int]
-    n_teams: int
-    n_samples: int
-    mean: float
-    median: float
-    quantiles: tuple[float, float, float, float]  # p5, p25, p75, p95
+    __slots__ = ()
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int], n_teams: int) -> "DiscrepancyDistribution":
@@ -324,15 +326,15 @@ def run_campaigns(
     ]
 
 
-@dataclass(frozen=True)
-class ComparisonSummary:
+class ComparisonSummary(namedtuple(
+    "ComparisonSummary", "mean_delta median_delta dominance_holds cdf_deltas"
+)):
     """Formalized side-by-side of two discrepancy distributions; `a` is
-    expected to be the better (smaller-L1) one."""
+    expected to be the better (smaller-L1) one: mean(b) - mean(a), the same
+    of the medians, whether CDF_a(v) >= CDF_b(v) at every L1 value, and
+    each L1 value's CDF_a(v) - CDF_b(v)."""
 
-    mean_delta: float  # mean(b) - mean(a)
-    median_delta: float
-    dominance_holds: bool  # CDF_a(v) >= CDF_b(v) at every L1 value
-    cdf_deltas: dict  # L1 value -> CDF_a(v) - CDF_b(v)
+    __slots__ = ()
 
 
 def compare_campaigns(

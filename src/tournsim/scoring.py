@@ -15,14 +15,14 @@ which must not share the rule it checks."""
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from collections.abc import Sequence
+import operator
+from collections.abc import Mapping, Sequence
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import InvalidComparisonError, InvalidInputError
-from .model import GameResult
+from .model import GameResult, _Fields, _record
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -42,11 +42,15 @@ def round_half_away(total, k=1):
     return ((2 * np.asarray(total) + k) // (2 * k)).astype(np.int64)
 
 
-@dataclass
-class TeamStats:
-    points: float = 0.0
-    goals_for: float = 0.0
-    goals_against: float = 0.0
+class TeamStats(_Fields):
+    """A team's running league totals."""
+
+    __slots__ = ("points", "goals_for", "goals_against")
+
+    def __init__(self, points: float = 0.0, goals_for: float = 0.0, goals_against: float = 0.0):
+        self.points = points
+        self.goals_for = goals_for
+        self.goals_against = goals_against
 
     @property
     def goal_difference(self) -> float:
@@ -105,46 +109,52 @@ def round_robin_totals(goals, points):
     return points.sum(-1), goals.sum(-1), np.swapaxes(goals, -1, -2).sum(-1)
 
 
-@dataclass(frozen=True)
-class TieBreakPolicy:
+class TieBreakPolicy(_record("TieBreakPolicy", "criteria")):
     """Ordered tie-break criteria, kept as a tuple of their own; they must
     end in seed_order so the resulting ranking is always a total order."""
 
-    criteria: tuple[str, ...] = ("points", "goal_difference", "goals_for", "seed_order")
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, criteria: Sequence[str] = ("points", "goal_difference", "goals_for",
+                                                "seed_order")):
         # A string is a sequence of one-letter criteria, and a set has no
         # order: its order would vary between runs.
-        if isinstance(self.criteria, str) or not isinstance(self.criteria,
-                                                            (Sequence, np.ndarray)):
+        if isinstance(criteria, str) or not isinstance(criteria, (Sequence, np.ndarray)):
             raise InvalidInputError("criteria must be a sequence of criterion names, "
-                                    f"not {self.criteria!r}")
+                                    f"not {criteria!r}")
         # A copy: a list the caller changes later would change the policy
         # unchecked, and would make it and a FormatSpec holding it unhashable.
-        object.__setattr__(self, "criteria", tuple(self.criteria))
+        criteria = tuple(criteria)
         # Each criterion is known, so hashable, before the set is built.
-        for c in self.criteria:
+        for c in criteria:
             if c not in CRITERIA:
                 raise InvalidInputError(f"unknown criterion {c!r}")
-        if len(set(self.criteria)) != len(self.criteria):
+        if len(set(criteria)) != len(criteria):
             raise InvalidInputError("tie-break criteria must be unique")
-        if self.criteria[-1:] != ("seed_order",):
+        if criteria[-1:] != ("seed_order",):
             raise InvalidInputError("criteria must end with seed_order")
+        return tuple.__new__(cls, (criteria,))
 
 
 DEFAULT_POLICY = TieBreakPolicy()
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """Bijection from team name to place 1..n."""
+class Ranking(_record("Ranking", "places")):
+    """Bijection from team name to place 1..n, kept as a dict of its own.
+    Places are ints; a bool or a float such as 1.0 is rejected."""
 
-    places: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.places)
-        if sorted(self.places.values()) != list(range(1, n + 1)):
+    def __new__(cls, places: Mapping[str, int]):
+        if not isinstance(places, Mapping):
+            raise InvalidInputError(f"places must be a mapping of team to place, not {places!r}")
+        places = dict(places)  # a copy: a later change to the caller's cannot reach it
+        for name, place in places.items():
+            if type(place) is not int:
+                places[name] = _place(place)
+        if sorted(places.values()) != list(range(1, len(places) + 1)):
             raise InvalidInputError("ranks must be a permutation of 1..n")
+        return tuple.__new__(cls, (places,))
 
     @classmethod
     def from_order(cls, names: Sequence[str]) -> "Ranking":
@@ -152,17 +162,27 @@ class Ranking:
         if len(places) < len(names):
             twice = next(name for name in names if names.count(name) > 1)
             raise InvalidInputError(f"team {twice!r} is listed more than once")
-        # Distinct names in places 1..n are the permutation `__post_init__`
-        # would sort to check, so the check is skipped.
-        ranking = object.__new__(cls)
-        object.__setattr__(ranking, "places", places)
-        return ranking
+        # Distinct names in places 1..n are the permutation `__new__` would
+        # sort to check, so the check is skipped.
+        return tuple.__new__(cls, (places,))
 
     def order(self) -> list[str]:
-        return sorted(self.places, key=self.places.get)
+        places = self.places
+        return sorted(places, key=places.get)
 
     def __getitem__(self, name: str) -> int:
         return self.places[name]
+
+
+def _place(value) -> int:
+    """A place that is an integer but not an int, such as a numpy integer,
+    as an int; anything else is rejected."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidInputError(f"places must be integers, not {value!r}")
 
 
 def tiebreak_order(points, goals_for, goals_against, policy: TieBreakPolicy, pair_points=None):
@@ -232,9 +252,12 @@ def rank(
 
 def l1_distance(a: Ranking, b: Ranking) -> int:
     """Spearman footrule: sum over teams of |rank_a - rank_b|."""
-    if set(a.places) != set(b.places):
+    # Each ranking's places are read once: a named field read of a tuple
+    # record costs more than a local's.
+    pa, pb = a.places, b.places
+    if set(pa) != set(pb):
         raise InvalidComparisonError("rankings cover different team sets")
-    return sum(abs(a.places[n] - b.places[n]) for n in a.places)
+    return sum(abs(pa[n] - pb[n]) for n in pa)
 
 
 def standings_to_csv(standings: dict[str, TeamStats], ranking: Ranking) -> str:

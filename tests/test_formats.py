@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import re
@@ -575,8 +574,7 @@ def pinned_runs(year, fmt, seeding):
     """(spec, outcome) of every run one PINNED_RUN_LEDGERS entry covers."""
     sampler = PoissonSampler(fixtures.load_goal_model(year))
     for decisive in ALL_DECISIVE:
-        spec = dataclasses.replace(PINNED_SPECS[fmt], decisive=decisive,
-                                   seeding=PINNED_SEEDINGS[seeding])
+        spec = PINNED_SPECS[fmt]._replace(decisive=decisive, seeding=PINNED_SEEDINGS[seeding])
         for seed in range(20):
             yield spec, run_format(spec, sampler, derive_rng(seed, 0))
 

@@ -429,3 +429,24 @@ def test_derive_rng_is_default_rng_of_the_seed_sequence(seed, key):
     assert type(got) is np.random.Generator
     assert got.bit_generator.state == want.bit_generator.state
     assert got.integers(2**62, size=4).tolist() == want.integers(2**62, size=4).tolist()
+
+
+@pytest.mark.parametrize("args, match", [
+    ((True,), "^seed must be an integer, not True$"),
+    ((1.5,), "^seed must be an integer, not 1.5$"),
+    (("3",), "^seed must be an integer, not '3'$"),
+    ((-1,), "^seed must be >= 0, not -1$"),
+    ((1, -2), "^key must be >= 0, not -2$"),
+    ((1, 0, 2.5), "^key must be an integer, not 2.5$"),
+    ((1, False), "^key must be an integer, not False$"),
+], ids=["bool-seed", "float-seed", "string-seed", "negative-seed", "negative-key",
+        "float-key", "bool-key"])
+def test_derive_rng_rejects_a_seed_or_key_that_is_no_nonnegative_integer(args, match):
+    with pytest.raises(InvalidInputError, match=match):
+        derive_rng(*args)
+
+
+def test_derive_rng_reads_integral_seeds_and_keys_as_ints():
+    want = derive_rng(7, 3).integers(2**62, size=4).tolist()
+    for args in ((7.0, 3), (np.int64(7), np.uint8(3)), (7, 3.0)):
+        assert derive_rng(*args).integers(2**62, size=4).tolist() == want

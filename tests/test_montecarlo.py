@@ -95,19 +95,32 @@ class TestCampaignDeterminism:
                              check=True)
         assert out.stdout.strip() == "False"
 
+    def test_import_does_not_load_dataclasses(self):
+        # The records are built without `dataclasses`, whose class building
+        # every fresh interpreter would pay for.
+        root = str(Path(montecarlo.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {root!r}); import tournsim; "
+                "print('dataclasses' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
+
     def test_paper_campaign_at_n_2000_plays_in_process(self):
         # 3 formats of 8 batched blocks pay for no second process, even at
-        # --workers 2, so the command never loads the pool machinery.
+        # --workers 2, so the command never loads the pool machinery. Nor
+        # does it load `dataclasses` (numpy, numpy.random and
+        # concurrent.futures import none) or the bundled data.
         root = str(Path(montecarlo.__file__).parents[1])
         argv = ["campaign", "--model", str(fixtures.fixture_path("robocup2012.csv")),
                 "--format", "proposed", "f2012", "f2013", "--n", "2000", "--workers", "2"]
+        loaded = ("concurrent.futures", "dataclasses", "tournsim.fixtures")
         code = (f"import sys; sys.path.insert(0, {root!r}); from tournsim.cli import main; "
-                f"code = main({argv!r}); print(code, 'concurrent.futures' in sys.modules)")
+                f"code = main({argv!r}); print(code, *(m in sys.modules for m in {loaded!r}))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         lines = out.stdout.splitlines()
         assert [line.split(":")[0] for line in lines[:-1]] == ["proposed", "f2012", "f2013"]
-        assert lines[-1] == "0 False"
+        assert lines[-1] == "0 False False False"
 
     def test_two_scalar_blocks_start_a_pool(self, monkeypatch):
         pools = pool_sizes(monkeypatch)

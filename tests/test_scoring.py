@@ -439,3 +439,32 @@ class TestL1Distance:
 def test_ranking_must_be_permutation():
     with pytest.raises(InvalidInputError):
         Ranking({"A": 1, "B": 1})
+
+
+def test_ranking_keeps_its_own_copy_of_the_places():
+    # A later change to the caller's mapping would leave a ranking that is
+    # no permutation.
+    places = {"A": 1, "B": 2}
+    ranking = Ranking(places)
+    places["A"] = 5
+    assert ranking.places == {"A": 1, "B": 2}
+    assert l1_distance(ranking, Ranking.from_order("AB")) == 0
+
+
+@pytest.mark.parametrize("places, match", [
+    ([("A", 1), ("B", 2)], r"^places must be a mapping of team to place, not \[\('A', 1\)"),
+    ({"A": True, "B": 2}, "^places must be integers, not True$"),
+    ({"A": 1.0, "B": 2}, "^places must be integers, not 1.0$"),
+    ({"A": np.True_, "B": 2}, "^places must be integers, not np.True_$"),
+    ({"A": "1", "B": 2}, "^places must be integers, not '1'$"),
+], ids=["pairs", "bool", "float", "numpy-bool", "string"])
+def test_ranking_of_places_that_are_not_ints_rejected(places, match):
+    with pytest.raises(InvalidInputError, match=match):
+        Ranking(places)
+
+
+def test_ranking_keeps_integer_places_as_ints():
+    ranking = Ranking({"A": np.int64(2), "B": np.uint8(1)})
+    assert ranking.places == {"A": 2, "B": 1}
+    assert [type(p) for p in ranking.places.values()] == [int, int]
+    assert ranking.order() == ["B", "A"]
