@@ -105,9 +105,10 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _points_path(model_path: str) -> str:
-    root, ext = os.path.splitext(model_path)
-    return f"{root}.points{ext}"
+def _suffixed(path: str, suffix: str) -> str:
+    """`path` with `suffix` before its extension."""
+    root, ext = os.path.splitext(path)
+    return f"{root}{suffix}{ext}"
 
 
 def cmd_rank(args) -> int:
@@ -120,7 +121,7 @@ def cmd_rank(args) -> int:
         def standings(text):
             return fixtures.continuous_fixture_standings(model, load_model(text))
 
-        table, ranking = _read(args.points or _points_path(args.model), standings)
+        table, ranking = _read(args.points or _suffixed(args.model, ".points"), standings)
     _emit(_comments(_header(args)) + standings_to_csv(table, ranking), args.out)
     return 0
 
@@ -203,19 +204,10 @@ def cmd_campaign(args) -> int:
             f"n={dist.n_samples} seed={args.seed}"
         )
         if args.out:
-            path = (
-                args.out
-                if len(args.format) == 1
-                else _suffixed(args.out, fmt)
-            )
+            path = args.out if len(args.format) == 1 else _suffixed(args.out, f"-{fmt}")
             header = _header(args, format=fmt, sampling=sampler.backend, stream=STREAM_LAYOUT)
             _write(path, dist.to_text(header))
     return 0
-
-
-def _suffixed(path: str, fmt: str) -> str:
-    root, ext = os.path.splitext(path)
-    return f"{root}-{fmt}{ext}"
 
 
 def cmd_compare(args) -> int:

@@ -126,6 +126,12 @@ class FormatSpec(_record("FormatSpec", "kind games_per_pair scheme best_of_three
             raise InvalidInputError("games_per_pair must be >= 1")
         if scheme not in (CONTINUOUS, DISCRETE):
             raise InvalidInputError(f"unknown scheme {scheme!r}")
+        if not isinstance(best_of_three, (bool, np.bool_)):
+            raise InvalidInputError(f"best_of_three must be a bool, not {best_of_three!r}")
+        if not isinstance(decisive, DecisivePolicy):
+            raise InvalidInputError(f"decisive must be a DecisivePolicy, not {decisive!r}")
+        if not isinstance(policy, TieBreakPolicy):
+            raise InvalidInputError(f"policy must be a TieBreakPolicy, not {policy!r}")
         if isinstance(seeding, str):
             if seeding != RANDOM_SEEDING:
                 raise InvalidInputError(f"unknown seeding {seeding!r}")
@@ -134,7 +140,7 @@ class FormatSpec(_record("FormatSpec", "kind games_per_pair scheme best_of_three
             if not isinstance(seeding, (Sequence, np.ndarray)):
                 raise InvalidInputError(f"seeding is not a sequence: {seeding!r}")
             seeding = tuple(seeding)
-        return tuple.__new__(cls, (kind, games_per_pair, scheme, best_of_three, decisive,
+        return tuple.__new__(cls, (kind, games_per_pair, scheme, bool(best_of_three), decisive,
                                    policy, seeding))
 
 

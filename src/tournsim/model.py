@@ -293,12 +293,13 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     words = [master_seed, *key]
     for w, word in enumerate(words):
         if type(word) is not int or word < 0:
-            words[w] = _seed_word(word, "key" if w else "seed")
+            words[w] = _at_least(word, "key" if w else "seed")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-def _seed_word(value, name: str) -> int:
+def _at_least(value, name: str, low: int = 0) -> int:
+    """`value` as `_integer` reads it, at least `low`; errors name it `name`."""
     value = _integer(value, f"{name} must be an integer")
-    if value < 0:
-        raise InvalidInputError(f"{name} must be >= 0, not {value}")
+    if value < low:
+        raise InvalidInputError(f"{name} must be >= {low}, not {value}")
     return value

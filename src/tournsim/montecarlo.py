@@ -26,8 +26,9 @@ seeds on the block's generator and `batch.play_block` plays them. The
 rest run `formats.run_format`, which seeds by the same rule, row after
 row on the block's generator, up to the campaign's last tournament.
 
-A campaign keeps only the count of each L1 value, and its summary is
-computed from those counts, so its memory does not grow with its size.
+A campaign keeps only each L1 value's count, so its memory does not grow
+with its size: a `DiscrepancyDistribution` holds `counts` (a zero count is
+dropped) and `n_teams`, and computes its statistics from the counts.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from . import batch
 from .errors import InvalidComparisonError, InvalidInputError, TournsimError
 from .formats import FormatSpec, _seed_rows, run_format
-from .model import _integer, _record, derive_rng
+from .model import _at_least, _integer, _record, derive_rng
 from .scoring import Ranking, l1_distance
 
 BLOCK_SIZE = 250  # tournaments per block of the stream layout
@@ -69,82 +70,84 @@ class CampaignSpec(_record("CampaignSpec", "format sampler truth n_tournaments m
 
     def __new__(cls, format: FormatSpec, sampler, truth: Ranking, n_tournaments: int,
                 master_seed: int, start_index: int = 0):
+        if not isinstance(format, FormatSpec):
+            raise InvalidInputError(f"format must be a FormatSpec, not {format!r}")
+        if not isinstance(truth, Ranking):
+            raise InvalidInputError(f"truth must be a Ranking, not {truth!r}")
         n_tournaments = _integer(n_tournaments, "n_tournaments must be an integer")
         if n_tournaments < 1:
             raise InvalidInputError("n_tournaments must be >= 1")
-        start_index = _integer(start_index, "start_index must be an integer")
-        if start_index < 0:
-            raise InvalidInputError(f"start_index must be >= 0, not {start_index}")
-        master_seed = _integer(master_seed, "master_seed must be an integer")
-        if master_seed < 0:
-            raise InvalidInputError(f"master_seed must be >= 0, not {master_seed}")
+        start_index = _at_least(start_index, "start_index")
+        master_seed = _at_least(master_seed, "master_seed")
         if set(truth.places) != set(sampler.names):
             raise InvalidInputError("truth ranking does not cover the model's teams")
         return tuple.__new__(cls, (format, sampler, truth, n_tournaments, master_seed,
                                    start_index))
 
 
-class DiscrepancyDistribution(namedtuple(
-    "DiscrepancyDistribution", "counts n_teams n_samples mean median quantiles"
-)):
-    """Empirical distribution of L1 distances from one campaign: the count
-    of each L1 value, the team count, the sample size, the mean, the median
-    and the quantiles (p5, p25, p75, p95)."""
+class DiscrepancyDistribution(_record("DiscrepancyDistribution", "counts n_teams")):
+    """Empirical distribution of L1 distances from one campaign: `counts`,
+    a dict of its own of each L1 value's positive count in value order, and
+    the team count `n_teams`. Its statistics are computed from the counts."""
 
     __slots__ = ()
 
-    @classmethod
-    def from_counts(cls, counts: Mapping[int, int], n_teams: int) -> "DiscrepancyDistribution":
-        """The distribution of a count map. Its mean and numpy's 'linear'
-        percentiles are computed from the cumulative counts, without
-        expanding the sample, and equal `np.mean` and `np.percentile` of
-        the expanded sample exactly."""
+    def __new__(cls, counts: Mapping[int, int], n_teams: int):
         n_teams = _integer(n_teams, "n_teams must be an integer")
         if n_teams < 2:
             raise InvalidInputError(f"a ranking needs at least 2 teams, not {n_teams}")
-        bound = (n_teams * n_teams) // 2
         # Both as the ints a histogram file holds: a bool or a fraction is rejected.
         counts = {_integer(v, "L1 values must be integers"): _integer(c, "counts must be integers")
                   for v, c in counts.items()}
         for v, c in counts.items():
-            if v % 2 or not (0 <= v <= bound):
+            if v % 2 or not (0 <= v <= (n_teams * n_teams) // 2):
                 raise InvalidInputError(f"impossible L1 value {v} for n={n_teams}")
             if c < 0:
                 raise InvalidInputError(f"negative count {c} for L1 value {v}")
-        values = sorted(counts)
-        ends = list(itertools.accumulate(counts[v] for v in values))  # one past each run
-        n = ends[-1] if ends else 0
-        if n < 1:
+        if not any(counts.values()):
             raise InvalidInputError("empty distribution")
+        return tuple.__new__(cls, ({v: counts[v] for v in sorted(counts) if counts[v]}, n_teams))
 
-        def percentile(p):
-            # numpy's rule: index h = (n - 1) * p / 100 of the sorted sample,
-            # between its neighbours a and b at fraction t.
-            h = (n - 1) * (p / 100)
-            i = int(h)  # h >= 0: its floor
-            t = h - i
-            a = values[bisect.bisect_right(ends, i)]
-            b = values[bisect.bisect_right(ends, min(i + 1, n - 1))]
-            return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    @classmethod
+    def from_counts(cls, counts: Mapping[int, int], n_teams: int) -> "DiscrepancyDistribution":
+        """The distribution of a count map."""
+        return cls(counts, n_teams)
 
-        p5, p25, med, p75, p95 = (float(percentile(p)) for p in (5, 25, 50, 75, 95))
-        return cls(
-            {v: counts[v] for v in values},
-            n_teams,
-            n,
-            float(sum(v * counts[v] for v in values) / n),
-            med,
-            (p5, p25, p75, p95),
-        )
+    @property
+    def n_samples(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def mean(self) -> float:
+        return float(sum(v * c for v, c in self.counts.items()) / self.n_samples)
+
+    @property
+    def median(self) -> float:
+        return self._percentile(50)
+
+    @property
+    def quantiles(self) -> tuple[float, float, float, float]:
+        """p5, p25, p75 and p95."""
+        return tuple(map(self._percentile, (5, 25, 75, 95)))
+
+    def _percentile(self, p: float) -> float:
+        """numpy's 'linear' percentile of the sample, from its cumulative
+        counts: index h = (n - 1) * p / 100 of the sorted sample, between its
+        neighbours a and b at fraction t. It equals `np.percentile` exactly."""
+        values = list(self.counts)
+        ends = list(itertools.accumulate(self.counts.values()))  # one past each run
+        h = (ends[-1] - 1) * (p / 100)
+        i = int(h)  # h >= 0: its floor
+        t = h - i
+        a = values[bisect.bisect_right(ends, i)]
+        b = values[bisect.bisect_right(ends, min(i + 1, ends[-1] - 1))]
+        return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
     @property
     def std_error(self) -> float:
         """Standard error of the mean."""
-        var = (
-            sum(c * (v - self.mean) ** 2 for v, c in self.counts.items())
-            / self.n_samples
-        )
-        return (var / self.n_samples) ** 0.5
+        n, mean = self.n_samples, self.mean
+        return (sum(c * (v - mean) ** 2 for v, c in self.counts.items()) / n / n) ** 0.5
 
     def cdf(self, value: int) -> float:
         return sum(c for v, c in self.counts.items() if v <= value) / self.n_samples
@@ -162,8 +165,8 @@ class DiscrepancyDistribution(namedtuple(
             f"p5={q[0]:.1f} p25={q[1]:.1f} p75={q[2]:.1f} p95={q[3]:.1f}\n"
         )
         out.write("l1,count\n")
-        for v in sorted(self.counts):
-            out.write(f"{v},{self.counts[v]}\n")
+        for v, c in self.counts.items():
+            out.write(f"{v},{c}\n")
         return out.getvalue()
 
     @classmethod
@@ -297,9 +300,7 @@ def run_campaigns(
     spec's blocks are split into up to `_process_count` runs, and the runs
     of all specs share one pool. A campaign that pays for no pool plays in
     the calling process, and the pool machinery is not imported."""
-    workers = _integer(workers, "workers must be an integer")
-    if workers < 1:
-        raise InvalidInputError(f"workers must be >= 1, not {workers}")
+    workers = _at_least(workers, "workers", 1)
     ranges = [_block_range(spec) for spec in specs]
     processes = _process_count(specs, ranges, workers)
     runs = []  # (spec number, first block, last block)

@@ -52,6 +52,7 @@ from tournsim.formats import (
 )
 from tournsim.scoring import league_table, rank, standings_from_games
 
+from built import built
 from duck_sampler import DuckSampler
 from reference_ranking import ALL_POLICIES, reference_rank
 from samplers import NAMES8, chain_sampler, flat_sampler, oracle
@@ -1000,14 +1001,6 @@ class TestOracleLedger:
                 replay_outcome(self.SPEC, self.NAMES, outcome)
 
 
-def built(build):
-    """build()'s value, or the type and message of what it raised."""
-    try:
-        return build()
-    except InvalidInputError as e:
-        return type(e), str(e)
-
-
 def oracle_entries(names, goals):
     """The entries of an oracle ledger, built one by one from its
     (2, pairs, k) goals array: pair by pair as `_pair_index`, game by
@@ -1233,10 +1226,30 @@ class TestSpecValidation:
          "^games_per_pair must be an integer, not '3'$"),
         ("iterated_round_robin", {"games_per_pair": True},
          "^games_per_pair must be an integer, not True$"),
+        # Unchecked, run_format would end in KeyError: ('proposed', 'yes').
+        ("proposed", {"best_of_three": "yes"}, "^best_of_three must be a bool, not 'yes'$"),
+        ("proposed", {"best_of_three": 1}, "^best_of_three must be a bool, not 1$"),
+        ("proposed", {"best_of_three": None}, "^best_of_three must be a bool, not None$"),
+        ("proposed", {"decisive": 3}, "^decisive must be a DecisivePolicy, not 3$"),
+        ("format_2013_double_elim", {"decisive": (1, UNIFORM_COIN)},
+         r"^decisive must be a DecisivePolicy, not \(1, 'uniform_coin'\)$"),
+        ("proposed", {"policy": "points"}, "^policy must be a TieBreakPolicy, not 'points'$"),
+        ("proposed", {"policy": ("points", "seed_order")},
+         r"^policy must be a TieBreakPolicy, not \('points', 'seed_order'\)$"),
     ])
     def test_format_spec_rejected(self, kind, kwargs, match):
         with pytest.raises(InvalidInputError, match=match):
             FormatSpec(kind, **kwargs)
+
+    @pytest.mark.parametrize("flag", [np.bool_(True), np.bool_(False)])
+    def test_numpy_bool_kept_as_a_bool(self, flag):
+        spec = FormatSpec("proposed", best_of_three=flag)
+        assert type(spec.best_of_three) is bool and spec.best_of_three == flag
+        assert spec == FormatSpec("proposed", best_of_three=bool(flag))
+        sampler = flat_sampler()
+        assert (run_format(spec, sampler, derive_rng(4)).games
+                == run_format(spec._replace(best_of_three=bool(flag)), sampler,
+                              derive_rng(4)).games)
 
     def test_integral_fields_kept_as_ints(self):
         # An integral float or numpy int is read as the int it equals.

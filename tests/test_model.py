@@ -25,6 +25,8 @@ from tournsim.fixtures import fixture_text
 from tournsim.formats import Ledger, LedgerEntry, _pair_index
 from tournsim.model import MAX_MEAN_GOALS
 
+from built import built
+
 
 @pytest.fixture(scope="module")
 def model2012():
@@ -277,14 +279,6 @@ class TestPoissonSampler:
             j[position] = i[position]
         with pytest.raises(InvalidPairingError, match="cannot play itself"):
             PoissonSampler(model2012).sample_many(i, j, 3, derive_rng(0))
-
-
-def built(build):
-    """build()'s value, or the type and message of what it raised."""
-    try:
-        return build()
-    except (InvalidPairingError, InvalidInputError) as e:
-        return type(e), str(e)
 
 
 # Home and away goals of k games of each of the 3 pairs of A, B, C, with

@@ -349,6 +349,24 @@ class TestDistribution:
         with pytest.raises(InvalidInputError, match="negative count -1 for L1 value 2"):
             DiscrepancyDistribution.from_counts({2: -1, 4: 3}, 8)
 
+    def test_record_holds_the_counts_and_the_team_count(self):
+        counts = {4: 1, 0: 2, 2: 0}
+        d = DiscrepancyDistribution(counts, 8)
+        assert DiscrepancyDistribution._fields == ("counts", "n_teams")
+        assert tuple(d) == ({0: 2, 4: 1}, 8) and list(d.counts) == [0, 4]
+        counts[6] = 5  # the record keeps a dict of its own
+        assert d.counts == {0: 2, 4: 1} and d.n_samples == 3
+        assert DiscrepancyDistribution.from_counts(counts, 8).n_samples == 8
+        with pytest.raises(InvalidInputError, match="^impossible L1 value 1 for n=8$"):
+            DiscrepancyDistribution({1: 5}, 8)
+
+    def test_zero_count_changes_neither_equality_nor_text(self):
+        with_zero = DiscrepancyDistribution.from_counts({0: 0, 2: 1, 6: 0}, 8)
+        without = DiscrepancyDistribution.from_counts({2: 1}, 8)
+        assert with_zero == without and with_zero.counts == {2: 1}
+        assert with_zero.to_text() == without.to_text()
+        assert DiscrepancyDistribution.from_text(with_zero.to_text()) == without
+
     @pytest.mark.parametrize("n_teams", [1, 0, -3])
     def test_fewer_than_two_teams_rejected(self, n_teams):
         with pytest.raises(InvalidInputError, match=f"at least 2 teams, not {n_teams}"):
@@ -472,6 +490,12 @@ def test_campaign_spec_validation():
             master_seed=1,
             start_index=-5,
         )
+    # The types of the records it holds, each checked before it is read.
+    with pytest.raises(InvalidInputError, match="^format must be a FormatSpec, not 'proposed'$"):
+        CampaignSpec("proposed", flat_sampler(), Ranking.from_order(NAMES8), 5, 1)
+    places = dict(Ranking.from_order(NAMES8).places)
+    with pytest.raises(InvalidInputError, match=r"^truth must be a Ranking, not \{'T0': 1, "):
+        CampaignSpec(FormatSpec("proposed"), flat_sampler(), places, 5, 1)
 
 
 @pytest.mark.parametrize("field, value, match", [

@@ -37,9 +37,13 @@ def campaign_spec():
                         Ranking.from_order(NAMES8[::-1]), 300, 5)
 
 
+def distribution():
+    return DiscrepancyDistribution.from_counts({0: 1, 2: 3}, 8)
+
+
 def frozen_records():
     spec = campaign_spec()
-    dist = DiscrepancyDistribution.from_counts({0: 1, 2: 3}, 8)
+    dist = distribution()
     return {
         "DecisivePolicy": DecisivePolicy(),
         "FormatSpec": spec.format,
@@ -112,6 +116,18 @@ REPLACED = {
                     "^master_seed must be an integer, not 1.5$"),
     "truth": (campaign_spec(), dict(truth=Ranking.from_order("AB")),
               "^truth ranking does not cover the model's teams$"),
+    "best_of_three": (FormatSpec("proposed"), dict(best_of_three="yes"),
+                      "^best_of_three must be a bool, not 'yes'$"),
+    "decisive": (FormatSpec("proposed"), dict(decisive=3),
+                 "^decisive must be a DecisivePolicy, not 3$"),
+    "policy": (FormatSpec("proposed"), dict(policy="points"),
+               "^policy must be a TieBreakPolicy, not 'points'$"),
+    "format": (campaign_spec(), dict(format="proposed"),
+               "^format must be a FormatSpec, not 'proposed'$"),
+    "truth-type": (campaign_spec(), dict(truth={"T0": 1}),
+                   r"^truth must be a Ranking, not \{'T0': 1\}$"),
+    "counts": (distribution(), dict(counts={3: 1}), "^impossible L1 value 3 for n=8$"),
+    "n_teams": (distribution(), dict(n_teams=1), "^a ranking needs at least 2 teams, not 1$"),
 }
 
 
