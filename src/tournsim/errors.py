@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input contract.
+
+Every public constructor, and every reader of a file or of text, raises
+a TournsimError subclass on bad input, naming the field or the place in
+the text. A function handed a record of the wrong type, such as
+`l1_distance(None, x)`, may raise TypeError."""
 
 
 class TournsimError(ValueError):

@@ -2,12 +2,10 @@
 
 Each bracket format is written once, as a stage table in `BRACKETS`. A
 table lists the stages in playing order and the stages that give places
-1-8. It is compiled once, at import, by `_compile` into `_TABLES`: the
-board columns each stage reads its teams from and writes its results to,
-its resolved kind and its ledger labels. Both engines play that one
-compiled table, the interpreter `_play` here a tournament at a time and
-the batched engine `tournsim.batch` a block of campaign tournaments at a
-time. The brackets are:
+1-8. Both engines play its one compiled form in `_TABLES` (`_compile`),
+the interpreter `_play` here a tournament at a time and the batched
+engine `tournsim.batch` a block of campaign tournaments at a time. The
+brackets are:
 
 * the 2012 hybrid format (two seeded groups, two-legged semifinals,
   final / third-place / classification games; 20 games),
@@ -25,27 +23,18 @@ result, and its `resolve`, called once per slot after the slot's last
 game, is told the slot's natural winner (None when the scores are level)
 and names the winner. So the same tables serve three kinds of run:
 
-* live (`run_format`): games are sampled; a level slot is resolved by a
-  DecisivePolicy (resampled "replays" followed by a coin flip or
-  higher-seed rule), and the winner is recorded on the slot's last
-  ledger entry so replays never need the random stream;
-* replay (`replay_outcome`): games and winners are read back off a
-  recorded ledger, which must match the table game by game; a winner
-  recorded on a game that settles no slot (a round robin game, a first
-  leg, a best-of-three game that does not end its series) is rejected;
-* fixed (`rank_from_fixed_results`): games are read by team index off
-  the goals array of a `model.FixedResultTable`, rounded half away from
-  zero once per table, as the golden checks over the published tables do.
+* live (`run_format`, `_LiveProvider`): games are sampled, and a level
+  slot is resolved by a DecisivePolicy, its winner recorded on the ledger;
+* replay (`replay_outcome`, `_ReplayProvider`): games and winners are
+  read back off a recorded ledger, which must match the table;
+* fixed (`rank_from_fixed_results`, `_FixedProvider`): games are read
+  off a `model.FixedResultTable`, as the golden checks do.
 
 The iterated round-robin (the ground-truth oracle) is not a bracket: it
-samples every pair's games in one `sample_many` call, turns them into the
-integer goal and points matrices of its scheme by the `scoring` rules
-(`_scheme_matrices`), and ranks those with `scoring.league_table`. Its
-ledger, a `Ledger`, is the goals array it drew, in a fixed layout that
-gives each game's label and teams. Draws are checked, not cast: a goal
-`GameResult` would reject (0.4, NaN, a negative) fails the run, ledger
-kept or not. A replay reads that array as it lies, and a list of entries
-must be that ledger's entries, game by game. A bracket's ledger is a list
+samples every pair's games in one `sample_many` call and ranks them with
+`scoring.league_table` (`_scheme_matrices`). Its ledger, a `Ledger`, is
+the goals array it drew, checked, not cast: a goal `GameResult` would
+reject fails the run, ledger kept or not. A bracket's ledger is a list
 of entries, and a bracket round robin is ranked from its games by
 `scoring.rank`.
 """
@@ -60,7 +49,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .model import FixedResultTable, GameResult, _Fields, _integer, _record
+from .model import (_INT64_MAX, FixedResultTable, GameResult, _at_least, _bool, _choice,
+                    _Fields, _instance, _integer, _names, _record, _sequence)
 from .scoring import (
     CONTINUOUS,
     DEFAULT_POLICY,
@@ -79,69 +69,16 @@ UNIFORM_COIN = "uniform_coin"
 HIGHER_SEED = "higher_seed"
 
 
-class DecisivePolicy(_record("DecisivePolicy", "max_replays final_resolution")):
+class DecisivePolicy(_record("DecisivePolicy", dict(
+        max_replays=_at_least(0), final_resolution=_choice((UNIFORM_COIN, HIGHER_SEED))),
+        (1, UNIFORM_COIN))):
     """How a drawn game is turned into a winner where the format demands
     one: up to max_replays resampled games, then a final resolution."""
 
     __slots__ = ()
 
-    def __new__(cls, max_replays: int = 1, final_resolution: str = UNIFORM_COIN):
-        max_replays = _integer(max_replays, "max_replays must be an integer")
-        if max_replays < 0:
-            raise InvalidInputError("max_replays must be nonnegative")
-        if final_resolution not in (UNIFORM_COIN, HIGHER_SEED):
-            raise InvalidInputError(f"unknown final_resolution {final_resolution!r}")
-        return tuple.__new__(cls, (max_replays, final_resolution))
-
 
 DEFAULT_DECISIVE = DecisivePolicy()
-
-
-RANDOM_SEEDING = "random"
-
-
-class FormatSpec(_record("FormatSpec", "kind games_per_pair scheme best_of_three decisive "
-                               "policy seeding")):
-    """Declarative description of one tournament format run. `seeding` is
-    None for model order, "random" for a permutation drawn per run from the
-    run's stream, or a sequence of team names or integer indices, seed 1
-    first, kept as a tuple."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        kind: str,
-        games_per_pair: int = 1,
-        scheme: str = CONTINUOUS,
-        best_of_three: bool = False,
-        decisive: DecisivePolicy = DEFAULT_DECISIVE,
-        policy: TieBreakPolicy = DEFAULT_POLICY,
-        seeding: Optional[object] = None,
-    ):
-        if kind not in KINDS:
-            raise InvalidInputError(f"unknown format kind {kind!r}")
-        games_per_pair = _integer(games_per_pair, "games_per_pair must be an integer")
-        if games_per_pair < 1:
-            raise InvalidInputError("games_per_pair must be >= 1")
-        if scheme not in (CONTINUOUS, DISCRETE):
-            raise InvalidInputError(f"unknown scheme {scheme!r}")
-        if not isinstance(best_of_three, (bool, np.bool_)):
-            raise InvalidInputError(f"best_of_three must be a bool, not {best_of_three!r}")
-        if not isinstance(decisive, DecisivePolicy):
-            raise InvalidInputError(f"decisive must be a DecisivePolicy, not {decisive!r}")
-        if not isinstance(policy, TieBreakPolicy):
-            raise InvalidInputError(f"policy must be a TieBreakPolicy, not {policy!r}")
-        if isinstance(seeding, str):
-            if seeding != RANDOM_SEEDING:
-                raise InvalidInputError(f"unknown seeding {seeding!r}")
-        elif seeding is not None:
-            # A set has no order to seed by: its order would vary between runs.
-            if not isinstance(seeding, (Sequence, np.ndarray)):
-                raise InvalidInputError(f"seeding is not a sequence: {seeding!r}")
-            seeding = tuple(seeding)
-        return tuple.__new__(cls, (kind, games_per_pair, scheme, bool(best_of_three), decisive,
-                                   policy, seeding))
 
 
 class LedgerEntry(_Fields):
@@ -154,15 +91,6 @@ class LedgerEntry(_Fields):
         self.stage = stage
         self.result = result
         self.winner = winner
-
-
-# The largest goal a ledger's int64 array holds.
-_MAX_GOAL = np.iinfo(np.int64).max
-
-
-def _too_large(goal) -> InvalidInputError:
-    return InvalidInputError(f"goal {goal} is too large for the ledger, "
-                             f"which holds goals up to {_MAX_GOAL}")
 
 
 class Ledger(Sequence):
@@ -179,7 +107,7 @@ class Ledger(Sequence):
     __hash__ = None
 
     def __init__(self, names: Sequence[str], goals):
-        names = tuple(names)
+        names = _names(names, "names")
         # Goals not in an array are read as the values they are: numpy
         # would turn a bool among ints into an int.
         if not isinstance(goals, np.ndarray):
@@ -190,21 +118,20 @@ class Ledger(Sequence):
         if goals.ndim != 3 or goals.shape[:2] != (2, pairs):
             raise InvalidInputError(f"goals of shape {goals.shape} do not fit the {pairs} "
                                     f"pairs of {len(names)} teams")
-        if goals.dtype.kind in "iu":
-            if goals.dtype.kind == "u" and goals.size and int(goals.max()) > _MAX_GOAL:
-                raise _too_large(goals.max())
+        if goals.dtype.kind == "i":
             goals = goals.astype(np.int64, copy=False)
             if (goals < 0).any():
                 raise InvalidInputError("goals must be nonnegative")
         else:
-            # Any other goals: each game is built, so the first that
-            # `GameResult` rejects raises, and the goals it keeps are ints.
+            # Any other goals, unsigned too: each game is built, so the first
+            # that `GameResult` rejects raises, and the goals it keeps are ints.
             teams = _pair_index(len(names)).repeat(goals.shape[2], axis=1).tolist()
             games = [GameResult(names[h], names[a], *g)[2:] for h, a, g in
                      zip(*teams, goals.reshape(2, -1).T.tolist())]
             most = max(map(max, games), default=0)
-            if most > _MAX_GOAL:
-                raise _too_large(most)
+            if most > _INT64_MAX:
+                raise InvalidInputError(f"goal {most} is too large for the ledger, which "
+                                        f"holds goals up to {_INT64_MAX}")
             goals = np.array(games, np.int64).T.reshape(goals.shape)
         # A read-only view: writes through the ledger fail.
         goals = goals.view()
@@ -347,6 +274,31 @@ BRACKETS = {
 
 KINDS = ("iterated_round_robin", *BRACKETS)
 
+RANDOM_SEEDING = "random"
+
+
+def _seeding(seeding, name: str):
+    """A FormatSpec seeding: None, RANDOM_SEEDING, or a `_sequence` kept
+    as a tuple."""
+    if isinstance(seeding, str):
+        return _choice((RANDOM_SEEDING,))(seeding, name)
+    if seeding is not None and not _sequence(seeding):
+        raise InvalidInputError(f"seeding is not a sequence: {seeding!r}")
+    return None if seeding is None else tuple(seeding)
+
+
+class FormatSpec(_record("FormatSpec", dict(
+        kind=_choice(KINDS, "format kind"), games_per_pair=_at_least(1),
+        scheme=_choice((CONTINUOUS, DISCRETE)), best_of_three=_bool,
+        decisive=_instance(DecisivePolicy), policy=_instance(TieBreakPolicy), seeding=_seeding),
+        (1, CONTINUOUS, False, DEFAULT_DECISIVE, DEFAULT_POLICY, None))):
+    """Declarative description of one tournament format run. `seeding` is
+    None for model order, "random" for a permutation drawn per run from the
+    run's stream, or a sequence of team names or integer indices, seed 1
+    first, kept as a tuple."""
+
+    __slots__ = ()
+
 # The compiled kind of a playoff under best of three.
 _BEST_OF_THREE = "best_of_three"
 
@@ -392,7 +344,8 @@ _TABLES = {(kind, best_of_three): _compile(stages, places, best_of_three)
 
 
 class _LiveProvider:
-    """Samples fresh games and resolves draws via the decisive policy."""
+    """Samples fresh games and resolves draws via the decisive policy, each
+    slot's winner recorded on its last entry: a replay draws nothing."""
 
     def __init__(self, sampler, rng, decisive: DecisivePolicy, seeds: list[int]):
         self.sampler = sampler

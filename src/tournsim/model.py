@@ -8,38 +8,135 @@ Both kinds of team-by-team table are defined here: `PairwiseGoalModel`,
 the goal means and per-pair points that `load_model` reads, and
 `FixedResultTable`, the combined score tables of `tournsim.fixtures`.
 Read from text, each goes through one reader, `_read_table`, which checks
-the table's layout and parses its cells into one float array. Both types
-are `__slots__` classes whose fields cannot be reassigned (`_Frozen`):
-they set their names and array once and check their shape through one
-constructor step, `_freeze`; each then checks its own value rule, naming
-the first bad cell (`_reject_first_cell`). A game's goals are
-nonnegative integers (`GameResult`).
+the table's layout and parses its cells into one float array. Both are
+`__slots__` classes whose fields are set once (`_Frozen`), by one
+constructor step, `_freeze`, that reads the names and the array and
+checks their shape; each then checks its own value rule, naming the
+first bad cell (`_reject_first_cell`).
 
-The package's records are plain classes, cheap to build at import, which
-every fresh interpreter pays for. A frozen value record is a namedtuple
-subclass (`_record`) that checks its fields in `__new__`; a mutable
-record is a `__slots__` class equal to another of its class with equal
-fields (`_Fields`).
+The package's records are plain classes, cheap to build at import. A
+frozen value record is a namedtuple subclass (`_record`) whose fields are
+declared once, each with its reader; `_at_least`, `_choice`, `_instance`,
+`_bool`, `_names`, `_goal` and `_sampler` read every kind of field the
+package has. A mutable record is a `__slots__` class equal to another of
+its class with equal fields (`_Fields`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
-from typing import Callable, Sequence
+from collections.abc import Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import IngestionError, InvalidInputError, InvalidPairingError
 
 
-def _record(typename: str, field_names: str) -> type:
-    """The namedtuple base of a frozen value record whose subclass checks
-    its fields in `__new__`. Its `_make`, and so `_replace`, build through
-    the subclass constructor, as copying and unpickling already do."""
-    base = namedtuple(typename, field_names)
+def _record(typename: str, fields: dict, defaults: tuple = ()) -> type:
+    """The namedtuple base of a frozen value record whose constructor reads
+    each field by its reader in `fields`, `read(value, name)`: the value
+    kept, or an InvalidInputError that names the field. Its `_make`, and so
+    `_replace`, build through the constructor, as copy and unpickling do."""
+    base = namedtuple(typename, fields, defaults=defaults)
+    bind, readers = base.__new__, tuple(fields.items())
+
+    @functools.wraps(bind)
+    def __new__(cls, *args, **kwargs):
+        values = bind(cls, *args, **kwargs)  # the arguments, defaults filled in
+        return tuple.__new__(cls, [read(v, name) for (name, read), v in zip(readers, values)])
+
+    base.__new__ = staticmethod(__new__)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
+
+
+def _integer(value, rule: str = "goals must be integers") -> int:
+    """`value` as an int, if it is an integral number and not a bool;
+    otherwise an error that states `rule` and shows the value."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInputError(f"{rule}, not {value!r}")
+
+
+# The largest int an int64 holds: a ledger's goals, and a histogram's L1
+# values and counts, whose statistics are floats, are at most this.
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _at_least(low) -> Callable:
+    """A reader of an integer (`_integer`) of at least `low`."""
+    def read(value, name: str) -> int:
+        value = _integer(value, f"{name} must be an integer")
+        if value < low:
+            raise InvalidInputError(f"{name} must be >= {low}, not {value}")
+        return value
+    return read
+
+
+def _choice(options: tuple, label: str = "") -> Callable:
+    """A reader of a str in `options`; an error names `label` or the field."""
+    def read(value, name: str) -> str:
+        if isinstance(value, str) and value in options:
+            return value
+        raise InvalidInputError(f"unknown {label or name} {value!r}")
+    return read
+
+
+def _instance(cls: type, what: str = "") -> Callable:
+    """A reader of an instance of `cls`, a `what` (by default its name)."""
+    def read(value, name: str):
+        if isinstance(value, cls):
+            return value
+        raise InvalidInputError(f"{name} must be a {what or cls.__name__}, not {value!r}")
+    return read
+
+
+_name = _instance(str, "team name")
+
+
+def _bool(value, name: str) -> bool:
+    """A bool or numpy bool, kept as a bool."""
+    return bool(_instance((bool, np.bool_), "bool")(value, name))
+
+
+def _goal(value, name: str) -> int:
+    """A game's goals: a nonnegative integer, as `_integer` reads it."""
+    value = _integer(value)
+    if value < 0:
+        raise InvalidInputError("goals must be nonnegative")
+    return value
+
+
+def _sequence(value) -> bool:
+    """Whether `value` is a sequence but no str, or an array of 1+ dims; a
+    set is none, as its order would vary between runs."""
+    return (isinstance(value, Sequence) and not isinstance(value, str)
+            or isinstance(value, np.ndarray) and value.ndim > 0)
+
+
+def _names(value, name: str) -> tuple:
+    """A `_sequence` of team names, as a tuple of its own."""
+    # A list needs no slower ABC check, and `str.join` checks every name.
+    if value.__class__ is list or _sequence(value):
+        names = tuple(value)
+        try:
+            "".join(names)
+            return names
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{name} must be a sequence of team names, not {value!r}")
+
+
+def _sampler(value, name: str):
+    """A sampler: any object whose `names` `_names` reads."""
+    _names(getattr(value, "names", None), f"{name} names")
+    return value
 
 
 class _Fields:
@@ -80,35 +177,24 @@ class _Frozen(_Fields):
         return type(self), self._values()
 
 
-class GameResult(_record("GameResult", "home away home_goals away_goals")):
-    """One sampled game: the two teams by name, integer goals for each side.
-    An immutable tuple that unpacks as (home, away, home_goals, away_goals);
-    every way of building one (the constructor, `_make`, `_replace`, copy
-    and unpickling) runs its checks. A goal that is not an int, such as a
-    numpy integer or 2.0, is kept as the int it equals; a bool, a
-    non-integral number, NaN or inf is rejected."""
+class GameResult(_record("GameResult", dict(home=_name, away=_name, home_goals=_goal,
+                                            away_goals=_goal))):
+    """One sampled game: the two teams by name and integer goals for each
+    side, a tuple that unpacks as (home, away, home_goals, away_goals). A
+    goal that is not an int, such as a numpy integer or 2.0, is kept as the
+    int it equals; a bool, a non-integral number, NaN or inf is rejected."""
 
     __slots__ = ()
 
     def __new__(cls, home: str, away: str, home_goals: int, away_goals: int):
+        # Two strs and two nonnegative ints, as the engines pass, skip the readers.
+        if not (home.__class__ is str and away.__class__ is str and home_goals.__class__ is int
+                and away_goals.__class__ is int and home_goals >= 0 and away_goals >= 0):
+            home, away, home_goals, away_goals = super().__new__(cls, home, away, home_goals,
+                                                                 away_goals)
         if home == away:
             raise InvalidPairingError("a team cannot play itself")
-        if type(home_goals) is not int or type(away_goals) is not int:
-            home_goals, away_goals = _integer(home_goals), _integer(away_goals)
-        if home_goals < 0 or away_goals < 0:
-            raise InvalidInputError("goals must be nonnegative")
         return tuple.__new__(cls, (home, away, home_goals, away_goals))
-
-
-def _integer(value, rule: str = "goals must be integers") -> int:
-    """`value` as an int, if it is an integral number and not a bool;
-    otherwise an error that states `rule` and shows the value."""
-    try:
-        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidInputError(f"{rule}, not {value!r}")
 
 
 # The largest mean a model accepts: a team's goal total in any oracle run
@@ -118,10 +204,8 @@ MAX_MEAN_GOALS = 1e6
 
 class PairwiseGoalModel(_Frozen):
     """n x n matrix of mean goals; entry (i, j) is the expected goals team i
-    scores against team j, from 0 to MAX_MEAN_GOALS. The diagonal is unused
-    and stored as 0. Holds its own tuple of the names and read-only copy of
-    the means, set once by the constructor, so it is immutable after
-    construction and safe to share across workers."""
+    scores against team j, from 0 to MAX_MEAN_GOALS, the unused diagonal 0.
+    Its names and means are its own (`_freeze`): it is safe to share."""
 
     __slots__ = ("names", "mean_goals")  # (n, n) floats
 
@@ -136,11 +220,9 @@ class PairwiseGoalModel(_Frozen):
 
 
 class FixedResultTable(_Frozen):
-    """A complete pairwise score table, used to replay the proposed format
-    over fixed, non-sampled results. Its fields cannot be reassigned.
-    names, a tuple of distinct team names, and goals, a read-only copy, are
-    set once by the constructor: the caller's list and array stay theirs.
-    goals holds at [i, j] the goals of names[i] and of names[j] in their
+    """A complete pairwise score table of its own (`_freeze`), used to
+    replay the proposed format over fixed, non-sampled results. goals holds
+    at [i, j] the goals of names[i] and of names[j] in their
     game with names[i] at home, each as printed (integer or
     average-valued), finite and nonnegative; the unused diagonal is 0. A
     pair's cells need not mirror."""
@@ -157,24 +239,28 @@ class FixedResultTable(_Frozen):
 
 def _freeze(table: _Frozen, names, values, cell: tuple[int, ...], error: type, kind: str,
             bad_shape: str):
-    """Set both fields of a team table once: its names as a tuple, its
-    values as a read-only float copy with a zero diagonal. Returns the
-    two."""
-    names = tuple(names)
-    values = np.array(values, dtype=float)  # a copy: the caller's stays theirs
+    """Set a team table's names (`_names`) and its values, a read-only float
+    array of its own with a zero diagonal, once; returns the two."""
+    # The fields by slot, as `_Frozen.__setattr__` refuses every write.
+    name_slot, values_slot = type(table).__slots__
+    names = _names(names, name_slot)
     n = len(names)
+    try:
+        array = np.array(values, dtype=float)  # a copy: the caller's stays theirs
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.ndim == 0:  # numpy reads None as NaN
+        raise error(f"{values_slot} must be an array of numbers, not {values!r}")
     if len(set(names)) != n:
         raise error(f"duplicate team name in {kind}")
     need = (n, n, *cell)
-    if values.shape != need:
-        raise error(bad_shape.format(shape=values.shape, n=n, need=need))
-    values[range(n), range(n)] = 0
-    values.setflags(write=False)
-    # The fields by slot, as `_Frozen.__setattr__` refuses every write.
-    name_slot, values_slot = type(table).__slots__
+    if array.shape != need:
+        raise error(bad_shape.format(shape=array.shape, n=n, need=need))
+    array[range(n), range(n)] = 0
+    array.setflags(write=False)
     object.__setattr__(table, name_slot, names)
-    object.__setattr__(table, values_slot, values)
-    return names, values
+    object.__setattr__(table, values_slot, array)
+    return names, array
 
 
 def _reject_first_cell(names: Sequence[str], bad, error: type, message: Callable) -> None:
@@ -251,7 +337,7 @@ class PoissonSampler:
     backend = "poisson"
 
     def __init__(self, model: PairwiseGoalModel):
-        self.model = model
+        self.model = model = _instance(PairwiseGoalModel)(model, "model")
         self.names = model.names
         self._m = model.mean_goals
         # The means as Python floats for `sample`: indexing a list of lists
@@ -293,13 +379,6 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     words = [master_seed, *key]
     for w, word in enumerate(words):
         if type(word) is not int or word < 0:
-            words[w] = _at_least(word, "key" if w else "seed")
+            words[w] = _at_least(0)(word, "key" if w else "seed")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
-
-def _at_least(value, name: str, low: int = 0) -> int:
-    """`value` as `_integer` reads it, at least `low`; errors name it `name`."""
-    value = _integer(value, f"{name} must be an integer")
-    if value < low:
-        raise InvalidInputError(f"{name} must be >= {low}, not {value}")
-    return value

@@ -12,23 +12,14 @@ keeps the rows inside it, and workers receive runs of whole blocks, so the
 result is bit-identical for a given spec regardless of worker count, and a
 campaign may be split into sub-campaigns and merged.
 
-A process pool costs more than a batched block: importing the pool
-machinery, starting the pool and each worker's first, cold run add up to
-~60-75 ms on a 2-core machine, against ~2 ms a block. So `run_campaigns`
-takes its `workers` as an upper bound: a campaign whose blocks are all
-batched, and too few to pay for a pool, plays in the calling process
-(`_process_count`).
+A process pool costs ~60-75 ms to start on a 2-core machine, against ~2
+ms a batched block, so `run_campaigns` takes its `workers` as an upper
+bound (`_process_count`).
 
-Both engines play the stage tables `formats.BRACKETS` and the tie-break
-kernel `scoring.tiebreak_order`. Specs the batched engine supports
-(`batch.supports`) play a block as arrays: `formats._seed_rows` draws its
-seeds on the block's generator and `batch.play_block` plays them. The
-rest run `formats.run_format`, which seeds by the same rule, row after
-row on the block's generator, up to the campaign's last tournament.
-
-A campaign keeps only each L1 value's count, so its memory does not grow
-with its size: a `DiscrepancyDistribution` holds `counts` (a zero count is
-dropped) and `n_teams`, and computes its statistics from the counts.
+Specs the batched engine supports (`batch.supports`) play a block as
+arrays, seeded by `formats._seed_rows` and played by `batch.play_block`;
+the rest run `formats.run_format`, which seeds by the same rule, row
+after row on the block's generator, up to the campaign's last tournament.
 """
 
 from __future__ import annotations
@@ -45,7 +36,7 @@ import numpy as np
 from . import batch
 from .errors import InvalidComparisonError, InvalidInputError, TournsimError
 from .formats import FormatSpec, _seed_rows, run_format
-from .model import _at_least, _integer, _record, derive_rng
+from .model import _INT64_MAX, _at_least, _instance, _integer, _record, _sampler, derive_rng
 from .scoring import Ranking, l1_distance
 
 BLOCK_SIZE = 250  # tournaments per block of the stream layout
@@ -60,50 +51,50 @@ STREAM_LAYOUT = "v2"  # written as `stream=` in campaign histogram headers
 HISTOGRAM_MAGIC = "# tournsim-histogram v1"
 
 
-class CampaignSpec(_record("CampaignSpec", "format sampler truth n_tournaments master_seed "
-                                 "start_index")):
+class CampaignSpec(_record("CampaignSpec", dict(
+        format=_instance(FormatSpec), sampler=_sampler, truth=_instance(Ranking),
+        n_tournaments=_at_least(1), master_seed=_at_least(0), start_index=_at_least(0)), (0,))):
     """One campaign: `n_tournaments` runs of `format` from tournament
-    `start_index` of `master_seed`'s streams, each scored against `truth`.
-    The sampler is a PoissonSampler; any other takes the scalar fallback."""
+    `start_index` of `master_seed`'s streams, each scored against `truth`
+    of the sampler's teams. A sampler not a PoissonSampler runs scalar."""
 
     __slots__ = ()
 
-    def __new__(cls, format: FormatSpec, sampler, truth: Ranking, n_tournaments: int,
-                master_seed: int, start_index: int = 0):
-        if not isinstance(format, FormatSpec):
-            raise InvalidInputError(f"format must be a FormatSpec, not {format!r}")
-        if not isinstance(truth, Ranking):
-            raise InvalidInputError(f"truth must be a Ranking, not {truth!r}")
-        n_tournaments = _integer(n_tournaments, "n_tournaments must be an integer")
-        if n_tournaments < 1:
-            raise InvalidInputError("n_tournaments must be >= 1")
-        start_index = _at_least(start_index, "start_index")
-        master_seed = _at_least(master_seed, "master_seed")
-        if set(truth.places) != set(sampler.names):
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if set(spec.truth.places) != set(spec.sampler.names):
             raise InvalidInputError("truth ranking does not cover the model's teams")
-        return tuple.__new__(cls, (format, sampler, truth, n_tournaments, master_seed,
-                                   start_index))
+        return spec
 
 
-class DiscrepancyDistribution(_record("DiscrepancyDistribution", "counts n_teams")):
-    """Empirical distribution of L1 distances from one campaign: `counts`,
-    a dict of its own of each L1 value's positive count in value order, and
-    the team count `n_teams`. Its statistics are computed from the counts."""
+def _counts(counts, name: str) -> dict:
+    """Each L1 value's count, both ints (`_integer`), as a histogram holds."""
+    if not isinstance(counts, Mapping):
+        raise InvalidInputError(f"{name} must be a mapping of L1 value to count, not {counts!r}")
+    return {_integer(v, "L1 values must be integers"): _integer(c, "counts must be integers")
+            for v, c in counts.items()}
+
+
+class DiscrepancyDistribution(_record("DiscrepancyDistribution", dict(
+        counts=_counts, n_teams=_at_least(float("-inf"))))):
+    """Empirical distribution of L1 distances from one campaign, in memory
+    that does not grow with it: `counts`, each L1 value's positive count in
+    value order, and `n_teams`, at least 2. Its statistics are properties."""
 
     __slots__ = ()
 
     def __new__(cls, counts: Mapping[int, int], n_teams: int):
-        n_teams = _integer(n_teams, "n_teams must be an integer")
+        counts, n_teams = super().__new__(cls, counts, n_teams)
         if n_teams < 2:
             raise InvalidInputError(f"a ranking needs at least 2 teams, not {n_teams}")
-        # Both as the ints a histogram file holds: a bool or a fraction is rejected.
-        counts = {_integer(v, "L1 values must be integers"): _integer(c, "counts must be integers")
-                  for v, c in counts.items()}
         for v, c in counts.items():
             if v % 2 or not (0 <= v <= (n_teams * n_teams) // 2):
                 raise InvalidInputError(f"impossible L1 value {v} for n={n_teams}")
             if c < 0:
                 raise InvalidInputError(f"negative count {c} for L1 value {v}")
+            if max(v, c) > _INT64_MAX:
+                raise InvalidInputError(f"L1 value {v} with count {c}: a histogram holds values "
+                                        f"and counts up to {_INT64_MAX}")
         if not any(counts.values()):
             raise InvalidInputError("empty distribution")
         return tuple.__new__(cls, ({v: counts[v] for v in sorted(counts) if counts[v]}, n_teams))
@@ -300,7 +291,7 @@ def run_campaigns(
     spec's blocks are split into up to `_process_count` runs, and the runs
     of all specs share one pool. A campaign that pays for no pool plays in
     the calling process, and the pool machinery is not imported."""
-    workers = _at_least(workers, "workers", 1)
+    workers = _at_least(1)(workers, "workers")
     ranges = [_block_range(spec) for spec in specs]
     processes = _process_count(specs, ranges, workers)
     runs = []  # (spec number, first block, last block)

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InvalidComparisonError, InvalidInputError
-from .model import GameResult, _Fields, _record
+from .model import GameResult, _choice, _Fields, _names, _record, _sequence
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -109,61 +109,62 @@ def round_robin_totals(goals, points):
     return points.sum(-1), goals.sum(-1), np.swapaxes(goals, -1, -2).sum(-1)
 
 
-class TieBreakPolicy(_record("TieBreakPolicy", "criteria")):
-    """Ordered tie-break criteria, kept as a tuple of their own; they must
-    end in seed_order so the resulting ranking is always a total order."""
+def _criteria(criteria, name: str) -> tuple:
+    """Tie-break criteria: a `_sequence` of distinct known criteria ending
+    in seed_order, kept as a tuple of its own, so a list the caller changes
+    later cannot change the policy unchecked or make it unhashable."""
+    if not _sequence(criteria):
+        raise InvalidInputError(f"{name} must be a sequence of criterion names, not {criteria!r}")
+    criteria = tuple(_choice(CRITERIA, "criterion")(c, name) for c in criteria)
+    if len(set(criteria)) != len(criteria):
+        raise InvalidInputError("tie-break criteria must be unique")
+    if criteria[-1:] != ("seed_order",):
+        raise InvalidInputError("criteria must end with seed_order")
+    return criteria
+
+
+class TieBreakPolicy(_record("TieBreakPolicy", dict(criteria=_criteria),
+                             (("points", "goal_difference", "goals_for", "seed_order"),))):
+    """Ordered tie-break criteria (`_criteria`); they must end in
+    seed_order so the resulting ranking is always a total order."""
 
     __slots__ = ()
-
-    def __new__(cls, criteria: Sequence[str] = ("points", "goal_difference", "goals_for",
-                                                "seed_order")):
-        # A string is a sequence of one-letter criteria, and a set has no
-        # order: its order would vary between runs.
-        if isinstance(criteria, str) or not isinstance(criteria, (Sequence, np.ndarray)):
-            raise InvalidInputError("criteria must be a sequence of criterion names, "
-                                    f"not {criteria!r}")
-        # A copy: a list the caller changes later would change the policy
-        # unchecked, and would make it and a FormatSpec holding it unhashable.
-        criteria = tuple(criteria)
-        # Each criterion is known, so hashable, before the set is built.
-        for c in criteria:
-            if c not in CRITERIA:
-                raise InvalidInputError(f"unknown criterion {c!r}")
-        if len(set(criteria)) != len(criteria):
-            raise InvalidInputError("tie-break criteria must be unique")
-        if criteria[-1:] != ("seed_order",):
-            raise InvalidInputError("criteria must end with seed_order")
-        return tuple.__new__(cls, (criteria,))
 
 
 DEFAULT_POLICY = TieBreakPolicy()
 
 
-class Ranking(_record("Ranking", "places")):
-    """Bijection from team name to place 1..n, kept as a dict of its own.
-    Places are ints; a bool or a float such as 1.0 is rejected."""
+def _places(places, name: str) -> dict:
+    """A mapping of team name to place, kept as a dict of its own, whose
+    places are 1..n. A place that is an integer but not an int, such as a
+    numpy integer, is kept as an int; a bool or a float is rejected."""
+    if not (isinstance(places, Mapping) and all(isinstance(team, str) for team in places)):
+        raise InvalidInputError(f"{name} must be a mapping of team to place, not {places!r}")
+    places = dict(places)  # a copy: a later change to the caller's cannot reach it
+    for team, place in places.items():
+        if type(place) is not int:
+            if isinstance(place, bool) or not hasattr(place, "__index__"):
+                raise InvalidInputError(f"{name} must be integers, not {place!r}")
+            places[team] = operator.index(place)
+    if sorted(places.values()) != list(range(1, len(places) + 1)):
+        raise InvalidInputError("ranks must be a permutation of 1..n")
+    return places
+
+
+class Ranking(_record("Ranking", dict(places=_places))):
+    """Bijection from team name to place 1..n (`_places`)."""
 
     __slots__ = ()
 
-    def __new__(cls, places: Mapping[str, int]):
-        if not isinstance(places, Mapping):
-            raise InvalidInputError(f"places must be a mapping of team to place, not {places!r}")
-        places = dict(places)  # a copy: a later change to the caller's cannot reach it
-        for name, place in places.items():
-            if type(place) is not int:
-                places[name] = _place(place)
-        if sorted(places.values()) != list(range(1, len(places) + 1)):
-            raise InvalidInputError("ranks must be a permutation of 1..n")
-        return tuple.__new__(cls, (places,))
-
     @classmethod
     def from_order(cls, names: Sequence[str]) -> "Ranking":
+        """The ranking of distinct team names (`_names`), best first."""
+        names = _names(names, "names")
         places = {name: i for i, name in enumerate(names, 1)}
         if len(places) < len(names):
             twice = next(name for name in names if names.count(name) > 1)
             raise InvalidInputError(f"team {twice!r} is listed more than once")
-        # Distinct names in places 1..n are the permutation `__new__` would
-        # sort to check, so the check is skipped.
+        # Distinct names in places 1..n are a permutation: no sort to check.
         return tuple.__new__(cls, (places,))
 
     def order(self) -> list[str]:
@@ -172,17 +173,6 @@ class Ranking(_record("Ranking", "places")):
 
     def __getitem__(self, name: str) -> int:
         return self.places[name]
-
-
-def _place(value) -> int:
-    """A place that is an integer but not an int, such as a numpy integer,
-    as an int; anything else is rejected."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise InvalidInputError(f"places must be integers, not {value!r}")
 
 
 def tiebreak_order(points, goals_for, goals_against, policy: TieBreakPolicy, pair_points=None):

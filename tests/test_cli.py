@@ -1,9 +1,22 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tournsim import InvalidInputError, PoissonSampler, __version__, cli, fixtures, montecarlo
+from tournsim import (
+    DiscrepancyDistribution,
+    InvalidInputError,
+    PoissonSampler,
+    __version__,
+    cli,
+    fixtures,
+    montecarlo,
+)
 from tournsim.cli import main
 
 from pools import pool_sizes
@@ -238,8 +251,8 @@ class TestSimulate:
         assert "seed must be >= 0, not -5" in err
 
     @pytest.mark.parametrize("flags, message", [
-        (["f2012", "--max-replays", "-1"], "max_replays must be nonnegative"),
-        (["oracle", "--games-per-pair", "0"], "games_per_pair must be >= 1"),
+        (["f2012", "--max-replays", "-1"], "max_replays must be >= 0, not -1"),
+        (["oracle", "--games-per-pair", "0"], "games_per_pair must be >= 1, not 0"),
     ])
     def test_invalid_spec_is_data_error(self, capsys, flags, message):
         code, out, err = run(capsys, "simulate", "--model", MODEL_2012, "--format", *flags)
@@ -669,6 +682,19 @@ class TestUnreadableInput:
         assert (code, out) == (2, "")
         assert err.startswith("tournsim: error: ") and error in err
 
+    @pytest.mark.parametrize("n_teams, l1, count", [
+        # Counts or values no float holds ended `compare` in OverflowError.
+        (8, 2, 10**400), (8, 2, 2**63), (10**200, 10**320, 1),
+    ])
+    def test_histogram_beyond_int64_is_data_error(self, capsys, tmp_path, n_teams, l1, count):
+        hist = tmp_path / "hist.csv"
+        hist.write_text("# tournsim-histogram v1\n"
+                        f"# n_teams={n_teams} n_samples={count}\nl1,count\n{l1},{count}\n")
+        code, out, err = run(capsys, "compare", str(hist), str(hist))
+        assert (code, out) == (2, "")
+        assert err == (f"tournsim: error: {hist}: L1 value {l1} with count {count}: a histogram "
+                       f"holds values and counts up to {2**63 - 1}\n")
+
     def test_malformed_second_histogram_is_named(self, capsys, tmp_path):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
         run(capsys, "campaign", "--model", MODEL_2012, "--format", "f2012",
@@ -755,3 +781,112 @@ class TestUsage:
         assert run(
             capsys, "simulate", "--model", MODEL_2012, "--format", "nope"
         )[0] == 1
+
+
+# The text of each kind of input file: the bundled 2012 model and points
+# tables, its truth ranking and a written histogram.
+INPUTS = {
+    "model": fixtures.fixture_text("robocup2012.csv"),
+    "points": fixtures.fixture_text("robocup2012.points.csv"),
+    "truth": "\n".join(fixtures.R_C_2012.order()) + "\n",
+    "histogram": DiscrepancyDistribution.from_counts({0: 3, 2: 5, 4: 2}, 8).to_text(
+        {"stream": montecarlo.STREAM_LAYOUT}),
+}
+# Integer flags, each always given and at most its cap, so that no run is
+# long or starts more than 2 processes.
+CAPS = {"n": 500, "workers": 2, "games_per_pair": 3, "max_replays": 3, "seed": 2**40}
+CELLS = st.one_of(
+    st.sampled_from(["", "-", "nan", "inf", "-1", "0", "1e6", "1e7", "x", "1:2", "# n_teams=1"]),
+    st.integers(-10**400, 10**400).map(str), st.floats().map(str), st.text(max_size=3),
+)
+
+
+@st.composite
+def mutated(draw, text: str) -> bytes:
+    """`text` with up to three lines dropped, repeated or with a
+    comma-separated cell replaced, then perhaps one byte flipped."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["drop", "repeat", "cell"]))
+        if how == "drop":
+            del lines[i]
+        elif how == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            cells = lines[i].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(CELLS)
+            lines[i] = ",".join(cells)
+    data = bytearray("\n".join(lines).encode())
+    if data and draw(st.booleans()):
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+def subcommands() -> dict:
+    """Each subcommand's name and its parser's actions, help left out."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+            for name, parser in sub.choices.items()}
+
+
+# The kind of input file each file flag or argument reads.
+READS = {"model": "model", "points": "points", "truth": "truth", "a": "histogram",
+         "b": "histogram"}
+
+
+@st.composite
+def command_lines(draw, tmp_path):
+    """argv for a subcommand, built from its parser's actions, and the
+    bytes of each input file of INPUTS it may name, under `tmp_path` as is
+    every output. At most one input file is mutated, and at most one action
+    given a bad value."""
+    name, actions = draw(st.sampled_from(sorted(subcommands().items())))
+    broken = draw(st.sampled_from([None, *INPUTS]))
+    files = {tmp_path / f"{kind}.csv": draw(mutated(text)) if kind == broken else text.encode()
+             for kind, text in INPUTS.items()}
+    bad = draw(st.sampled_from([None, *actions]))
+    argv = [name]
+    for action in actions:
+        dest = action.dest
+        if not (action.required or dest in CAPS or draw(st.booleans())):
+            continue
+        if dest in CAPS:
+            low = 0 if dest in ("max_replays", "seed") else 1
+            value = [str(draw(st.integers(-2, low - 1) if action is bad
+                              else st.integers(low, CAPS[dest])))]
+        elif action.nargs == 0:  # a flag
+            value = []
+        elif action.choices:
+            choices = st.lists(st.sampled_from(list(action.choices)), min_size=1,
+                               max_size=3 if action.nargs == "+" else 1)
+            value = ["bogus"] if action is bad else draw(choices)
+        elif dest == "out":
+            value = [str(draw(st.sampled_from([tmp_path, tmp_path / "missing" / "out.csv"]))
+                         if action is bad else tmp_path / "out.csv")]
+        else:  # an input file: another kind of file if bad
+            kinds = (list(INPUTS) if action is bad
+                     else ["oracle", "truth"] if dest == "truth" else [READS[dest]])
+            kind = draw(st.sampled_from(kinds))
+            value = [kind if kind == "oracle" else str(tmp_path / f"{kind}.csv")]
+        argv += [*action.option_strings[:1], *value]
+    return argv, files
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_command_line_exits_with_a_status(tmp_path, data):
+    argv, files = data.draw(command_lines(tmp_path))
+    # Every example writes its own input files over the last one's.
+    for path, content in files.items():
+        path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("tournsim: error: ")
+        assert err.getvalue().count("\n") == 1

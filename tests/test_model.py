@@ -295,7 +295,7 @@ def one_game_ledger(home_goals, away_goals):
 
 
 class TestGameResult:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(columns=GOAL_COLUMNS)
     def test_ledger_builds_and_rejects_as_the_constructor(self, columns):
         names = ("A", "B", "C")
