@@ -1,9 +1,8 @@
 """Exception types shared across the package, and the input contract.
 
-Every public constructor, and every reader of a file or of text, raises
-a TournsimError subclass on bad input, naming the field or the place in
-the text. A function handed a record of the wrong type, such as
-`l1_distance(None, x)`, may raise TypeError."""
+Every public constructor and function, and every reader of a file or of
+text, raises a TournsimError subclass on bad input, naming the field or
+argument, or the place in the text."""
 
 
 class TournsimError(ValueError):

@@ -16,7 +16,7 @@ any other year with an InvalidInputError.
 `discrete_fixture_standings` and `continuous_fixture_standings` return
 the league table of a goal model (and, under the continuous scheme, of its
 points model), bundled or read by `tournsim rank`: the standings and the
-ranking `scoring.league_table` builds for every complete round robin.
+ranking `scoring.league_table` builds from its matrices.
 `tournsim rank` prints them and the golden checks check them. A points
 table whose cells no league can have is rejected.
 """

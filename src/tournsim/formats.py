@@ -31,26 +31,26 @@ and names the winner. So the same tables serve three kinds of run:
   off a `model.FixedResultTable`, as the golden checks do.
 
 The iterated round-robin (the ground-truth oracle) is not a bracket: it
-samples every pair's games in one `sample_many` call and ranks them with
-`scoring.league_table` (`_scheme_matrices`). Its ledger, a `Ledger`, is
-the goals array it drew, checked, not cast: a goal `GameResult` would
-reject fails the run, ledger kept or not. A bracket's ledger is a list
-of entries, and a bracket round robin is ranked from its games by
-`scoring.rank`.
+samples every pair's games in one `sample_many` call, and its live run
+and its replay rank them by one call, `_oracle_ranking`, which ends in
+`scoring.rank_totals`. Its ledger, a `Ledger`, is the goals array it
+drew, checked, not cast: a goal `GameResult` would reject fails the run,
+ledger kept or not. A bracket's ledger is a list of entries, and a
+bracket round robin is ranked from its games by `scoring.rank`.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
 from .model import (_INT64_MAX, FixedResultTable, GameResult, _at_least, _bool, _choice,
-                    _Fields, _instance, _integer, _names, _record, _sequence)
+                    _Fields, _instance, _integer, _names, _record, _sampler, _sequence)
 from .scoring import (
     CONTINUOUS,
     DEFAULT_POLICY,
@@ -58,10 +58,11 @@ from .scoring import (
     Ranking,
     TieBreakPolicy,
     game_points,
-    league_table,
     points_matrix,
     rank,
+    rank_totals,
     round_half_away,
+    round_robin_totals,
     standings_from_games,
 )
 
@@ -278,13 +279,15 @@ RANDOM_SEEDING = "random"
 
 
 def _seeding(seeding, name: str):
-    """A FormatSpec seeding: None, RANDOM_SEEDING, or a `_sequence` kept
-    as a tuple."""
+    """A FormatSpec seeding: None, RANDOM_SEEDING, or a `_sequence` of team
+    names and integer indices (`_integer`), kept as a tuple."""
     if isinstance(seeding, str):
         return _choice((RANDOM_SEEDING,))(seeding, name)
     if seeding is not None and not _sequence(seeding):
-        raise InvalidInputError(f"seeding is not a sequence: {seeding!r}")
-    return None if seeding is None else tuple(seeding)
+        raise InvalidInputError(f"{name} is not a sequence: {seeding!r}")
+    return None if seeding is None else tuple(
+        s if isinstance(s, str) else _integer(s, f"{name} indices must be integers")
+        for s in seeding)
 
 
 class FormatSpec(_record("FormatSpec", dict(
@@ -566,9 +569,15 @@ def _iterated_round_robin(spec: FormatSpec, sampler, rng, keep_games: bool) -> T
         # The drawn goals are the ledger, which checks them as `GameResult` does.
         entries = Ledger(names, goals)
         goals = entries.goals
-    _, ranking = league_table(names, *_scheme_matrices(len(names), goals, spec.scheme),
-                              spec.policy)
-    return TournamentOutcome(ranking, entries if keep_games else None, goals[0].size)
+    return TournamentOutcome(_oracle_ranking(names, goals, spec),
+                             entries if keep_games else None, goals[0].size)
+
+
+def _oracle_ranking(names: Sequence[str], goals, spec: FormatSpec) -> Ranking:
+    """The oracle's Ranking of `names` under spec.scheme and spec.policy,
+    of the goals array (2, pairs, k) of its ledger."""
+    goals, points = _scheme_matrices(len(names), goals, spec.scheme)
+    return rank_totals(names, round_robin_totals(goals, points), spec.policy, points)
 
 
 def _scheme_matrices(n: int, goals, scheme: str):
@@ -577,7 +586,7 @@ def _scheme_matrices(n: int, goals, scheme: str):
     goals goals[:, p]: k times the summed per-pair means (3 points a win,
     1 a draw) under the continuous scheme; each pair's mean scoreline,
     rounded half away from zero and scored as one game, under the discrete
-    one. So `league_table` decides ties, head-to-head too, exactly."""
+    one. So `rank_totals` decides ties, head-to-head too, exactly."""
     pairs = _pair_index(n)
     cells = pairs, pairs[::-1]  # (i, j) of each pair, then (j, i)
     matrix = np.zeros((n, n), dtype=np.int64)
@@ -590,10 +599,21 @@ def _scheme_matrices(n: int, goals, scheme: str):
     return matrix, points_matrix(matrix)
 
 
+# Readers (`model._instance`) of the arguments of the public functions below.
+_spec, _outcome = _instance(FormatSpec), _instance(TournamentOutcome)
+
+
+def _rng(value, name: str):
+    """A numpy Generator. `np.random` is read at call time: read at import,
+    it would load numpy.random, ~10 ms, into every `import tournsim`."""
+    return _instance(np.random.Generator)(value, name)
+
+
 def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> TournamentOutcome:
     """Play one tournament of `spec` on games sampled from `sampler` with
     `rng`. With keep_games=False the ledger is dropped (games is None) but
     games_total is still exact."""
+    spec, sampler, rng = _spec(spec, "spec"), _sampler(sampler, "sampler"), _rng(rng, "rng")
     if spec.kind == "iterated_round_robin":
         return _iterated_round_robin(spec, sampler, rng, keep_games)
     seeds = _seed_rows(spec.seeding, sampler.names, rng, 1)[0].tolist()
@@ -608,12 +628,12 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
     """Re-run a recorded ledger through the format's stage table; must
     reproduce outcome.ranking (ledger sufficiency). A random seeding is
     replayed from the seeding the outcome recorded."""
+    spec, names, outcome = _spec(spec, "spec"), _names(names, "names"), _outcome(outcome, "outcome")
     if outcome.games is None:
         raise InvalidInputError("outcome carries no game ledger")
     if spec.kind == "iterated_round_robin":
-        goals = _ledger_goals(names, outcome.games, spec.games_per_pair)
-        return league_table(names, *_scheme_matrices(len(names), goals, spec.scheme),
-                            spec.policy)[1]
+        return _oracle_ranking(names, _ledger_goals(names, outcome.games, spec.games_per_pair),
+                               spec)
     seeding = spec.seeding
     if seeding == RANDOM_SEEDING:
         seeding = outcome.seeding
@@ -628,12 +648,11 @@ def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOu
     return ranking
 
 
-def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
+def _ledger_goals(names: tuple[str, ...], games: Sequence[LedgerEntry], k: int):
     """The goals array of the oracle ledger `games` of `names` and k games
     a pair. A `Ledger` is read as it lies. A list of entries must be the
     entries of the `Ledger` of its goals, one by one, so an entry that
     records a winner is rejected: no round robin game settles a slot."""
-    names = tuple(names)
     if isinstance(games, Ledger):
         if games.names != names or games.goals.shape[2] != k:
             raise InvalidInputError(f"ledger of {games.names}, {games.goals.shape[2]} games a "
@@ -657,7 +676,7 @@ def _ledger_goals(names: Sequence[str], games: Sequence[LedgerEntry], k: int):
 def rank_from_fixed_results(
     table: FixedResultTable,
     policy: TieBreakPolicy = DEFAULT_POLICY,
-    playoff_overrides: Optional[dict] = None,
+    playoff_overrides: Optional[Mapping] = None,
 ) -> Ranking:
     """Deterministic replay of the proposed format over a fixed result
     table, seeded in table order. Each pairing's cell is rounded to an
@@ -668,5 +687,8 @@ def rank_from_fixed_results(
     override always takes precedence. A drawn head-to-head without an
     override leaves the higher preliminary rank in place.
     """
-    return _play(_FixedProvider(table, playoff_overrides or {}),
+    table = _instance(FixedResultTable)(table, "table")
+    overrides = _instance(Mapping, "mapping")(
+        {} if playoff_overrides is None else playoff_overrides, "playoff_overrides")
+    return _play(_FixedProvider(table, overrides),
                  FormatSpec("proposed", policy=policy), _seed_list(table.names, None))

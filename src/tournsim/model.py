@@ -122,8 +122,8 @@ def _sequence(value) -> bool:
 
 def _names(value, name: str) -> tuple:
     """A `_sequence` of team names, as a tuple of its own."""
-    # A list needs no slower ABC check, and `str.join` checks every name.
-    if value.__class__ is list or _sequence(value):
+    # A list or tuple skips the slower ABC check, and `str.join` checks every name.
+    if value.__class__ in (list, tuple) or _sequence(value):
         names = tuple(value)
         try:
             "".join(names)

@@ -201,10 +201,14 @@ class DiscrepancyDistribution(_record("DiscrepancyDistribution", dict(
         return dist
 
 
+_distribution = _instance(DiscrepancyDistribution)
+
+
 def merge_distributions(*dists: DiscrepancyDistribution) -> DiscrepancyDistribution:
     """Associative, commutative merge of count maps."""
     if not dists:
         raise InvalidInputError("nothing to merge")
+    dists = [_distribution(d, "dists") for d in dists]
     n_teams = dists[0].n_teams
     if any(d.n_teams != n_teams for d in dists):
         raise InvalidComparisonError("distributions over different team counts")
@@ -332,6 +336,7 @@ class ComparisonSummary(namedtuple(
 def compare_campaigns(
     a: DiscrepancyDistribution, b: DiscrepancyDistribution
 ) -> ComparisonSummary:
+    a, b = _distribution(a, "a"), _distribution(b, "b")
     if a.n_teams != b.n_teams:
         raise InvalidComparisonError("distributions over different team counts")
     support = sorted(set(a.counts) | set(b.counts))

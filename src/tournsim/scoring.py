@@ -1,16 +1,15 @@
 """Standings, tie-breaking and the L1 (Spearman footrule) distance
 between rankings.
 
-How a scoreline scores is written once for arrays: `game_points` (3 a
-win, 1 a draw) and `round_half_away` (a mean scoreline to one game).
-Every complete round robin is scored by one kernel, `round_robin_totals`,
-and ranked by one tie-break kernel, `tiebreak_order`; `league_table` wraps
-both for the oracle (`formats`) and the bundled models (`fixtures`), and
-the batched engine calls them on stacks of matrices. Games of a bracket
-round robin are scored one at a time by `standings_from_games` and ranked
-by `rank`, with 3/1/0 loops of their own: the benchmark's tracer wraps
-both names, and the tests check the kernels against `standings_from_games`,
-which must not share the rule it checks."""
+How a scoreline scores is written once: `game_points` (3 a win, 1 a
+draw, on arrays and plain ints alike) and `round_half_away` (a mean
+scoreline to one game). Every complete round robin is summed by one
+kernel, `round_robin_totals`, and a bracket round robin's games one at a
+time by `standings_from_games`. Every league is ranked by one step,
+`rank_totals` (`tiebreak_order`, then the Ranking), which `rank`,
+`league_table` (the bundled models) and the oracle (`formats`) end in;
+the batched engine calls the kernels on stacks. The tests check every
+scorer against an independent reference of their own."""
 
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InvalidComparisonError, InvalidInputError
-from .model import GameResult, _choice, _Fields, _names, _record, _sequence
+from .model import GameResult, _choice, _Fields, _instance, _names, _record, _sequence
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -60,7 +59,7 @@ class TeamStats(_Fields):
 def standings_from_games(
     games: Iterable[GameResult], teams: Optional[Sequence[str]] = None
 ) -> dict[str, TeamStats]:
-    """Plain league-table accumulation: 3/1/0 points plus raw goal sums."""
+    """Plain league-table accumulation: `game_points` plus raw goal sums."""
     table = {name: TeamStats() for name in (teams or [])}
     # Each game is unpacked once: reading a tuple record's fields by name
     # costs about twice as much.
@@ -69,13 +68,8 @@ def standings_from_games(
             if name not in table:
                 table[name] = TeamStats()
         h, a = table[home], table[away]
-        if home_goals > away_goals:
-            h.points += 3
-        elif home_goals < away_goals:
-            a.points += 3
-        else:
-            h.points += 1
-            a.points += 1
+        h.points += game_points(home_goals, away_goals)
+        a.points += game_points(away_goals, home_goals)
         h.goals_for += home_goals
         h.goals_against += away_goals
         a.goals_for += away_goals
@@ -195,6 +189,13 @@ def tiebreak_order(points, goals_for, goals_against, policy: TieBreakPolicy, pai
     return np.lexsort(keys[::-1] or [np.zeros(np.shape(points))], axis=-1)
 
 
+def rank_totals(names: Sequence[str], totals, policy: TieBreakPolicy, pair_points=None) -> Ranking:
+    """The Ranking of `names`, seeded in that order, by `tiebreak_order`
+    of their points, goals for and goals against, `totals`."""
+    order = tiebreak_order(*totals, policy, pair_points)
+    return Ranking.from_order([names[i] for i in order.tolist()])
+
+
 def league_table(names: Sequence[str], goals, points, policy: TieBreakPolicy = DEFAULT_POLICY):
     """Standings of a complete round robin among `names`, with its Ranking
     under `policy`, seeded in `names` order. `goals` and `points` are n x n
@@ -202,9 +203,8 @@ def league_table(names: Sequence[str], goals, points, policy: TieBreakPolicy = D
     points matrix also decides head-to-head. Integer matrices give integer
     standings, so ties are decided exactly."""
     totals = round_robin_totals(goals, points)
-    order = tiebreak_order(*totals, policy, points)
     table = {name: TeamStats(*s) for name, *s in zip(names, *(t.tolist() for t in totals))}
-    return table, Ranking.from_order([names[i] for i in order.tolist()])
+    return table, rank_totals(names, totals, policy, points)
 
 
 def rank(
@@ -228,23 +228,20 @@ def rank(
         for home, away, home_goals, away_goals in games or ():
             if home in index and away in index:
                 i, j = index[home], index[away]
-                if home_goals > away_goals:
-                    pair_points[i][j] += 3
-                elif home_goals < away_goals:
-                    pair_points[j][i] += 3
-                else:
-                    pair_points[i][j] += 1
-                    pair_points[j][i] += 1
+                pair_points[i][j] += game_points(home_goals, away_goals)
+                pair_points[j][i] += game_points(away_goals, home_goals)
         pair_points = np.array(pair_points)
-    order = tiebreak_order(*stats, policy, pair_points)
-    return Ranking.from_order([names[i] for i in order.tolist()])
+    return rank_totals(names, stats, policy, pair_points)
+
+
+_ranking = _instance(Ranking)
 
 
 def l1_distance(a: Ranking, b: Ranking) -> int:
     """Spearman footrule: sum over teams of |rank_a - rank_b|."""
     # Each ranking's places are read once: a named field read of a tuple
     # record costs more than a local's.
-    pa, pb = a.places, b.places
+    pa, pb = _ranking(a, "a").places, _ranking(b, "b").places
     if set(pa) != set(pb):
         raise InvalidComparisonError("rankings cover different team sets")
     return sum(abs(pa[n] - pb[n]) for n in pa)

@@ -1,11 +1,13 @@
 """The tie-break rules written out one criterion at a time, as a recursive
 split of each group of level teams: a reference for `scoring.rank` and
-the array kernel `scoring.tiebreak_order` behind it, and the points of
-one game."""
+the array kernel `scoring.tiebreak_order` behind it; and the points of
+one game and a league table, game by game: a reference for
+`scoring.game_points` and every kernel that scores by it. Nothing here
+scores a game by the package's own rule."""
 
 import itertools
 
-from tournsim import TieBreakPolicy, standings_from_games
+from tournsim import TeamStats, TieBreakPolicy
 
 # Every policy: each ordered choice of the other criteria, then seed order.
 ALL_POLICIES = [
@@ -26,6 +28,24 @@ def points_per_game(g) -> tuple[int, int]:
     return 1, 1
 
 
+def reference_standings(games, teams=None) -> dict:
+    """Points (`points_per_game`), goals for and goals against of each
+    team: those of `teams` first, in order, then each other team in the
+    order it first plays, home side before away side."""
+    table = {name: TeamStats() for name in teams or ()}
+    for g in games:
+        home_points, away_points = points_per_game(g)
+        for name, points, scored, conceded in (
+            (g.home, home_points, g.home_goals, g.away_goals),
+            (g.away, away_points, g.away_goals, g.home_goals),
+        ):
+            s = table.setdefault(name, TeamStats())
+            s.points += points
+            s.goals_for += scored
+            s.goals_against += conceded
+    return table
+
+
 def reference_rank(standings, policy, seed_order=None, games=None) -> list:
     """Team names in finishing order: higher points, higher goal
     difference, higher goals for, more points in `games` among the teams
@@ -41,7 +61,7 @@ def reference_rank(standings, policy, seed_order=None, games=None) -> list:
             return sorted(group, key=seed_pos.get)
         if crit == "head_to_head":
             sub = set(group)
-            mini = standings_from_games(
+            mini = reference_standings(
                 [g for g in (games or []) if g.home in sub and g.away in sub],
                 group,
             )

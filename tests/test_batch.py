@@ -23,13 +23,12 @@ from tournsim import (
     rank,
     run_campaign,
     run_format,
-    standings_from_games,
 )
 from tournsim import batch
 from tournsim.formats import _TABLES, BRACKETS, PLAYOFF, RR, _compile, _seed_rows
 
 from duck_sampler import DuckSampler
-from reference_ranking import ALL_POLICIES, reference_rank
+from reference_ranking import ALL_POLICIES, reference_rank, reference_standings
 from samplers import NAMES8, chain_sampler
 
 # (kind, best of three) of every format the batched engine plays.
@@ -241,7 +240,7 @@ class TestRoundRobinStandings:
                     for a in range(len(members)) for b in range(a + 1, len(members))
                 ]
                 names = [NAMES8[m] for m in members]
-                cases.append((r, g, names, played, standings_from_games(played, names)))
+                cases.append((r, g, names, played, reference_standings(played, names)))
         return got, cases
 
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: "-".join(p.criteria))

@@ -50,11 +50,11 @@ from tournsim.formats import (
     _scheme_matrices,
     _seed_rows,
 )
-from tournsim.scoring import league_table, rank, standings_from_games
+from tournsim.scoring import league_table, rank
 
 from built import built
 from duck_sampler import DuckSampler
-from reference_ranking import ALL_POLICIES, reference_rank
+from reference_ranking import ALL_POLICIES, reference_rank, reference_standings
 from samplers import NAMES8, chain_sampler, flat_sampler, oracle
 
 
@@ -160,7 +160,7 @@ class TestDominance:
 
 def _prelim_ranking(spec, outcome):
     games = [e.result for e in outcome.games if e.stage.startswith("rr-")]
-    return rank(standings_from_games(games, NAMES8), spec.policy, NAMES8, games).places
+    return rank(reference_standings(games, NAMES8), spec.policy, NAMES8, games).places
 
 
 class TestSeeding:
@@ -186,7 +186,10 @@ class TestSeeding:
     def test_seeding_index_not_an_integer_rejected(self, seeding, value):
         # Not cast: True would play as team 1, and 7.9 as team 7.
         match = f"seeding indices must be integers, not {value}"
-        spec = FormatSpec("format_2013_double_elim", seeding=seeding)
+        with pytest.raises(InvalidInputError, match=f"^{match}$"):
+            FormatSpec("format_2013_double_elim", seeding=seeding)
+        # A spec forged past its constructor is still rejected where it is played.
+        spec = tuple.__new__(FormatSpec, (*FormatSpec("format_2013_double_elim")[:-1], seeding))
         with pytest.raises(InvalidInputError, match=f"^{match}$"):
             run_format(spec, flat_sampler(), derive_rng(8, 2))
         out = run_format(FormatSpec("format_2013_double_elim"), flat_sampler(), derive_rng(8, 2))

@@ -105,6 +105,16 @@ class TestCampaignDeterminism:
                              check=True)
         assert out.stdout.strip() == "False"
 
+    def test_import_does_not_load_numpy_random(self):
+        # numpy loads `numpy.random` on first use; an import-time reference
+        # to it would add its load to every fresh interpreter.
+        root = str(Path(montecarlo.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {root!r}); import tournsim; "
+                "print('numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
+
     def test_paper_campaign_at_n_2000_plays_in_process(self):
         # 3 formats of 8 batched blocks pay for no second process, even at
         # --workers 2, so the command never loads the pool machinery. Nor

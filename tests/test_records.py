@@ -34,7 +34,13 @@ from tournsim import (
     TournamentOutcome,
     TournsimError,
     compare_campaigns,
+    derive_rng,
+    l1_distance,
+    merge_distributions,
+    rank_from_fixed_results,
+    replay_outcome,
     run_campaign,
+    run_format,
 )
 from tournsim.fixtures import golden_checks
 from tournsim.formats import Ledger
@@ -194,6 +200,8 @@ def test_mutable_record_equals_by_fields(name):
 
 
 TRUTH = Ranking.from_order(("A", "B"))
+PROPOSED = FormatSpec("proposed")
+OUTCOME = run_format(PROPOSED, flat_sampler(), derive_rng(1))
 
 # Calls that ended in a bare Python error, or built a record they should
 # not, each with the error it raises now.
@@ -237,6 +245,36 @@ REJECTED = {
     "final_resolution an array": (lambda: DecisivePolicy(1, np.array(["higher_seed", "x"])),
                                   InvalidInputError,
                                   r"^unknown final_resolution array\(\['higher_seed', 'x'\]"),
+    # A seeding entry is a team name or an integer index; a list entry made
+    # a spec that could not be hashed.
+    "seeding nested list": (lambda: FormatSpec("proposed", seeding=[[0, 1]]), InvalidInputError,
+                            r"^seeding indices must be integers, not \[0, 1\]$"),
+    "seeding bool entry": (lambda: FormatSpec("proposed", seeding=(1, True)), InvalidInputError,
+                           "^seeding indices must be integers, not True$"),
+    "seeding fractional entry": (lambda: FormatSpec("proposed", seeding=(0, 0.5)),
+                                 InvalidInputError,
+                                 "^seeding indices must be integers, not 0.5$"),
+    # The arguments of the public functions, read as the records' fields are.
+    "replay names a string": (lambda: replay_outcome(PROPOSED, "T0T1", OUTCOME),
+                              InvalidInputError,
+                              "^names must be a sequence of team names, not 'T0T1'$"),
+    "replay names None": (lambda: replay_outcome(PROPOSED, None, OUTCOME), InvalidInputError,
+                          "^names must be a sequence of team names, not None$"),
+    "replay outcome None": (lambda: replay_outcome(PROPOSED, NAMES8, None), InvalidInputError,
+                            "^outcome must be a TournamentOutcome, not None$"),
+    "run spec a kind": (lambda: run_format("proposed", flat_sampler(), derive_rng(1)),
+                        InvalidInputError, "^spec must be a FormatSpec, not 'proposed'$"),
+    "run rng None": (lambda: run_format(PROPOSED, flat_sampler(), None), InvalidInputError,
+                     "^rng must be a Generator, not None$"),
+    "l1 of None": (lambda: l1_distance(None, TRUTH), InvalidInputError,
+                   "^a must be a Ranking, not None$"),
+    "compare None": (lambda: compare_campaigns(None, distribution()), InvalidInputError,
+                     "^a must be a DiscrepancyDistribution, not None$"),
+    "merge a list": (lambda: merge_distributions([1]), InvalidInputError,
+                     r"^dists must be a DiscrepancyDistribution, not \[1\]$"),
+    "overrides pairs": (lambda: rank_from_fixed_results(
+        FixedResultTable(NAMES8, np.ones((8, 8, 2))), playoff_overrides=[("A", "B")]),
+        InvalidInputError, r"^playoff_overrides must be a mapping, not \[\('A', 'B'\)\]$"),
 }
 
 

@@ -33,7 +33,7 @@ from tournsim.scoring import (
     round_half_away,
 )
 
-from reference_ranking import ALL_POLICIES, points_per_game, reference_rank
+from reference_ranking import ALL_POLICIES, points_per_game, reference_rank, reference_standings
 
 
 def game(a, b, ga, gb):
@@ -98,12 +98,12 @@ def round_robins(draw):
 
 @settings(max_examples=200)
 @given(goals=round_robins())
-def test_round_robin_totals_equal_standings_from_games(goals):
+def test_round_robin_totals_equal_reference_standings(goals):
     n = goals.shape[-1]
     teams = [f"T{i}" for i in range(n)]
     totals = np.stack(round_robin_totals(goals, points_matrix(goals)), -1)
     for r, g in enumerate(goals):
-        table = standings_from_games(
+        table = reference_standings(
             GameResult(teams[i], teams[j], int(g[i, j]), int(g[j, i]))
             for i, j in itertools.combinations(range(n), 2)
         )
@@ -244,7 +244,7 @@ def ranked_tables(draw):
         for i, j in itertools.combinations(range(n), 2)
         for _ in range(k)
     ]
-    table = standings_from_games(games, names)
+    table = reference_standings(games, names)
     goals, points = np.zeros((2, n, n), dtype=np.int64)
     for g in games:
         i, j = names.index(g.home), names.index(g.away)
@@ -270,13 +270,44 @@ def test_rank_equals_reference_under_every_policy(case):
     names = list(seed_order or table)
     seat = [list(table).index(t) for t in names]
     goals, points = (m[np.ix_(seat, seat)] for m in matrices)
-    totals = standings_from_games(games, names)
+    totals = reference_standings(games, names)
     for policy in ALL_POLICIES:
         want = reference_rank(table, policy, seed_order, games)
         assert rank(table, policy, seed_order, games).order() == want, policy
         standings, ranking = league_table(names, goals, points, policy)
         assert standings == totals
         assert ranking.order() == reference_rank(totals, policy, names, games), policy
+
+
+# Teams of drawn games; a team list, or a seed order, may leave some out.
+POOL = [f"T{i}" for i in range(6)]
+
+
+@st.composite
+def game_lists(draw):
+    """Games among the POOL teams, a pair any number of times either way
+    round, and the teams a table lists first (None, or some of them)."""
+    games = draw(st.lists(
+        st.tuples(st.sampled_from(POOL), st.sampled_from(POOL), st.integers(0, 3),
+                  st.integers(0, 3)).filter(lambda g: g[0] != g[1]).map(lambda g: GameResult(*g)),
+        max_size=24))
+    return games, draw(st.none() | st.lists(st.sampled_from(POOL), unique=True))
+
+
+@settings(max_examples=100)
+@given(case=game_lists(), data=st.data())
+def test_standings_and_rank_equal_the_reference(case, data):
+    games, teams = case
+    table = standings_from_games(games, teams)
+    want = reference_standings(games, teams)
+    assert list(table) == list(want) and table == want
+    # Ranked: some of the teams, some of whose games are with teams left out.
+    group = data.draw(st.lists(st.sampled_from(POOL), unique=True, min_size=1))
+    standings = {name: want.get(name, TeamStats()) for name in group}
+    seed_order = data.draw(st.none() | st.permutations(group))
+    for policy in ALL_POLICIES:
+        assert (rank(standings, policy, seed_order, games).order()
+                == reference_rank(standings, policy, seed_order, games)), policy
 
 
 class TestRank:
