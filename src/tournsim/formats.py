@@ -35,13 +35,14 @@ samples every pair's games in one `sample_many` call, and its live run
 and its replay rank them by one call, `_oracle_ranking`, which ends in
 `scoring.rank_totals`. Its ledger, a `Ledger`, is the goals array it
 drew, checked, not cast: a goal `GameResult` would reject fails the run,
-ledger kept or not. A bracket's ledger is a list of entries, and a
+ledger kept or not. A bracket's ledger is a tuple of entries, and a
 bracket round robin is ranked from its games by `scoring.rank`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections.abc import Mapping, Sequence
 from typing import Optional
@@ -50,7 +51,8 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
 from .model import (_INT64_MAX, FixedResultTable, GameResult, _at_least, _bool, _choice,
-                    _Fields, _instance, _integer, _names, _record, _sampler, _sequence)
+                    _instance, _integer, _name, _names, _optional, _record, _sampler,
+                    _sequence, _tuple)
 from .scoring import (
     CONTINUOUS,
     DEFAULT_POLICY,
@@ -82,16 +84,17 @@ class DecisivePolicy(_record("DecisivePolicy", dict(
 DEFAULT_DECISIVE = DecisivePolicy()
 
 
-class LedgerEntry(_Fields):
+class LedgerEntry(_record("LedgerEntry", dict(
+        stage=_instance(str, "stage label"), result=_instance(GameResult),
+        winner=_optional(_name)), (None,))):
     """One played game: stage label, the sampled result, and (for knockout
-    slots) the team that advanced."""
+    slots) the team that advanced, otherwise None."""
 
-    __slots__ = ("stage", "result", "winner")
+    __slots__ = ()
 
-    def __init__(self, stage: str, result: GameResult, winner: Optional[str] = None):
-        self.stage = stage
-        self.result = result
-        self.winner = winner
+
+# An entry of checked fields, built past the readers.
+_entry = functools.partial(tuple.__new__, LedgerEntry)
 
 
 class Ledger(Sequence):
@@ -156,14 +159,15 @@ class Ledger(Sequence):
         index = range(len(self))[index]  # in range, and not negative
         pair, game = divmod(index, self.goals.shape[2])
         home, away = _pair_index(len(self.names))[:, pair].tolist()
-        return LedgerEntry(self.labels[index], GameResult(
-            self.names[home], self.names[away], *self.goals[:, pair, game].tolist()))
+        return _entry((self.labels[index], GameResult(
+            self.names[home], self.names[away], *self.goals[:, pair, game].tolist()), None))
 
     def __iter__(self):
         team = self.names.__getitem__
         home, away = self.teams.tolist()
-        return map(LedgerEntry, self.labels, map(GameResult, map(team, home), map(team, away),
-                                                 *self.goals.reshape(2, -1).tolist()))
+        results = map(GameResult, map(team, home), map(team, away),
+                      *self.goals.reshape(2, -1).tolist())
+        return map(_entry, zip(self.labels, results, itertools.repeat(None)))
 
     def __eq__(self, other):
         if not isinstance(other, (Ledger, list)):
@@ -179,20 +183,31 @@ def _stray_winner(entry: LedgerEntry) -> InvalidInputError:
                              "but settles no knockout slot")
 
 
-class TournamentOutcome(_Fields):
+_entries = _tuple(_instance(LedgerEntry), "ledger entries")
+
+
+def _games(games, name: str):
+    """None, a `Ledger`, or a `_sequence` of entries kept as a tuple."""
+    return games if games is None or isinstance(games, Ledger) else _entries(games, name)
+
+
+class TournamentOutcome(_record("TournamentOutcome", dict(
+        ranking=_instance(Ranking), games=_games, games_total=_at_least(0),
+        seeding=_optional(_tuple(_at_least(0), "team indices"))), (None,))):
     """A run's ranking, its ledger (None when not kept; for the oracle the
-    `Ledger` of the goals it drew, in its fixed layout; for a bracket a list
-    of entries), its game count and, for a bracket, the seeding it was
-    played with (team indices, seed 1 first), which replays a random one."""
+    `Ledger` of the goals it drew, in its fixed layout; for a bracket a
+    tuple of entries), its game count, the ledger's length when it is kept,
+    and, for a bracket, the seeding it was played with (team indices, seed
+    1 first), which replays a random one."""
 
-    __slots__ = ("ranking", "games", "games_total", "seeding")
+    __slots__ = ()
 
-    def __init__(self, ranking: Ranking, games: Optional[Sequence[LedgerEntry]],
-                 games_total: int, seeding: Optional[tuple[int, ...]] = None):
-        self.ranking = ranking
-        self.games = games
-        self.games_total = games_total
-        self.seeding = seeding
+    def __new__(cls, *args, **kwargs):
+        outcome = super().__new__(cls, *args, **kwargs)
+        if outcome.games is not None and len(outcome.games) != outcome.games_total:
+            raise InvalidInputError(f"games_total is {outcome.games_total}, but the ledger "
+                                    f"holds {len(outcome.games)} games")
+        return outcome
 
 
 # Stage kinds. A round robin (RR) yields its finishing order. A single
@@ -347,25 +362,26 @@ _TABLES = {(kind, best_of_three): _compile(stages, places, best_of_three)
 
 
 class _LiveProvider:
-    """Samples fresh games and resolves draws via the decisive policy, each
-    slot's winner recorded on its last entry: a replay draws nothing."""
+    """Samples fresh games and resolves draws via the decisive policy. Each
+    game is kept as a list [stage, result, winner], each slot's winner
+    written on its last game, so a replay draws nothing."""
 
     def __init__(self, sampler, rng, decisive: DecisivePolicy, seeds: list[int]):
         self.sampler = sampler
         self.rng = rng
         self.decisive = decisive
         self.seeds = seeds
-        self.entries: list[LedgerEntry] = []
+        self.games: list[list] = []
         self.names = sampler.names
 
     def play(self, stage: str, i: int, j: int) -> GameResult:
         gi, gj = self.sampler.sample(i, j, self.rng)
         result = GameResult(self.names[i], self.names[j], gi, gj)
-        self.entries.append(LedgerEntry(stage, result))
+        self.games.append([stage, result, None])
         return result
 
     def resolve(self, i: int, j: int, natural: Optional[int]) -> int:
-        """Record the winner of a knockout slot on its last entry. `natural`
+        """Record the winner of a knockout slot on its last game. `natural`
         is the winner the slot's score implies, or None when it is level."""
         w = natural
         if w is None:
@@ -379,7 +395,7 @@ class _LiveProvider:
                 w = i if int(self.rng.integers(2)) == 0 else j
             else:
                 w = i if self.seeds.index(i) < self.seeds.index(j) else j
-        self.entries[-1].winner = self.names[w]
+        self.games[-1][2] = self.names[w]
         return w
 
 
@@ -401,37 +417,34 @@ class _ReplayProvider:
         if pos >= len(self._queue):
             raise InvalidInputError("ledger exhausted during replay")
         self._pos = pos + 1
-        entry = self._queue[pos]
-        if entry.stage != stage:
+        # One unpacking and one slice, not named field reads, which cost
+        # more on a tuple record.
+        label, result, self._winner = self._queue[pos]
+        if label != stage:
             raise InvalidInputError(
-                f"ledger stage {entry.stage!r} does not match expected {stage!r}"
+                f"ledger stage {label!r} does not match expected {stage!r}"
             )
-        # One slice, not two named reads: a named field read of a GameResult
-        # costs about twice a slot attribute's.
-        result = entry.result
         teams = result[:2]
         if teams != (self.names[i], self.names[j]):
             raise InvalidInputError(
                 f"ledger game {stage!r} is {teams[0]} v {teams[1]}, "
                 f"expected {self.names[i]} v {self.names[j]}"
             )
-        self._winner = entry.winner
         return result
 
     def resolve(self, i: int, j: int, natural: Optional[int]) -> int:
-        entry = self._queue[self._pos - 1]
-        self._winner = None
-        if entry.winner is None:
+        winner, self._winner = self._winner, None
+        if winner is None:
             if natural is None:
                 raise InvalidInputError("drawn knockout game without recorded winner")
             return natural
         # A decided result leaves the winner no choice; a draw leaves two.
         allowed = (i, j) if natural is None else (natural,)
         for w in allowed:
-            if entry.winner == self.names[w]:
+            if winner == self.names[w]:
                 return w
         raise InvalidInputError(
-            f"ledger winner {entry.winner!r} of {entry.stage!r} is not "
+            f"ledger winner {winner!r} of {self._queue[self._pos - 1].stage!r} is not "
             + " or ".join(self.names[w] for w in allowed)
         )
 
@@ -445,7 +458,8 @@ class _FixedProvider:
     """Reads each game off a FixedResultTable, each side's goals rounded
     half away from zero, the whole table once. A playoff goes to its
     override if there is one, then to the table's result, then, when that
-    is drawn, to the higher preliminary place (the home side)."""
+    is drawn, to the higher preliminary place (the home side). Each
+    override is taken off `overrides` when it settles its playoff."""
 
     def __init__(self, table: FixedResultTable, overrides: dict):
         self.goals = round_half_away(table.goals).tolist()
@@ -457,13 +471,10 @@ class _FixedProvider:
         return GameResult(self.names[i], self.names[j], ga, gb)
 
     def resolve(self, i: int, j: int, natural: Optional[int]) -> int:
-        pair = (self.names[i], self.names[j])
-        w = self.overrides.get(frozenset(pair))
+        w = self.overrides.pop(frozenset((self.names[i], self.names[j])), None)
         if w is None:
             return i if natural is None else natural
-        if w not in pair:
-            raise InvalidInputError(f"override winner {w!r} not in playoff pair")
-        return i if w == pair[0] else j
+        return i if w == self.names[i] else j
 
 
 def _round_robin(provider, games, members, policy) -> list[int]:
@@ -569,8 +580,8 @@ def _iterated_round_robin(spec: FormatSpec, sampler, rng, keep_games: bool) -> T
         # The drawn goals are the ledger, which checks them as `GameResult` does.
         entries = Ledger(names, goals)
         goals = entries.goals
-    return TournamentOutcome(_oracle_ranking(names, goals, spec),
-                             entries if keep_games else None, goals[0].size)
+    return tuple.__new__(TournamentOutcome, (_oracle_ranking(names, goals, spec),
+                                             entries if keep_games else None, goals[0].size, None))
 
 
 def _oracle_ranking(names: Sequence[str], goals, spec: FormatSpec) -> Ranking:
@@ -619,9 +630,10 @@ def run_format(spec: FormatSpec, sampler, rng, keep_games: bool = True) -> Tourn
     seeds = _seed_rows(spec.seeding, sampler.names, rng, 1)[0].tolist()
     provider = _LiveProvider(sampler, rng, spec.decisive, seeds)
     ranking = _play(provider, spec, seeds)
-    entries = provider.entries
-    return TournamentOutcome(ranking, entries if keep_games else None, len(entries),
-                             tuple(seeds))
+    games = provider.games
+    # Checked fields, built past the readers.
+    return tuple.__new__(TournamentOutcome, (
+        ranking, tuple(map(_entry, games)) if keep_games else None, len(games), tuple(seeds)))
 
 
 def replay_outcome(spec: FormatSpec, names: Sequence[str], outcome: TournamentOutcome) -> Ranking:
@@ -683,12 +695,33 @@ def rank_from_fixed_results(
     integer scoreline for the preliminary standings; classification
     playoffs are resolved from the same table's head-to-head entries.
 
-    `playoff_overrides` maps frozenset({a, b}) to the published winner; an
-    override always takes precedence. A drawn head-to-head without an
-    override leaves the higher preliminary rank in place.
+    `playoff_overrides` maps frozenset({a, b}) of two of the table's teams
+    to the published winner, a or b; an override always takes precedence,
+    and one that settles no playoff is rejected. A drawn head-to-head
+    without an override leaves the higher preliminary rank in place.
     """
     table = _instance(FixedResultTable)(table, "table")
-    overrides = _instance(Mapping, "mapping")(
-        {} if playoff_overrides is None else playoff_overrides, "playoff_overrides")
-    return _play(_FixedProvider(table, overrides),
-                 FormatSpec("proposed", policy=policy), _seed_list(table.names, None))
+    overrides = _overrides(playoff_overrides, table.names)
+    provider = _FixedProvider(table, overrides)
+    ranking = _play(provider, FormatSpec("proposed", policy=policy),
+                    _seed_list(table.names, None))
+    if provider.overrides:  # a playoff takes off the override that settles it
+        a, b = sorted(next(iter(provider.overrides)))
+        raise InvalidInputError(f"playoff_overrides: {a} and {b} meet in no playoff")
+    return ranking
+
+
+def _overrides(overrides, names: tuple[str, ...]) -> dict:
+    """The playoff overrides, a `Mapping`, as a dict of their own; each
+    maps a frozenset of two of `names` to one of the two."""
+    if overrides is None:
+        return {}
+    overrides = dict(_instance(Mapping, "mapping")(overrides, "playoff_overrides"))
+    for pair, winner in overrides.items():
+        if not (isinstance(pair, frozenset) and len(pair) == 2 and pair <= set(names)):
+            raise InvalidInputError("playoff_overrides must be keyed by a frozenset of two "
+                                    f"teams of the table, not {pair!r}")
+        if not (isinstance(winner, str) and winner in pair):
+            raise InvalidInputError(f"playoff_overrides winner {winner!r} is not "
+                                    f"{' or '.join(sorted(pair))}")
+    return overrides

@@ -14,18 +14,21 @@ constructor step, `_freeze`, that reads the names and the array and
 checks their shape; each then checks its own value rule, naming the
 first bad cell (`_reject_first_cell`).
 
-The package's records are plain classes, cheap to build at import. A
-frozen value record is a namedtuple subclass (`_record`) whose fields are
-declared once, each with its reader; `_at_least`, `_choice`, `_instance`,
-`_bool`, `_names`, `_goal` and `_sampler` read every kind of field the
-package has. A mutable record is a `__slots__` class equal to another of
-its class with equal fields (`_Fields`).
+The package's records are plain classes, cheap to build at import, and
+none changes once it is built. A value record is a namedtuple subclass
+(`_record`) whose fields are declared once, each with its reader;
+`_at_least`, `_choice`, `_instance`, `_bool`, `_names`, `_goal`, `_real`
+and `_sampler` read every kind of field the package has, and `_optional`
+and `_tuple` build a reader of None or of a sequence from another. The two
+team tables hold arrays, which no tuple field can compare, so they are
+`_Frozen` classes instead, equal only to themselves.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from collections import namedtuple
 from collections.abc import Sequence
 from typing import Callable
@@ -98,6 +101,7 @@ def _instance(cls: type, what: str = "") -> Callable:
 
 
 _name = _instance(str, "team name")
+_text = _instance(str)
 
 
 def _bool(value, name: str) -> bool:
@@ -139,33 +143,34 @@ def _sampler(value, name: str):
     return value
 
 
-class _Fields:
-    """Repr by the `__slots__` fields, and equality to a record of the
-    same class with equal fields, so no hash: the mutable records."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+def _real(value, name: str):
+    """A real number, such as an int, a float or a numpy number, but not a
+    bool, kept as it is."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise InvalidInputError(f"{name} must be a real number, not {value!r}")
 
 
-class _Frozen(_Fields):
+def _optional(read: Callable) -> Callable:
+    """A reader of None, or of what `read` reads."""
+    return lambda value, name: None if value is None else read(value, name)
+
+
+def _tuple(read: Callable, what: str) -> Callable:
+    """A reader of a `_sequence` of `what`, each read by `read`, as a tuple."""
+    def read_all(value, name: str) -> tuple:
+        if not _sequence(value):
+            raise InvalidInputError(f"{name} must be a sequence of {what}, not {value!r}")
+        return tuple(read(v, name) for v in value)
+    return read_all
+
+
+class _Frozen:
     """A `__slots__` record whose fields are set once, by `_freeze`, and
     cannot be reassigned; equal only to itself. It is pickled as its
     constructor's arguments, so unpickling checks it again."""
 
     __slots__ = ()
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -174,7 +179,11 @@ class _Frozen(_Fields):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class GameResult(_record("GameResult", dict(home=_name, away=_name, home_goals=_goal,
@@ -327,7 +336,7 @@ def load_model(text: str) -> PairwiseGoalModel:
     the mean goals of the row team against the column team, a number from
     0 to MAX_MEAN_GOALS. Raises IngestionError naming the offending
     row/column."""
-    return PairwiseGoalModel(*_read_table(text, float))
+    return PairwiseGoalModel(*_read_table(_text(text, "text"), float))
 
 
 class PoissonSampler:

@@ -34,9 +34,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import batch
-from .errors import InvalidComparisonError, InvalidInputError, TournsimError
+from .errors import InvalidComparisonError, InvalidInputError
 from .formats import FormatSpec, _seed_rows, run_format
-from .model import _INT64_MAX, _at_least, _instance, _integer, _record, _sampler, derive_rng
+from .model import (_INT64_MAX, _at_least, _instance, _integer, _record, _sampler, _text, _tuple,
+                    derive_rng)
 from .scoring import Ranking, l1_distance
 
 BLOCK_SIZE = 250  # tournaments per block of the stream layout
@@ -164,7 +165,7 @@ class DiscrepancyDistribution(_record("DiscrepancyDistribution", dict(
     def from_text(cls, text: str) -> "DiscrepancyDistribution":
         """Parse `to_text` output. A file without a `stream=` line predates
         stream layout v2 and is accepted."""
-        lines = text.splitlines()
+        lines = _text(text, "text").splitlines()
         if not lines or lines[0].strip() != HISTOGRAM_MAGIC:
             raise InvalidInputError(f"first line is not {HISTOGRAM_MAGIC!r}")
         counts: dict[int, int] = {}
@@ -220,15 +221,17 @@ def merge_distributions(*dists: DiscrepancyDistribution) -> DiscrepancyDistribut
 
 @contextlib.contextmanager
 def _located(where: str):
-    """Name the tournaments a failure happened in. The exception is not
-    rebuilt, since its constructor may take other arguments."""
+    """Name the tournaments a failure happened in, in a note on the
+    exception, which is not rebuilt, since its constructor may take other
+    arguments. The note is appended to `__notes__` as Python 3.11's
+    `add_note` does, so that 3.10 keeps it too."""
     try:
         yield
     except Exception as exc:
-        if hasattr(exc, "add_note"):  # Python 3.11+
-            exc.add_note(f"in {where} of the campaign")
-            raise
-        raise TournsimError(f"{where}: {exc}") from exc
+        if not hasattr(exc, "__notes__"):
+            exc.__notes__ = []
+        exc.__notes__.append(f"in {where} of the campaign")
+        raise
 
 
 def _block_range(spec: CampaignSpec) -> tuple[int, int]:
@@ -288,6 +291,9 @@ def _process_count(
     return min(workers, blocks)
 
 
+_specs = _tuple(_instance(CampaignSpec), "campaign specs")
+
+
 def run_campaigns(
     specs: Sequence[CampaignSpec], workers: int = 1
 ) -> list[DiscrepancyDistribution]:
@@ -295,6 +301,7 @@ def run_campaigns(
     spec's blocks are split into up to `_process_count` runs, and the runs
     of all specs share one pool. A campaign that pays for no pool plays in
     the calling process, and the pool machinery is not imported."""
+    specs = _specs(specs, "specs")
     workers = _at_least(1)(workers, "workers")
     ranges = [_block_range(spec) for spec in specs]
     processes = _process_count(specs, ranges, workers)

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InvalidComparisonError, InvalidInputError
-from .model import GameResult, _choice, _Fields, _instance, _names, _record, _sequence
+from .model import GameResult, _choice, _instance, _names, _real, _record, _sequence
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -41,15 +41,11 @@ def round_half_away(total, k=1):
     return ((2 * np.asarray(total) + k) // (2 * k)).astype(np.int64)
 
 
-class TeamStats(_Fields):
-    """A team's running league totals."""
+class TeamStats(_record("TeamStats", dict(points=_real, goals_for=_real, goals_against=_real),
+                         (0.0, 0.0, 0.0))):
+    """A team's league totals, each a real number (`_real`)."""
 
-    __slots__ = ("points", "goals_for", "goals_against")
-
-    def __init__(self, points: float = 0.0, goals_for: float = 0.0, goals_against: float = 0.0):
-        self.points = points
-        self.goals_for = goals_for
-        self.goals_against = goals_against
+    __slots__ = ()
 
     @property
     def goal_difference(self) -> float:
@@ -60,21 +56,23 @@ def standings_from_games(
     games: Iterable[GameResult], teams: Optional[Sequence[str]] = None
 ) -> dict[str, TeamStats]:
     """Plain league-table accumulation: `game_points` plus raw goal sums."""
-    table = {name: TeamStats() for name in (teams or [])}
+    sums = {name: [0.0, 0.0, 0.0] for name in (teams or [])}
     # Each game is unpacked once: reading a tuple record's fields by name
     # costs about twice as much.
     for home, away, home_goals, away_goals in games:
-        for name in (home, away):
-            if name not in table:
-                table[name] = TeamStats()
-        h, a = table[home], table[away]
-        h.points += game_points(home_goals, away_goals)
-        a.points += game_points(away_goals, home_goals)
-        h.goals_for += home_goals
-        h.goals_against += away_goals
-        a.goals_for += away_goals
-        a.goals_against += home_goals
-    return table
+        if home not in sums:
+            sums[home] = [0.0, 0.0, 0.0]
+        if away not in sums:
+            sums[away] = [0.0, 0.0, 0.0]
+        h, a = sums[home], sums[away]
+        h[0] += game_points(home_goals, away_goals)
+        a[0] += game_points(away_goals, home_goals)
+        h[1] += home_goals
+        h[2] += away_goals
+        a[1] += away_goals
+        a[2] += home_goals
+    # Sums of a game's checked goals: no reader needs to see them.
+    return {name: tuple.__new__(TeamStats, s) for name, s in sums.items()}
 
 
 def points_matrix(goals):
@@ -202,6 +200,14 @@ def league_table(names: Sequence[str], goals, points, policy: TieBreakPolicy = D
     matrices with a zero diagonal, as `round_robin_totals` takes them; the
     points matrix also decides head-to-head. Integer matrices give integer
     standings, so ties are decided exactly."""
+    names = _names(names, "names")
+    n = len(names)
+    for matrix, name in ((goals, "goals"), (points, "points")):
+        if not isinstance(matrix, np.ndarray):
+            raise InvalidInputError(f"{name} must be an array of shape {(n, n)}, not {matrix!r}")
+        if matrix.shape != (n, n):
+            raise InvalidInputError(f"{name} must be an array of shape {(n, n)}, "
+                                    f"not one of shape {matrix.shape}")
     totals = round_robin_totals(goals, points)
     table = {name: TeamStats(*s) for name, *s in zip(names, *(t.tolist() for t in totals))}
     return table, rank_totals(names, totals, policy, points)

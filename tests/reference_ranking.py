@@ -32,18 +32,17 @@ def reference_standings(games, teams=None) -> dict:
     """Points (`points_per_game`), goals for and goals against of each
     team: those of `teams` first, in order, then each other team in the
     order it first plays, home side before away side."""
-    table = {name: TeamStats() for name in teams or ()}
+    totals = {name: (0, 0, 0) for name in teams or ()}
     for g in games:
         home_points, away_points = points_per_game(g)
         for name, points, scored, conceded in (
             (g.home, home_points, g.home_goals, g.away_goals),
             (g.away, away_points, g.away_goals, g.home_goals),
         ):
-            s = table.setdefault(name, TeamStats())
-            s.points += points
-            s.goals_for += scored
-            s.goals_against += conceded
-    return table
+            total_points, total_for, total_against = totals.get(name, (0, 0, 0))
+            totals[name] = (total_points + points, total_for + scored,
+                            total_against + conceded)
+    return {name: TeamStats(*total) for name, total in totals.items()}
 
 
 def reference_rank(standings, policy, seed_order=None, games=None) -> list:

@@ -34,7 +34,7 @@ from tournsim import (
     run_campaign,
     run_format,
 )
-from tournsim import fixtures
+from tournsim import fixtures, formats
 from tournsim.formats import (
     _BEST_OF_THREE,
     BRACKETS,
@@ -305,11 +305,25 @@ class TestReplay:
         with pytest.raises(InvalidInputError, match="^outcome carries no game ledger$"):
             replay_outcome(spec, NAMES8, out)
 
+    @pytest.mark.parametrize("kind", BRACKETS)
+    def test_dropped_ledger_builds_no_entry(self, kind, monkeypatch):
+        # The games are counted, but entries are built for a kept ledger only.
+        spec = FormatSpec(kind)
+        want = run_format(spec, flat_sampler(), derive_rng(13, 1))
+
+        def entry(fields):
+            raise AssertionError("a ledger entry was built")
+
+        monkeypatch.setattr(formats, "_entry", entry)
+        out = run_format(spec, flat_sampler(), derive_rng(13, 1), keep_games=False)
+        assert out == want._replace(games=None)
+        with pytest.raises(AssertionError, match="entry was built"):
+            run_format(spec, flat_sampler(), derive_rng(13, 1))
+
     def test_replay_rejects_random_seeding(self):
         # without the seeding the run recorded, a random seeding is unknown
         spec = FormatSpec("proposed", seeding="random")
-        out = run_format(spec, flat_sampler(), derive_rng(13, 0))
-        out.seeding = None
+        out = run_format(spec, flat_sampler(), derive_rng(13, 0))._replace(seeding=None)
         with pytest.raises(InvalidInputError, match="seeding"):
             replay_outcome(spec, NAMES8, out)
 
@@ -318,6 +332,13 @@ def swapped_teams(entry, home, away):
     r = entry.result
     return LedgerEntry(entry.stage, GameResult(home, away, r.home_goals, r.away_goals),
                        entry.winner)
+
+
+def replaced(out, p, entry):
+    """`out` with `entry` in place of its game p."""
+    games = list(out.games)
+    games[p] = entry
+    return out._replace(games=games)
 
 
 class TestReplayChecksLedger:
@@ -336,20 +357,19 @@ class TestReplayChecksLedger:
         r = out.games[p].result
         others = [n for n in NAMES8 if n not in (r.home, r.away)]
         for home, away in ((r.away, r.home), (others[0], r.away), (r.home, others[1])):
-            out.games[p] = swapped_teams(out.games[p], home, away)
+            out = replaced(out, p, swapped_teams(out.games[p], home, away))
             with pytest.raises(InvalidInputError, match="expected"):
                 replay_outcome(spec, NAMES8, out)
 
     @pytest.mark.parametrize("kind", ["format_2012", "format_2013_double_elim", "proposed"])
     def test_winner_outside_the_slot_rejected(self, kind):
         spec, out = self.live(kind)
-        entry = next(e for e in out.games if e.winner is not None)
+        p, entry = next((p, e) for p, e in enumerate(out.games) if e.winner is not None)
         r = entry.result
         outsider = next(n for n in NAMES8 if n not in (r.home, r.away))
         for winner in ("T9", outsider):
-            entry.winner = winner
             with pytest.raises(InvalidInputError, match="winner"):
-                replay_outcome(spec, NAMES8, out)
+                replay_outcome(spec, NAMES8, replaced(out, p, entry._replace(winner=winner)))
 
     @pytest.mark.parametrize("kind", ["format_2012", "format_2013_double_elim", "proposed"])
     def test_winner_against_the_result_rejected(self, kind):
@@ -360,21 +380,21 @@ class TestReplayChecksLedger:
         )
         r = out.games[-1].result
         loser = r.away if r.home_goals > r.away_goals else r.home
-        out.games[-1].winner = loser
+        out = replaced(out, -1, out.games[-1]._replace(winner=loser))
         with pytest.raises(InvalidInputError, match="winner"):
             replay_outcome(spec, NAMES8, out)
 
     @pytest.mark.parametrize("kind", ["format_2012", "format_2013_double_elim", "proposed"])
     def test_entries_after_the_last_stage_rejected(self, kind):
         spec, out = self.live(kind)
-        out.games.append(out.games[-1])
+        out = out._replace(games=out.games + out.games[-1:], games_total=out.games_total + 1)
         with pytest.raises(InvalidInputError, match="1 ledger entries left"):
             replay_outcome(spec, NAMES8, out)
 
     @pytest.mark.parametrize("kind", ["format_2012", "format_2013_double_elim", "proposed"])
     def test_ledger_that_ends_early_rejected(self, kind):
         spec, out = self.live(kind)
-        del out.games[-1]
+        out = out._replace(games=out.games[:-1], games_total=out.games_total - 1)
         with pytest.raises(InvalidInputError, match="^ledger exhausted during replay$"):
             replay_outcome(spec, NAMES8, out)
 
@@ -382,7 +402,7 @@ class TestReplayChecksLedger:
         spec, out = self.live("format_2012")
         entry = out.games[12]
         assert entry.stage == "semi1-leg1"
-        out.games[12] = LedgerEntry("semi2-leg1", entry.result, entry.winner)
+        out = replaced(out, 12, LedgerEntry("semi2-leg1", entry.result, entry.winner))
         with pytest.raises(InvalidInputError, match="^ledger stage 'semi2-leg1' does not "
                                                     "match expected 'semi1-leg1'$"):
             replay_outcome(spec, NAMES8, out)
@@ -393,18 +413,18 @@ class TestReplayChecksLedger:
                                           for k in range(100))
             if out.games[-1].result.home_goals == out.games[-1].result.away_goals
         )
-        out.games[-1].winner = None
+        out = replaced(out, -1, out.games[-1]._replace(winner=None))
         with pytest.raises(InvalidInputError,
                            match="^drawn knockout game without recorded winner$"):
             replay_outcome(spec, NAMES8, out)
 
     def test_decided_slot_without_winner_takes_its_natural_winner(self):
         spec, out = self.live("format_2013_double_elim")
-        decided = [e for e in out.games
+        decided = [p for p, e in enumerate(out.games)
                    if e.winner is not None and e.result.home_goals != e.result.away_goals]
         assert decided
-        for entry in decided:
-            entry.winner = None
+        for p in decided:
+            out = replaced(out, p, out.games[p]._replace(winner=None))
         assert replay_outcome(spec, NAMES8, out).places == out.ranking.places
 
     @pytest.mark.parametrize(
@@ -418,22 +438,22 @@ class TestReplayChecksLedger:
         # three (a series lasts two games at least) settle no slot.
         spec = FormatSpec(kind, best_of_three=best_of_three)
         out = run_format(spec, flat_sampler(), derive_rng(18, 0))
-        entry = next(e for e in out.games if e.stage == stage)
+        p, entry = next((p, e) for p, e in enumerate(out.games) if e.stage == stage)
         assert entry.winner is None
         for winner in ("NotATeam", entry.result.home):
-            entry.winner = winner
             with pytest.raises(InvalidInputError, match=f"^ledger game '{stage}' records winner "
                                                         f"'{winner}' but settles no knockout slot$"):
-                replay_outcome(spec, NAMES8, out)
+                replay_outcome(spec, NAMES8, replaced(out, p, entry._replace(winner=winner)))
 
     def test_winner_on_a_series_game_that_does_not_end_it_rejected(self):
         # A three-game series: its second game settles no slot either.
         spec = FormatSpec("proposed", best_of_three=True)
         runs = (run_format(spec, flat_sampler(), derive_rng(18, k)) for k in range(100))
-        out, entry = next((out, out.games[p - 1]) for out in runs
-                          for p, e in enumerate(out.games) if e.stage.endswith("-g3"))
+        out, p = next((out, p - 1) for out in runs
+                      for p, e in enumerate(out.games) if e.stage.endswith("-g3"))
+        entry = out.games[p]
         assert entry.stage.endswith("-g2") and entry.winner is None
-        entry.winner = entry.result.away
+        out = replaced(out, p, entry._replace(winner=entry.result.away))
         with pytest.raises(InvalidInputError, match=f"^ledger game '{entry.stage}' records"):
             replay_outcome(spec, NAMES8, out)
 
@@ -694,6 +714,16 @@ class TestFixedResults:
         h2h = TieBreakPolicy(("points", "head_to_head", "goal_difference", "seed_order"))
         assert rank_from_fixed_results(table, h2h).order() == ["T6", "T1", "T2", *rest]
 
+    def test_overrides_are_read_not_changed(self):
+        table = fixtures.load_combined_table(2013)
+        plain = rank_from_fixed_results(table)
+        assert plain.order()[:2] == ["Wright", "Helios"]
+        overrides = {frozenset(("Wright", "Helios")): "Helios"}
+        kept = dict(overrides)
+        swapped = rank_from_fixed_results(table, playoff_overrides=overrides)
+        assert swapped.order()[:2] == ["Helios", "Wright"] and overrides == kept
+        assert rank_from_fixed_results(table, playoff_overrides={}) == plain
+
     def test_override_outside_the_playoff_pair_rejected(self):
         table = fixtures.load_combined_table(2012)
         overrides = {frozenset(("Marlik", "Yushan")): "Helios"}
@@ -746,7 +776,7 @@ def fraction_standings(names, goals, scheme):
     n = len(names)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     zero = Fraction(0)
-    table = {name: TeamStats(zero, zero, zero) for name in names}
+    totals = {name: (zero, zero, zero) for name in names}
     played = []
     for p, (i, j) in enumerate(pairs):
         home, away = goals[0][p], goals[1][p]
@@ -764,11 +794,9 @@ def fraction_standings(names, goals, scheme):
             pts_j = 3 if for_j > for_i else 1 if for_i == for_j else 0
             played.append(GameResult(names[i], names[j], for_i, for_j))
         for team, pts, scored, conceded in ((i, pts_i, for_i, for_j), (j, pts_j, for_j, for_i)):
-            s = table[names[team]]
-            s.points += pts
-            s.goals_for += scored
-            s.goals_against += conceded
-    return table, played
+            points, goals_for, goals_against = totals[names[team]]
+            totals[names[team]] = (points + pts, goals_for + scored, goals_against + conceded)
+    return {name: TeamStats(*total) for name, total in totals.items()}, played
 
 
 @st.composite
@@ -924,8 +952,8 @@ class TestOracleLedger:
         # A result forged past the constructor is rebuilt by the replay.
         outcome = self.ledger()
         stage, (home, away, _, away_goals) = outcome.games[3].stage, outcome.games[3].result
-        outcome.games[3] = LedgerEntry(stage, tuple.__new__(GameResult,
-                                                            (home, away, 0.4, away_goals)))
+        outcome = replaced(outcome, 3, LedgerEntry(stage, tuple.__new__(
+            GameResult, (home, away, 0.4, away_goals))))
         with pytest.raises(InvalidInputError, match="^goals must be integers, not 0.4$"):
             replay_outcome(self.SPEC, self.NAMES, outcome)
 
@@ -951,7 +979,7 @@ class TestOracleLedger:
         # No round robin game settles a slot.
         outcome = self.ledger()
         entry = outcome.games[position]
-        entry.winner = entry.result.away
+        outcome = replaced(outcome, position, entry._replace(winner=entry.result.away))
         with pytest.raises(InvalidInputError, match=f"^ledger game '{entry.stage}' records "
                                                     f"winner '{entry.result.away}' but settles "
                                                     "no knockout slot$"):
@@ -987,7 +1015,7 @@ class TestOracleLedger:
     def test_entry_list_out_of_ledger_order_rejected(self, g):
         # Game g relabelled, played the other way round, or moved to the
         # end: the error names the first entry that is not the ledger's.
-        want = self.ledger().games
+        want = list(self.ledger().games)
         label, (home, away, *_) = want[g].stage, want[g].result
         expected = f" is not '{label}' of {home} v {away}$"
         moved = want[g + 1]

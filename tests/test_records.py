@@ -1,8 +1,8 @@
-"""The contract the package's records keep. A frozen record refuses
-every assignment; a value record is built through its constructor by
-`_replace`, copying and unpickling; the records a worker process
-receives survive pickling; a mutable record equals one of its class with
-equal fields and is not hashable. Every public constructor either
+"""The contract the package's records keep. No record changes once it
+is built: every record refuses every assignment. A value record is a
+tuple, equal to another with equal fields, and is built through its
+constructor by `_replace`, copying and unpickling; the records a worker
+process receives survive pickling. Every public constructor either
 builds its record or raises a TournsimError that names the field it
 rejects."""
 
@@ -36,14 +36,17 @@ from tournsim import (
     compare_campaigns,
     derive_rng,
     l1_distance,
+    load_model,
     merge_distributions,
     rank_from_fixed_results,
     replay_outcome,
     run_campaign,
+    run_campaigns,
     run_format,
 )
-from tournsim.fixtures import golden_checks
+from tournsim.fixtures import golden_checks, load_combined_table
 from tournsim.formats import Ledger
+from tournsim.scoring import league_table
 
 from samplers import NAMES8, flat_sampler
 
@@ -55,6 +58,14 @@ def campaign_spec():
 
 def distribution():
     return DiscrepancyDistribution.from_counts({0: 1, 2: 3}, 8)
+
+
+def entry():
+    return LedgerEntry("final", GameResult("A", "B", 1, 0), "A")
+
+
+def outcome():
+    return TournamentOutcome(Ranking.from_order(("A", "B")), [entry()], 1, (0, 1))
 
 
 def frozen_records():
@@ -71,6 +82,9 @@ def frozen_records():
         "GoldenCheck": golden_checks()[0],
         "PairwiseGoalModel": spec.sampler.model,
         "FixedResultTable": FixedResultTable(NAMES8, np.ones((8, 8, 2))),
+        "LedgerEntry": entry(),
+        "TournamentOutcome": outcome(),
+        "TeamStats": TeamStats(3, 1, 0),
     }
 
 
@@ -100,7 +114,8 @@ def test_campaign_spec_survives_pickling():
     assert run_campaign(back).to_text() == run_campaign(spec).to_text()
 
 
-@pytest.mark.parametrize("name", ["Ranking", "DiscrepancyDistribution", "FormatSpec"])
+@pytest.mark.parametrize("name", ["Ranking", "DiscrepancyDistribution", "FormatSpec",
+                                  "LedgerEntry", "TournamentOutcome", "TeamStats"])
 def test_value_record_survives_pickling(name):
     record = frozen_records()[name]
     back = pickle.loads(pickle.dumps(record))
@@ -145,6 +160,20 @@ REPLACED = {
                    r"^truth must be a Ranking, not \{'T0': 1\}$"),
     "counts": (distribution(), dict(counts={3: 1}), "^impossible L1 value 3 for n=8$"),
     "n_teams": (distribution(), dict(n_teams=1), "^a ranking needs at least 2 teams, not 1$"),
+    "stage": (entry(), dict(stage=None), "^stage must be a stage label, not None$"),
+    "result": (entry(), dict(result=("A", "B", 1, 0)),
+               r"^result must be a GameResult, not \('A', 'B', 1, 0\)$"),
+    "winner": (entry(), dict(winner=1), "^winner must be a team name, not 1$"),
+    "ranking": (outcome(), dict(ranking={"A": 1, "B": 2}),
+                r"^ranking must be a Ranking, not \{'A': 1, 'B': 2\}$"),
+    "games": (outcome(), dict(games=[1]), "^games must be a LedgerEntry, not 1$"),
+    "games_total": (outcome(), dict(games_total=2),
+                    "^games_total is 2, but the ledger holds 1 games$"),
+    "outcome seeding": (outcome(), dict(seeding=(0, -1)), "^seeding must be >= 0, not -1$"),
+    "points": (TeamStats(), dict(points=True), "^points must be a real number, not True$"),
+    "goals_for": (TeamStats(), dict(goals_for="1"), "^goals_for must be a real number, not '1'$"),
+    "goals_against": (TeamStats(), dict(goals_against=None),
+                      "^goals_against must be a real number, not None$"),
 }
 
 
@@ -173,30 +202,39 @@ def test_replace_keeps_what_the_constructor_keeps():
     assert type(TieBreakPolicy()._replace(criteria=["seed_order"]).criteria) is tuple
 
 
-MUTABLE = {
+# Each of the records the engines build, its fields and its repr.
+BUILT = {
     "LedgerEntry": (LedgerEntry, ("final", GameResult("A", "B", 1, 0), "A"),
                     "LedgerEntry(stage='final', result=GameResult(home='A', away='B', "
                     "home_goals=1, away_goals=0), winner='A')"),
     "TeamStats": (TeamStats, (3, 1, 0), "TeamStats(points=3, goals_for=1, goals_against=0)"),
-    "TournamentOutcome": (TournamentOutcome, (Ranking.from_order(("A", "B")), None, 1, (0, 1)),
+    "TournamentOutcome": (TournamentOutcome, (Ranking.from_order(("A", "B")), (entry(),), 1,
+                                              (0, 1)),
                           "TournamentOutcome(ranking=Ranking(places={'A': 1, 'B': 2}), "
-                          "games=None, games_total=1, seeding=(0, 1))"),
+                          "games=(LedgerEntry(stage='final', result=GameResult(home='A', "
+                          "away='B', home_goals=1, away_goals=0), winner='A'),), "
+                          "games_total=1, seeding=(0, 1))"),
 }
 
 
-@pytest.mark.parametrize("name", list(MUTABLE))
-def test_mutable_record_equals_by_fields(name):
-    cls, fields, text = MUTABLE[name]
+@pytest.mark.parametrize("name", list(BUILT))
+def test_engine_record_is_a_value_equal_by_fields(name):
+    cls, fields, text = BUILT[name]
     a, b = cls(*fields), cls(*fields)
-    assert a == b and repr(a) == text
-    assert a != fields and fields != a
-    with pytest.raises(TypeError):
-        hash(a)
-    last = cls.__slots__[-1]
-    setattr(b, last, "changed")
-    assert a != b and getattr(b, last) == "changed"
-    with pytest.raises(AttributeError):
-        b.other = 0
+    assert a == b and a == fields and repr(a) == text
+    if isinstance(a, TournamentOutcome):  # it holds a Ranking, a dict
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+def test_kept_ledger_is_a_tuple_of_its_own():
+    games = [entry()]
+    out = TournamentOutcome(TRUTH, games, 1, [1, 0])
+    games.append(entry())
+    assert out.games == (entry(),) and out.seeding == (1, 0)
+    assert TournamentOutcome(TRUTH, None, 7).games_total == 7
 
 
 TRUTH = Ranking.from_order(("A", "B"))
@@ -275,6 +313,71 @@ REJECTED = {
     "overrides pairs": (lambda: rank_from_fixed_results(
         FixedResultTable(NAMES8, np.ones((8, 8, 2))), playoff_overrides=[("A", "B")]),
         InvalidInputError, r"^playoff_overrides must be a mapping, not \[\('A', 'B'\)\]$"),
+    # The constructors of the three records the engines build checked nothing.
+    "entry of None": (lambda: LedgerEntry(None, None), InvalidInputError,
+                      "^stage must be a stage label, not None$"),
+    "outcome of None": (lambda: TournamentOutcome(None, None, "x"), InvalidInputError,
+                        "^ranking must be a Ranking, not None$"),
+    "outcome games not entries": (lambda: TournamentOutcome(TRUTH, [1, 2, 3], 3),
+                                  InvalidInputError, "^games must be a LedgerEntry, not 1$"),
+    "outcome games a string": (lambda: TournamentOutcome(TRUTH, "final", 5), InvalidInputError,
+                               "^games must be a sequence of ledger entries, not 'final'$"),
+    "outcome games_total None": (lambda: TournamentOutcome(TRUTH, None, None),
+                                 InvalidInputError,
+                                 "^games_total must be an integer, not None$"),
+    "outcome seeding an int": (lambda: TournamentOutcome(TRUTH, [], 0, seeding=5),
+                               InvalidInputError,
+                               "^seeding must be a sequence of team indices, not 5$"),
+    "outcome seeding of names": (lambda: TournamentOutcome(TRUTH, [], 0, seeding=("A", "B")),
+                                 InvalidInputError, "^seeding must be an integer, not 'A'$"),
+    "stats of a string": (lambda: TeamStats("x"), InvalidInputError,
+                          "^points must be a real number, not 'x'$"),
+    # A fixed table's overrides: a frozenset of two of its teams to one of
+    # the two, each settling a playoff. Keyed by a tuple, or naming a pair
+    # that meets in no playoff, an override was ignored.
+    "override keyed by a tuple": (lambda: rank_from_fixed_results(
+        load_combined_table(2013), playoff_overrides={("Wright", "Helios"): "Helios"}),
+        InvalidInputError, "^playoff_overrides must be keyed by a frozenset of two teams of "
+                           r"the table, not \('Wright', 'Helios'\)$"),
+    "override of other teams": (lambda: rank_from_fixed_results(
+        load_combined_table(2013), playoff_overrides={frozenset({"X", "Y"}): "X"}),
+        InvalidInputError, "^playoff_overrides must be keyed by a frozenset of two teams of "
+                           "the table, not frozenset"),
+    "override of three teams": (lambda: rank_from_fixed_results(
+        load_combined_table(2013),
+        playoff_overrides={frozenset({"Wright", "Helios", "Oxsy"}): "Oxsy"}),
+        InvalidInputError, "^playoff_overrides must be keyed by a frozenset of two teams"),
+    "override winner a list": (lambda: rank_from_fixed_results(
+        load_combined_table(2013), playoff_overrides={frozenset({"Wright", "Helios"}): ["x"]}),
+        InvalidInputError, r"^playoff_overrides winner \['x'\] is not Helios or Wright$"),
+    "override of no playoff": (lambda: rank_from_fixed_results(
+        load_combined_table(2013), playoff_overrides={frozenset({"Wright", "Oxsy"}): "Oxsy"}),
+        InvalidInputError, "^playoff_overrides: Oxsy and Wright meet in no playoff$"),
+    # A league table's matrices fit its names.
+    "league matrices too small": (lambda: league_table(["A", "B", "C"], np.ones((2, 2), int),
+                                                       np.ones((2, 2), int)),
+                                  InvalidInputError, r"^goals must be an array of shape "
+                                                     r"\(3, 3\), not one of shape \(2, 2\)$"),
+    "league matrices too large": (lambda: league_table(["A", "B"], np.ones((3, 3), int),
+                                                       np.ones((3, 3), int)),
+                                  InvalidInputError, r"^goals must be an array of shape "
+                                                     r"\(2, 2\), not one of shape \(3, 3\)$"),
+    "league points a list": (lambda: league_table(["A", "B"], np.ones((2, 2), int),
+                                                  [[0, 1], [1, 0]]),
+                             InvalidInputError, r"^points must be an array of shape \(2, 2\), "
+                                                r"not \[\[0, 1\], \[1, 0\]\]$"),
+    "league names None": (lambda: league_table(None, np.ones((2, 2)), np.ones((2, 2))),
+                          InvalidInputError,
+                          "^names must be a sequence of team names, not None$"),
+    # Entry points that ended in a bare TypeError or AttributeError.
+    "campaigns None": (lambda: run_campaigns(None), InvalidInputError,
+                       "^specs must be a sequence of campaign specs, not None$"),
+    "campaigns of an int": (lambda: run_campaigns([1]), InvalidInputError,
+                            "^specs must be a CampaignSpec, not 1$"),
+    "model text None": (lambda: load_model(None), InvalidInputError,
+                        "^text must be a str, not None$"),
+    "histogram text None": (lambda: DiscrepancyDistribution.from_text(None), InvalidInputError,
+                            "^text must be a str, not None$"),
 }
 
 
@@ -319,6 +422,11 @@ BUILDS = {
     "Ledger": (Ledger, (("home team", "away team"), [[[1]], [[0]]])),
     "PoissonSampler": (PoissonSampler, (PairwiseGoalModel(["A", "B"], np.ones((2, 2))),)),
     "Ranking.from_order": (Ranking.from_order, (["home team", "away team"],)),
+    "LedgerEntry": (LedgerEntry, ("final", GameResult("home team", "away team", 1, 0),
+                                  "home team")),
+    "TournamentOutcome": (TournamentOutcome, (Ranking.from_order(["home team", "away team"]),
+                                              (entry(),), 1, (1, 0))),
+    "TeamStats": (TeamStats, (3, 1, 0)),
 }
 
 
@@ -376,6 +484,6 @@ def test_wrong_typed_field_is_named_or_read(name, field, data):
     elif isinstance(record, PoissonSampler):
         back, record = back.model, record.model
     assert type(back) is type(record) and repr(back) == repr(record)
-    if isinstance(record, tuple) and not isinstance(record, (Ranking, CampaignSpec,
-                                                             DiscrepancyDistribution)):
+    if isinstance(record, tuple) and not isinstance(record, (
+            Ranking, CampaignSpec, DiscrepancyDistribution, TournamentOutcome)):
         hash(record)
