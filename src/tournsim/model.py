@@ -9,19 +9,20 @@ the goal means and per-pair points that `load_model` reads, and
 `FixedResultTable`, the combined score tables of `tournsim.fixtures`.
 Read from text, each goes through one reader, `_read_table`, which checks
 the table's layout and parses its cells into one float array. Both are
-`__slots__` classes whose fields are set once (`_Frozen`), by one
-constructor step, `_freeze`, that reads the names and the array and
-checks their shape; each then checks its own value rule, naming the
-first bad cell (`_reject_first_cell`).
+records (`_table`) of their names and one array, built by one step,
+`_freeze`, that reads the array and checks its shape against the names;
+each then checks its own value rule, naming the first bad cell
+(`_reject_first_cell`).
 
 The package's records are plain classes, cheap to build at import, and
-none changes once it is built. A value record is a namedtuple subclass
-(`_record`) whose fields are declared once, each with its reader;
-`_at_least`, `_choice`, `_instance`, `_bool`, `_names`, `_goal`, `_real`
-and `_sampler` read every kind of field the package has, and `_optional`
-and `_tuple` build a reader of None or of a sequence from another. The two
-team tables hold arrays, which no tuple field can compare, so they are
-`_Frozen` classes instead, equal only to themselves.
+none changes once it is built. A record that a caller builds is a
+namedtuple subclass (`_record`) whose fields are declared once, each with
+its reader; `_at_least`, `_choice`, `_instance`, `_bool`, `_names`,
+`_goal`, `_real` and `_sampler` read every kind of field the package has,
+and `_optional` and `_tuple` build a reader of None or of a sequence from
+another. An array has no single truth value, so the two team tables
+compare and hash by identity, each equal only to itself; every other
+record is a value, equal to another with equal fields.
 """
 
 from __future__ import annotations
@@ -165,27 +166,6 @@ def _tuple(read: Callable, what: str) -> Callable:
     return read_all
 
 
-class _Frozen:
-    """A `__slots__` record whose fields are set once, by `_freeze`, and
-    cannot be reassigned; equal only to itself. It is pickled as its
-    constructor's arguments, so unpickling checks it again."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
 class GameResult(_record("GameResult", dict(home=_name, away=_name, home_goals=_goal,
                                             away_goals=_goal))):
     """One sampled game: the two teams by name and integer goals for each
@@ -211,24 +191,36 @@ class GameResult(_record("GameResult", dict(home=_name, away=_name, home_goals=_
 MAX_MEAN_GOALS = 1e6
 
 
-class PairwiseGoalModel(_Frozen):
+def _table(typename: str, values: str) -> type:
+    """The `_record` base of a team table: its `names` (`_names`) and its
+    `values`, which `_freeze` reads. An array has no single truth value,
+    so a table is equal only to itself, and hashed by identity."""
+    base = _record(typename, {"names": _names, values: lambda value, name: value})
+    base.__eq__ = lambda self, other: self is other
+    base.__ne__ = lambda self, other: self is not other
+    base.__hash__ = object.__hash__
+    return base
+
+
+class PairwiseGoalModel(_table("PairwiseGoalModel", "mean_goals")):
     """n x n matrix of mean goals; entry (i, j) is the expected goals team i
     scores against team j, from 0 to MAX_MEAN_GOALS, the unused diagonal 0.
     Its names and means are its own (`_freeze`): it is safe to share."""
 
-    __slots__ = ("names", "mean_goals")  # (n, n) floats
+    __slots__ = ()
 
-    def __init__(self, names: Sequence[str], mean_goals):
-        names, matrix = _freeze(self, names, mean_goals, (), IngestionError, "model",
-                                "matrix shape {shape} does not match {n} teams")
+    def __new__(cls, names: Sequence[str], mean_goals):
+        names, matrix = _freeze(super().__new__(cls, names, mean_goals), (), IngestionError,
+                                "model", "matrix shape {shape} does not match {n} teams")
         if len(names) < 2:
             raise IngestionError("a model needs at least 2 teams")
         bad = ~((matrix >= 0) & (matrix <= MAX_MEAN_GOALS))
         _reject_first_cell(names, bad, IngestionError,
                            lambda i, j: f"invalid mean goals {matrix[i, j].item()}")
+        return tuple.__new__(cls, (names, matrix))
 
 
-class FixedResultTable(_Frozen):
+class FixedResultTable(_table("FixedResultTable", "goals")):
     """A complete pairwise score table of its own (`_freeze`), used to
     replay the proposed format over fixed, non-sampled results. goals holds
     at [i, j] the goals of names[i] and of names[j] in their
@@ -236,30 +228,29 @@ class FixedResultTable(_Frozen):
     average-valued), finite and nonnegative; the unused diagonal is 0. A
     pair's cells need not mirror."""
 
-    __slots__ = ("names", "goals")  # (n, n, 2) floats
+    __slots__ = ()
 
-    def __init__(self, names: Sequence[str], goals):
-        names, goals = _freeze(self, names, goals, (2,), InvalidInputError, "table",
-                               "goals of shape {shape} do not fit {n} teams, need {need}")
+    def __new__(cls, names: Sequence[str], goals):
+        names, goals = _freeze(super().__new__(cls, names, goals), (2,), InvalidInputError,
+                               "table", "goals of shape {shape} do not fit {n} teams, need {need}")
         bad = ~(np.isfinite(goals) & (goals >= 0)).all(-1)
         _reject_first_cell(names, bad, InvalidInputError, lambda i, j:
                            f"goals {goals[i, j].tolist()} are not finite and nonnegative")
+        return tuple.__new__(cls, (names, goals))
 
 
-def _freeze(table: _Frozen, names, values, cell: tuple[int, ...], error: type, kind: str,
-            bad_shape: str):
-    """Set a team table's names (`_names`) and its values, a read-only float
-    array of its own with a zero diagonal, once; returns the two."""
-    # The fields by slot, as `_Frozen.__setattr__` refuses every write.
-    name_slot, values_slot = type(table).__slots__
-    names = _names(names, name_slot)
-    n = len(names)
+def _freeze(table: tuple, cell: tuple[int, ...], error: type, kind: str, bad_shape: str):
+    """The names and values of `table`, a team table whose names are read:
+    its values as a read-only float array of its own, of shape
+    (n, n, *cell) for its n distinct names, with a zero diagonal."""
+    names, values = table
     try:
         array = np.array(values, dtype=float)  # a copy: the caller's stays theirs
     except (TypeError, ValueError):
         array = None
     if array is None or array.ndim == 0:  # numpy reads None as NaN
-        raise error(f"{values_slot} must be an array of numbers, not {values!r}")
+        raise error(f"{table._fields[1]} must be an array of numbers, not {values!r}")
+    n = len(names)
     if len(set(names)) != n:
         raise error(f"duplicate team name in {kind}")
     need = (n, n, *cell)
@@ -267,8 +258,6 @@ def _freeze(table: _Frozen, names, values, cell: tuple[int, ...], error: type, k
         raise error(bad_shape.format(shape=array.shape, n=n, need=need))
     array[range(n), range(n)] = 0
     array.setflags(write=False)
-    object.__setattr__(table, name_slot, names)
-    object.__setattr__(table, values_slot, array)
     return names, array
 
 

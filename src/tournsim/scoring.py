@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import operator
 from collections.abc import Mapping, Sequence
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,14 +52,31 @@ class TeamStats(_record("TeamStats", dict(points=_real, goals_for=_real, goals_a
         return self.goals_for - self.goals_against
 
 
+def _games(games, name: str) -> Sequence[GameResult]:
+    """A `_sequence` of games, each a GameResult or a sequence of its four
+    fields, read as `GameResult` reads them; a list of GameResults, as the
+    engines pass, is kept after a type check of each."""
+    if games.__class__ is list or _sequence(games):
+        for game in games:
+            if game.__class__ is not GameResult:
+                break
+        else:
+            return games
+        if all(_sequence(g) and len(g) == 4 for g in games):
+            return [GameResult(*g) for g in games]
+    raise InvalidInputError(f"{name} must be a sequence of games, each a GameResult or its "
+                            f"four fields, not {games!r}")
+
+
 def standings_from_games(
-    games: Iterable[GameResult], teams: Optional[Sequence[str]] = None
+    games: Sequence[GameResult], teams: Optional[Sequence[str]] = None
 ) -> dict[str, TeamStats]:
-    """Plain league-table accumulation: `game_points` plus raw goal sums."""
-    sums = {name: [0.0, 0.0, 0.0] for name in (teams or [])}
+    """Plain league-table accumulation of `games` (`_games`), the `teams`
+    (`_names`) listed first: `game_points` plus raw goal sums."""
+    sums = {name: [0.0, 0.0, 0.0] for name in (() if teams is None else _names(teams, "teams"))}
     # Each game is unpacked once: reading a tuple record's fields by name
     # costs about twice as much.
-    for home, away, home_goals, away_goals in games:
+    for home, away, home_goals, away_goals in _games(games, "games"):
         if home not in sums:
             sums[home] = [0.0, 0.0, 0.0]
         if away not in sums:
@@ -213,6 +230,23 @@ def league_table(names: Sequence[str], goals, points, policy: TieBreakPolicy = D
     return table, rank_totals(names, totals, policy, points)
 
 
+def _standings(standings, name: str) -> Mapping[str, TeamStats]:
+    """A mapping of team name to TeamStats, kept as it is."""
+    # A dict skips the slower ABC check, and a loop costs less than `all`
+    # of a generator.
+    if standings.__class__ is dict or isinstance(standings, Mapping):
+        for team, stats in standings.items():
+            if not (isinstance(team, str) and isinstance(stats, TeamStats)):
+                break
+        else:
+            return standings
+    raise InvalidInputError(f"{name} must be a mapping of team name to TeamStats, "
+                            f"not {standings!r}")
+
+
+_policy = _instance(TieBreakPolicy)
+
+
 def rank(
     standings: dict[str, TeamStats],
     policy: TieBreakPolicy = DEFAULT_POLICY,
@@ -221,17 +255,21 @@ def rank(
 ) -> Ranking:
     """Order teams by the policy's criteria with `tiebreak_order` (higher
     points, higher goal difference, higher goals for, head-to-head points
-    in `games` among the teams still level, then seed order)."""
-    names = list(seed_order or standings)
+    in `games` (`_games`) among the teams still level, then seed order).
+    The teams are seeded in `seed_order` (`_names`), by default the order
+    of `standings` (`_standings`)."""
+    standings, policy = _standings(standings, "standings"), _policy(policy, "policy")
+    names = list(standings if seed_order is None else _names(seed_order, "seed_order"))
     if len(names) != len(standings) or set(names) != set(standings):
         raise InvalidInputError("seed_order must list every team of the standings once")
-    stats = np.array([[standings[n].points, standings[n].goals_for, standings[n].goals_against]
-                      for n in names]).reshape(-1, 3).T
+    games = () if games is None else _games(games, "games")
+    # Each team's totals as a plain tuple: numpy reads a tuple record slower.
+    stats = np.array([tuple(standings[n]) for n in names]).reshape(-1, 3).T
     pair_points = None
     if "head_to_head" in policy.criteria:
         index = {n: i for i, n in enumerate(names)}
         pair_points = [[0] * len(names) for _ in names]  # lists: numpy adds cost ~10x
-        for home, away, home_goals, away_goals in games or ():
+        for home, away, home_goals, away_goals in games:
             if home in index and away in index:
                 i, j = index[home], index[away]
                 pair_points[i][j] += game_points(home_goals, away_goals)

@@ -38,11 +38,13 @@ from tournsim import (
     l1_distance,
     load_model,
     merge_distributions,
+    rank,
     rank_from_fixed_results,
     replay_outcome,
     run_campaign,
     run_campaigns,
     run_format,
+    standings_from_games,
 )
 from tournsim.fixtures import golden_checks, load_combined_table
 from tournsim.formats import Ledger
@@ -193,6 +195,55 @@ def test_forged_record_is_checked_when_copied_or_unpickled(field):
                     lambda: copy.copy(forged), lambda: copy.deepcopy(forged)):
         with pytest.raises(InvalidInputError, match=match):
             rebuild()
+
+
+def tables():
+    return (PairwiseGoalModel(["A", "B"], np.ones((2, 2))),
+            FixedResultTable(["A", "B"], np.ones((2, 2, 2))))
+
+
+# Changes that break a team table's rules, each with the error its type
+# raises: IngestionError for a model, InvalidInputError for a fixed table.
+TABLES_REPLACED = {
+    "negative mean": (0, dict(mean_goals=[[0, -1], [1, 0]]), IngestionError,
+                      "^row 'A', column 'B': invalid mean goals -1.0$"),
+    "means of a wrong shape": (0, dict(mean_goals=np.ones(3)), IngestionError,
+                               r"^matrix shape \(3,\) does not match 2 teams$"),
+    "model names repeated": (0, dict(names=("A", "A")), IngestionError,
+                             "^duplicate team name in model$"),
+    "negative goals": (1, dict(goals=[[[0, 0], [1, -1]], [[1, 1], [0, 0]]]), InvalidInputError,
+                       r"^row 'A', column 'B': goals \[1.0, -1.0\] are not finite and "
+                       "nonnegative$"),
+    "goals of a wrong shape": (1, dict(goals=np.ones((2, 2))), InvalidInputError,
+                               r"^goals of shape \(2, 2\) do not fit 2 teams, need \(2, 2, 2\)$"),
+}
+
+
+@pytest.mark.parametrize("case", list(TABLES_REPLACED))
+def test_table_is_rebuilt_through_its_constructor(case):
+    # As every other record, a table is rebuilt by `_replace`, copying and
+    # unpickling through its constructor, which raises the table's error.
+    at, change, error, match = TABLES_REPLACED[case]
+    table = tables()[at]
+    with pytest.raises(error, match=match):
+        table._replace(**change)
+    forged = tuple.__new__(type(table), {**table._asdict(), **change}.values())
+    for rebuild in (lambda: pickle.loads(pickle.dumps(forged)),
+                    lambda: copy.copy(forged), lambda: copy.deepcopy(forged)):
+        with pytest.raises(error, match=match):
+            rebuild()
+
+
+@pytest.mark.parametrize("at", [0, 1], ids=["PairwiseGoalModel", "FixedResultTable"])
+def test_table_unpacks_as_its_names_and_array(at):
+    table = tables()[at]
+    names, values = table
+    assert names is table.names and values is getattr(table, table._fields[1])
+    # A copy holds a read-only array of its own and, as every table, is
+    # equal only to itself.
+    back = copy.deepcopy(table)
+    assert back != table and back[0] == names and np.array_equal(back[1], values)
+    assert back[1] is not values and not back[1].flags.writeable
 
 
 def test_replace_keeps_what_the_constructor_keeps():
@@ -378,6 +429,28 @@ REJECTED = {
                         "^text must be a str, not None$"),
     "histogram text None": (lambda: DiscrepancyDistribution.from_text(None), InvalidInputError,
                             "^text must be a str, not None$"),
+    # A bracket round robin's scorers: each game is read as GameResult
+    # reads it. Each call ended in a bare AttributeError or TypeError, or
+    # read a string of names as its letters.
+    "rank of an int": (lambda: rank({"A": 1}), InvalidInputError,
+                       r"^standings must be a mapping of team name to TeamStats, not \{'A': 1\}$"),
+    "rank policy None": (lambda: rank({}, None), InvalidInputError,
+                         "^policy must be a TieBreakPolicy, not None$"),
+    "rank seed_order a string": (lambda: rank({}, seed_order="AB"), InvalidInputError,
+                                 "^seed_order must be a sequence of team names, not 'AB'$"),
+    "rank games of an int": (lambda: rank({}, games=[1]), InvalidInputError,
+                             "^games must be a sequence of games, each a GameResult or its "
+                             r"four fields, not \[1\]$"),
+    "standings of an int": (lambda: standings_from_games([1]), InvalidInputError,
+                            "^games must be a sequence of games, each a GameResult or its "
+                            r"four fields, not \[1\]$"),
+    "standings goals a string": (lambda: standings_from_games([("A", "B", "x", 0)]),
+                                 InvalidInputError, "^goals must be integers, not 'x'$"),
+    "standings games None": (lambda: standings_from_games(None), InvalidInputError,
+                             "^games must be a sequence of games, each a GameResult or its "
+                             "four fields, not None$"),
+    "standings teams a string": (lambda: standings_from_games([], "AB"), InvalidInputError,
+                                 "^teams must be a sequence of team names, not 'AB'$"),
 }
 
 

@@ -16,6 +16,7 @@ from tournsim import (
     IngestionError,
     InvalidComparisonError,
     InvalidInputError,
+    InvalidPairingError,
     PairwiseGoalModel,
     Ranking,
     TieBreakPolicy,
@@ -358,6 +359,18 @@ class TestRank:
         # so goal difference decides: C (+1), A (-1)... C 2-1, A 1-2, B 1-1
         r = rank(table, policy, seed_order=["A", "B", "C"], games=games)
         assert r.order() == ["C", "B", "A"]
+
+    def test_games_are_read_as_game_results_read_them(self):
+        # A game's four fields in any sequence are read into a GameResult:
+        # an integral goal is kept as an int, and self-play is rejected.
+        games = [game("A", "B", 1, 0), game("B", "C", 1, 0), game("C", "A", 2, 0)]
+        fields = [list(games[0]), ("B", "C", 1.0, np.int64(0)), np.array(games[2], dtype=object)]
+        policy = TieBreakPolicy(("points", "head_to_head", "goal_difference", "seed_order"))
+        table = standings_from_games(fields, np.array(["C", "B"]))
+        assert list(table) == ["C", "B", "A"] and table == standings_from_games(games)
+        assert rank(table, policy, ("A", "B", "C"), fields).order() == ["C", "B", "A"]
+        with pytest.raises(InvalidPairingError, match="^a team cannot play itself$"):
+            standings_from_games([("A", "A", 1, 0)])
 
     def test_seed_order_must_list_every_team_once(self):
         table = {t: TeamStats() for t in "ABC"}
